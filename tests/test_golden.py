@@ -1,0 +1,90 @@
+"""Golden outputs: every table a run records, pinned bitwise by hash.
+
+The file `golden.json` beside this one holds, per run, the sha256 of each
+SimLog table and of the pooled-mode event list, or the class of the error
+the run raises.  A change to the solver that keeps the arithmetic leaves
+every hash equal.  Re-record (only for an intended change of the numbers)
+with `PYTHONPATH=src:tests python tests/test_golden.py`.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bufferlane import bundled_scenario, scenario as scn
+from bufferlane.errors import BufferlaneError
+from bufferlane.junctions import DemandMode
+from bufferlane.solver import simulate
+from conftest import random_scenario
+
+GOLDEN = Path(__file__).with_name("golden.json")
+TABLES = ("rho", "buffers", "q_in", "q_out", "node_inflow", "node_outflow")
+BUNDLED = ("linear", "merge_pooled", "rarefaction_buffer",
+           "rarefaction_single", "small_network")
+SEEDS = (0, 1, 2, 3, 4)
+# bundled scenarios at their own h, T and demand mode; random networks in
+# both modes (pooled runs with split nodes may stop on a negative load)
+CASES = ([f"bundled-{name}" for name in BUNDLED]
+         + [f"random-{seed}-{mode.value}" for seed in SEEDS
+            for mode in DemandMode])
+
+
+def _simulate(case):
+    kind, name, *rest = case.split("-")
+    if kind == "bundled":
+        doc = scn.parse_scenario(bundled_scenario(name))
+        mode = DemandMode(doc.run.get("demand_mode", "standard"))
+        return simulate(scn.build_network(doc), scn.build_initial(doc),
+                        float(doc.run["T"]), mode=mode)
+    net, init = random_scenario(np.random.default_rng(int(name)))
+    return simulate(net, init, 4.0, mode=DemandMode(rest[0]))
+
+
+def _sha(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def record(case):
+    """Hashes of every table and of the event list, or the error class."""
+    try:
+        log = _simulate(case)
+    except BufferlaneError as exc:
+        return {"error": type(exc).__name__}
+    out = {name: _sha(c for key in sorted(getattr(log, name))
+                      for c in (key.encode(), np.ascontiguousarray(
+                          getattr(log, name)[key]).tobytes()))
+           for name in TABLES}
+    events = [[ev.node, ev.time, ev.load] for ev in log.events]
+    out["events"] = [len(events), _sha([json.dumps(events).encode()])]
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_outputs_match_golden(case, golden):
+    assert record(case) == golden[case]
+
+
+def test_density_history_layout():
+    # one C-contiguous (steps+1, cells) block per road: readers such as the
+    # CSV writer and byte hashing then never copy a history
+    log = _simulate("random-4-standard")
+    for eid, e in log.network.edges.items():
+        hist = log.rho[eid]
+        assert hist.shape == (log.steps + 1, e.cells)
+        assert hist.flags["C_CONTIGUOUS"]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({case: record(case) for case in CASES},
+                                 indent=1) + "\n")
