@@ -147,8 +147,6 @@ def main(argv=None):
     p_run.add_argument("--demand-mode", choices=["standard", "pooled"],
                        default=None)
     p_run.add_argument("--log-stride", type=int, default=1)
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="unused in run; accepted for manifest parity")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify",

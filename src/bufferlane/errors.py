@@ -37,6 +37,10 @@ class NonPositiveLength(BufferlaneError):
     pass
 
 
+class NonFiniteValue(BufferlaneError):
+    """A NaN or infinite number where the model needs a finite one."""
+
+
 class DisconnectedGraph(BufferlaneError):
     pass
 
@@ -54,10 +58,6 @@ class NotARarefaction(BufferlaneError):
 
 
 class ZeroSpeedAtBoundary(BufferlaneError):
-    pass
-
-
-class FluxLawMismatch(BufferlaneError):
     pass
 
 

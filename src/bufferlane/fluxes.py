@@ -11,7 +11,6 @@ from .errors import DensityOutOfRange
 
 SIGMA = 0.5
 F_MAX = 0.25  # f(SIGMA)
-RHO_MAX = 1.0
 
 _CLAMP_TOL = 1e-12
 
@@ -19,11 +18,13 @@ _CLAMP_TOL = 1e-12
 def _check(rho):
     """Clamp round-off violations of [0, 1], raise on anything larger."""
     r = np.asarray(rho, dtype=float)
-    if np.any(r < -_CLAMP_TOL) or np.any(r > 1.0 + _CLAMP_TOL):
+    lo, hi = (r.min(), r.max()) if r.size else (0.0, 0.0)
+    if lo < -_CLAMP_TOL or hi > 1.0 + _CLAMP_TOL:
         bad = r[(r < -_CLAMP_TOL) | (r > 1.0 + _CLAMP_TOL)]
-        raise DensityOutOfRange(f"density outside [0,1]: {np.atleast_1d(bad)[0]!r}")
-    clipped = np.clip(r, 0.0, 1.0)
-    return clipped if r.ndim else float(clipped)
+        raise DensityOutOfRange(f"density outside [0,1]: {bad[0]!r}")
+    if lo < 0.0 or hi > 1.0:
+        r = np.clip(r, 0.0, 1.0)
+    return r if r.ndim else float(r)
 
 
 def flux(rho):
@@ -45,15 +46,13 @@ def flux_derivative(rho):
 def demand(rho):
     """Maximum flux a road can send downstream."""
     r = _check(rho)
-    return np.where(r <= SIGMA, r * (1.0 - r), F_MAX) if np.ndim(r) else (
-        r * (1.0 - r) if r <= SIGMA else F_MAX)
+    return np.where(r <= SIGMA, r * (1.0 - r), F_MAX)
 
 
 def supply(rho):
     """Maximum flux a road can absorb."""
     r = _check(rho)
-    return np.where(r <= SIGMA, F_MAX, r * (1.0 - r)) if np.ndim(r) else (
-        F_MAX if r <= SIGMA else r * (1.0 - r))
+    return np.where(r <= SIGMA, F_MAX, r * (1.0 - r))
 
 
 def godunov_flux(u, v):

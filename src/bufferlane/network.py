@@ -1,15 +1,16 @@
 """Road graph model: edges, junction specs, validation and grids."""
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-import numpy as np
 
 from . import fluxes
 from .errors import (
     DegreeMismatch,
     DisconnectedGraph,
+    NegativeInflow,
+    NonFiniteValue,
     NonPositiveLength,
     RateSumViolation,
 )
@@ -50,10 +51,6 @@ class Edge:
     @property
     def h(self) -> float:
         return self.length / self.cells
-
-    def grid(self) -> np.ndarray:
-        """Cell boundary points x_0 .. x_N (N+1 equispaced values)."""
-        return np.linspace(0.0, self.length, self.cells + 1)
 
 
 @dataclass
@@ -114,6 +111,8 @@ class RoadNetwork:
 
     def validate(self) -> "RoadNetwork":
         for e in self.edges.values():
+            if not math.isfinite(e.length):
+                raise NonFiniteValue(f"edge {e.id}: length {e.length}")
             if e.length <= 0.0:
                 raise NonPositiveLength(f"edge {e.id}: length {e.length}")
             if e.cells < 2:
@@ -130,17 +129,22 @@ class RoadNetwork:
                 if node.alpha is None or len(node.alpha) != 2:
                     raise RateSumViolation(f"node {node.id}: missing alpha pair")
                 a1, a2 = node.alpha
-                if a1 <= 0 or a2 <= 0 or abs(a1 + a2 - 1.0) > _SUM_TOL:
+                if not (a1 > 0 and a2 > 0
+                        and abs(a1 + a2 - 1.0) <= _SUM_TOL):
                     raise RateSumViolation(
                         f"node {node.id}: alpha {node.alpha} must be positive "
                         f"and sum to 1")
             if node.kind is NodeKind.TWO_TO_ONE and node.priority != DEMAND_PROPORTIONAL:
                 c1, c2 = node.priority
-                if c1 <= 0 or c2 <= 0 or abs(c1 + c2 - 1.0) > _SUM_TOL:
+                if not (c1 > 0 and c2 > 0
+                        and abs(c1 + c2 - 1.0) <= _SUM_TOL):
                     raise RateSumViolation(
                         f"node {node.id}: priorities {node.priority} must be "
                         f"positive and sum to 1")
-            if node.kind in (NodeKind.SOURCE, NodeKind.SINK) and np.isfinite(node.r_max):
+            if node.kind is NodeKind.SOURCE:
+                self._check_inflow(node)
+            if (node.kind in (NodeKind.SOURCE, NodeKind.SINK)
+                    and math.isfinite(node.r_max)):
                 raise RateSumViolation(
                     f"node {node.id}: source/sink buffers are unbounded")
             mu_cap = max(max(din, dout), 1) * fluxes.F_MAX
@@ -151,6 +155,16 @@ class RoadNetwork:
                 raise RateSumViolation(f"node {node.id}: r_max must be > 0")
         self._check_connected()
         return self
+
+    @staticmethod
+    def _check_inflow(node):
+        for t_k, v_k in node.inflow:
+            if not (math.isfinite(t_k) and math.isfinite(v_k)):
+                raise NonFiniteValue(
+                    f"node {node.id}: inflow {v_k} from t={t_k}")
+            if v_k < 0.0:
+                raise NegativeInflow(
+                    f"node {node.id}: inflow {v_k} < 0 from t={t_k}")
 
     def _check_connected(self):
         if not self.edges:

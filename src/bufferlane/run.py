@@ -1,9 +1,11 @@
 """Glue that executes a parsed scenario end to end."""
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import routing, scenario as scn
+from .errors import ScenarioSemanticError
 from .junctions import DemandMode
 from .routing import RoutePolicy
 from .solver import SimLog, simulate
@@ -54,10 +56,13 @@ def execute(doc, target_h=None, overrides=None) -> RunResult:
     for key in ("tracker", "policy", "w_rho", "w_r"):
         if key in overrides and overrides[key] is not None:
             car_cfg[key] = overrides[key]
+    T = run_cfg.get("T")
+    if not (isinstance(T, (int, float)) and 0.0 < T < math.inf):
+        raise ScenarioSemanticError(f"run: T={T} must be a finite number > 0")
     network = scn.build_network(doc, target_h=target_h)
     initial = scn.build_initial(doc)
     mode = DemandMode(run_cfg.get("demand_mode", "standard"))
-    log = simulate(network, initial, float(run_cfg["T"]), mode=mode)
+    log = simulate(network, initial, float(T), mode=mode)
     result = RunResult(network=network, log=log)
     if "destination" not in car_cfg:
         return result

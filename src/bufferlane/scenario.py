@@ -22,7 +22,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .errors import ScenarioSemanticError, ScenarioSyntaxError
+from .errors import (
+    BufferOutOfRange,
+    NonFiniteValue,
+    ScenarioSemanticError,
+    ScenarioSyntaxError,
+)
 from .network import DEMAND_PROPORTIONAL, Edge, JunctionSpec, NodeKind, RoadNetwork, cells_for_target_h
 from .solver import InitialData
 
@@ -134,7 +139,8 @@ def _check_semantics(doc):
         if eid not in edge_ids:
             raise ScenarioSemanticError(f"density for unknown edge {eid!r}")
         xs = [x for x, _ in pieces]
-        if xs != sorted(xs) or len(set(xs)) != len(xs):
+        if (not all(map(math.isfinite, xs)) or xs != sorted(xs)
+                or len(set(xs)) != len(xs)):
             raise ScenarioSemanticError(
                 f"edge {eid}: breakpoints must be strictly increasing")
         for _, rho in pieces:
@@ -175,28 +181,48 @@ def build_network(doc, target_h=None) -> RoadNetwork:
     """Materialize and validate the road graph from a parsed document.
 
     `target_h` (CLI override or [run] h) sets cell counts for edges that do
-    not carry an explicit `cells` attribute.
+    not carry an explicit `cells` attribute.  The initial buffer loads are
+    checked against the nodes here too, so bad numbers never reach the
+    solver.
     """
     if target_h is None:
         target_h = doc.run.get("h")
-    nodes = [_node_from_attrs(nid, attrs) for nid, attrs in doc.nodes]
+    if target_h is not None and not (isinstance(target_h, (int, float))
+                                     and 0.0 < target_h < math.inf):
+        raise ScenarioSemanticError(
+            f"cell width h={target_h} must be a finite number > 0")
+    nodes = []
+    for nid, attrs in doc.nodes:
+        try:
+            nodes.append(_node_from_attrs(nid, attrs))
+        except ValueError as exc:
+            raise ScenarioSemanticError(f"node {nid}: {exc}")
     edges = []
     for eid, attrs in doc.edges:
         try:
             length = float(attrs["length"])
             src, dst = attrs["from"], attrs["to"]
+            cells = int(attrs["cells"]) if "cells" in attrs else None
         except KeyError as exc:
             raise ScenarioSemanticError(f"edge {eid}: missing {exc}")
-        if "cells" in attrs:
-            cells = int(attrs["cells"])
-        elif target_h:
+        except ValueError as exc:
+            raise ScenarioSemanticError(f"edge {eid}: {exc}")
+        if not math.isfinite(length):
+            raise NonFiniteValue(f"edge {eid}: length {length}")
+        if cells is None and target_h:
             cells = cells_for_target_h(length, float(target_h))
-        else:
+        elif cells is None:
             raise ScenarioSemanticError(
                 f"edge {eid}: no cell count and no target h")
         edges.append(Edge(id=eid, source=src, target=dst, length=length,
                           cells=cells))
-    return RoadNetwork(nodes, edges).validate()
+    network = RoadNetwork(nodes, edges).validate()
+    for nid, r0 in doc.buffers.items():
+        r_max = network.nodes[nid].r_max
+        if not (math.isfinite(r0) and 0.0 <= r0 <= r_max):
+            raise BufferOutOfRange(
+                f"node {nid}: initial buffer {r0} outside [0, {r_max}]")
+    return network
 
 
 def build_initial(doc) -> InitialData:

@@ -8,7 +8,7 @@ from . import junctions
 from .errors import CFLViolation
 from .fluxes import godunov_flux
 from .junctions import DemandMode
-from .network import NodeKind, RoadNetwork
+from .network import RoadNetwork
 
 _CLIP_TOL = 1e-10
 
@@ -25,28 +25,16 @@ class InitialData:
     densities: dict = field(default_factory=dict)
     buffers: dict = field(default_factory=dict)
 
-    @staticmethod
-    def uniform(network, rho, buffers=None):
-        dens = {eid: [(0.0, rho)] for eid in network.edges}
-        return InitialData(densities=dens, buffers=dict(buffers or {}))
-
 
 def project_cells(edge, pieces):
     """Exact cell averages of a piecewise-constant profile."""
-    xs = [p[0] for p in pieces] + [edge.length]
-    vals = [p[1] for p in pieces]
-    cells = np.zeros(edge.cells)
-    h = edge.h
-    for i in range(edge.cells):
-        lo, hi = i * h, (i + 1) * h
-        acc = 0.0
-        for k, v in enumerate(vals):
-            a = max(lo, xs[k])
-            b = min(hi, xs[k + 1])
-            if b > a:
-                acc += v * (b - a)
-        cells[i] = acc / h
-    return cells
+    lo = np.arange(edge.cells) * edge.h
+    hi = np.arange(1, edge.cells + 1) * edge.h
+    ends = [x for x, _ in pieces[1:]] + [edge.length]
+    acc = np.zeros(edge.cells)
+    for (x, v), end in zip(pieces, ends):
+        acc += v * np.maximum(np.minimum(hi, end) - np.maximum(lo, x), 0.0)
+    return acc / edge.h
 
 
 def cfl_timestep(network: RoadNetwork, T=None):
@@ -54,171 +42,99 @@ def cfl_timestep(network: RoadNetwork, T=None):
     tau = 0.5 * min(e.h for e in network.edges.values())
     if T is None:
         return tau
-    steps = int(np.ceil(T / tau - 1e-9))
-    return T / steps
+    return T / int(np.ceil(T / tau - 1e-9))
 
 
 class SimLog:
     """Full time series of a run: densities, buffers and boundary fluxes.
 
     Flux entries at index n are the constants used on [t^n, t^{n+1}), so
-    flux arrays have M entries while state arrays have M+1.
+    flux arrays have M entries while state arrays have M+1.  Each table is
+    a dict of views into one edge-major buffer: `rho[eid]` is a C-contiguous
+    (M+1, cells) block and every node or edge series a contiguous row.  A
+    time-major (M+1) x C array would make each road's history strided, and
+    readers that need it contiguous (hashing, binary dumps) would copy the
+    largest road's history, raising peak RSS by that copy.
     """
 
-    def __init__(self, network, tau, T, mode):
+    def __init__(self, network, tau, T, mode, history, loads, series, events):
+        """`history` holds road after road each (M+1, cells) block, `loads`
+        the (nodes, M+1) buffer loads and `series` the (2 edges + 2 nodes,
+        M) rows of q_in, q_out, node_inflow and node_outflow."""
         self.network = network
         self.tau = tau
         self.T = T
         self.mode = mode
-        self.steps = int(round(T / tau))
-        M = self.steps
+        self.steps = M = int(round(T / tau))
         self.t = np.arange(M + 1) * tau
-        self.rho = {e.id: np.zeros((M + 1, e.cells)) for e in network.edges.values()}
-        self.buffers = {nid: np.zeros(M + 1) for nid in network.nodes}
-        self.q_in = {eid: np.zeros(M) for eid in network.edges}
-        self.q_out = {eid: np.zeros(M) for eid in network.edges}
-        self.node_inflow = {nid: np.zeros(M) for nid in network.nodes}
-        self.node_outflow = {nid: np.zeros(M) for nid in network.nodes}
-        self.events = []
+        ends = (M + 1) * np.cumsum([e.cells for e in network.edges.values()])
+        self.rho = {e.id: block.reshape(M + 1, e.cells) for e, block in
+                    zip(network.edges.values(), np.split(history, ends[:-1]))}
+        self.buffers = dict(zip(network.nodes, loads))
+        E, N = len(network.edges), len(network.nodes)
+        q_in, q_out, f_in, f_out = np.split(series, [E, 2 * E, 2 * E + N])
+        self.q_in, self.q_out = (dict(zip(network.edges, q))
+                                 for q in (q_in, q_out))
+        self.node_inflow, self.node_outflow = (dict(zip(network.nodes, f))
+                                               for f in (f_in, f_out))
+        self.events = events
 
     def step_of(self, t):
         """Largest n with t^n <= t (clipped to the recorded range)."""
         return min(max(int(np.floor(t / self.tau + 1e-9)), 0), self.steps)
 
 
-def _junction_fluxes(network, rho, buffers, t, mode):
-    """Boundary fluxes for every edge from the state at one instant.
-
-    Returns per-edge (q_in, q_out) and per-node (inflow, outflow) maps,
-    where the node maps are the buffer's f_v^in / f_v^out.
-    """
-    q_in, q_out = {}, {}
-    f_in, f_out = {}, {}
-    for node in network.nodes.values():
-        nid = node.id
-        r = buffers[nid]
-        ins = network.in_edges[nid]
-        outs = network.out_edges[nid]
-        if node.kind is NodeKind.SOURCE:
-            e = outs[0]
-            desired = node.inflow_at(t)
-            q, _ = junctions.source_fluxes(desired, rho[e][0], r, node.mu)
-            q_in[e] = q
-            f_in[nid], f_out[nid] = desired, q
-        elif node.kind is NodeKind.SINK:
-            e = ins[0]
-            q = junctions.sink_flux(rho[e][-1])
-            q_out[e] = q
-            f_in[nid], f_out[nid] = q, q
-        elif node.kind is NodeKind.ONE_TO_ONE:
-            e1, e2 = ins[0], outs[0]
-            q1, q2 = junctions.one_to_one_fluxes(rho[e1][-1], rho[e2][0], r, node)
-            q_out[e1], q_in[e2] = q1, q2
-            f_in[nid], f_out[nid] = q1, q2
-        elif node.kind is NodeKind.ONE_TO_TWO:
-            e1, e2, e3 = ins[0], outs[0], outs[1]
-            q1, q2, q3 = junctions.one_to_two_fluxes(
-                rho[e1][-1], rho[e2][0], rho[e3][0], r, node)
-            q_out[e1], q_in[e2], q_in[e3] = q1, q2, q3
-            f_in[nid], f_out[nid] = q1, q2 + q3
-        else:  # TWO_TO_ONE
-            e1, e2, e3 = ins[0], ins[1], outs[0]
-            q1, q2, q3 = junctions.two_to_one_fluxes(
-                rho[e1][-1], rho[e2][-1], rho[e3][0], r, node, mode)
-            q_out[e1], q_out[e2], q_in[e3] = q1, q2, q3
-            f_in[nid], f_out[nid] = q1 + q2, q3
-    return q_in, q_out, f_in, f_out
-
-
-def _limit_buffer_crossings(network, buffers, q_in, q_out, f_in, f_out,
-                            tau, mode):
-    """Rescale node fluxes so no buffer crosses 0 or r_max within the step.
-
-    The coupling branches on the buffer state at t^n, so a buffer that
-    empties (or fills) in mid-step would overshoot the bound by up to one
-    step's flow before the fluxes switch.  Scaling the node's outgoing
-    (resp. incoming) fluxes to stop exactly at the bound keeps the loads
-    admissible and the scheme conservative.  In Pooled mode negative loads
-    are left in place: the known defect of that demand choice must stay
-    observable.
-    """
-    for node in network.nodes.values():
-        nid = node.id
-        r = buffers[nid]
-        drift = tau * (f_in[nid] - f_out[nid])
-        scale = None
-        if r + drift < 0.0 and mode is DemandMode.STANDARD:
-            scale, edges, f_map = ((r / tau + f_in[nid]) / f_out[nid],
-                                   network.out_edges[nid], q_in)
-            f_out[nid] *= scale
-        elif r + drift > node.r_max:
-            scale, edges, f_map = (((node.r_max - r) / tau + f_out[nid])
-                                   / f_in[nid],
-                                   network.in_edges[nid], q_out)
-            f_in[nid] *= scale
-        if scale is not None:
-            for eid in edges:
-                f_map[eid] *= scale
-
-
-def advance_step(network, rho, buffers, t, tau, mode=DemandMode.STANDARD):
-    """One explicit step; mutates nothing, returns new state + flux record."""
-    q_in, q_out, f_in, f_out = _junction_fluxes(network, rho, buffers, t, mode)
-    _limit_buffer_crossings(network, buffers, q_in, q_out, f_in, f_out,
-                            tau, mode)
-    new_rho = {}
-    for e in network.edges.values():
-        u = rho[e.id]
-        F = godunov_flux(u[:-1], u[1:])
-        nu = np.empty_like(u)
-        lam = tau / e.h
-        nu[0] = u[0] - lam * (F[0] - q_in[e.id])
-        nu[1:-1] = u[1:-1] - lam * (F[1:] - F[:-1])
-        nu[-1] = u[-1] - lam * (q_out[e.id] - F[-1])
-        if nu.min() < -_CLIP_TOL or nu.max() > 1.0 + _CLIP_TOL:
-            raise CFLViolation(
-                f"edge {e.id}: density left [0,1] at t={t:.6g} "
-                f"(range [{nu.min():.3e}, {nu.max():.3e}])")
-        np.clip(nu, 0.0, 1.0, out=nu)
-        new_rho[e.id] = nu
-    new_buffers = {}
-    events = []
-    for node in network.nodes.values():
-        nid = node.id
-        r_new, event = junctions.buffer_step(
-            buffers[nid], f_in[nid], f_out[nid], tau,
-            r_max=node.r_max, mode=mode, node=nid, time=t)
-        new_buffers[nid] = r_new
-        if event is not None:
-            events.append(event)
-    return new_rho, new_buffers, (q_in, q_out, f_in, f_out), events
+def advance_step(table, lam, rho, r, t, tau, mode=DemandMode.STANDARD):
+    """One explicit step on the flat state (`lam` = tau / h per cell);
+    returns the new state and the fluxes (q_in, q_out, f_in, f_out) used."""
+    q_in, q_out, f_in, f_out = table.fluxes(rho, r, t, mode)
+    junctions.limit_buffer_crossings(table, r, q_in, q_out, f_in, f_out,
+                                     tau, mode)
+    F = godunov_flux(rho[:-1], rho[1:])
+    right = np.append(F, 0.0)
+    right[table.last] = q_out
+    left = np.concatenate(([0.0], F))
+    left[table.first] = q_in
+    nu = rho - lam * (right - left)
+    if nu.min() < -_CLIP_TOL or nu.max() > 1.0 + _CLIP_TOL:
+        lo, hi = (f.reduceat(nu, table.first) for f in (np.minimum, np.maximum))
+        k = np.argmax((lo < -_CLIP_TOL) | (hi > 1.0 + _CLIP_TOL))
+        raise CFLViolation(
+            f"edge {table.edges[k].id}: density left [0,1] at t={t:.6g} "
+            f"(range [{lo[k]:.3e}, {hi[k]:.3e}])")
+    np.clip(nu, 0.0, 1.0, out=nu)
+    new_r, events = junctions.buffer_step(table, r, f_in, f_out, tau, mode, t)
+    return nu, new_r, (q_in, q_out, f_in, f_out), events
 
 
 def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
-    """Run the coupled scheme over [0, T] and record every step."""
+    """Run the coupled scheme over [0, T] and record every step.
+
+    The state is one flat density vector, road after road, and one load
+    per node; a JunctionTable gives all boundary fluxes of a step in array
+    passes.
+    """
     if tau is None:
         tau = cfl_timestep(network, T)
-    log = SimLog(network, tau, T, mode)
-    rho = {}
-    for e in network.edges.values():
-        pieces = initial.densities.get(e.id, [(0.0, 0.0)])
-        rho[e.id] = project_cells(e, pieces)
-    buffers = {nid: float(initial.buffers.get(nid, 0.0)) for nid in network.nodes}
-    for eid in network.edges:
-        log.rho[eid][0] = rho[eid]
-    for nid in network.nodes:
-        log.buffers[nid][0] = buffers[nid]
-    for n in range(log.steps):
-        t = n * tau
-        rho, buffers, (q_in, q_out, f_in, f_out), events = advance_step(
-            network, rho, buffers, t, tau, mode)
-        for eid in network.edges:
-            log.rho[eid][n + 1] = rho[eid]
-            log.q_in[eid][n] = q_in[eid]
-            log.q_out[eid][n] = q_out[eid]
-        for nid in network.nodes:
-            log.buffers[nid][n + 1] = buffers[nid]
-            log.node_inflow[nid][n] = f_in[nid]
-            log.node_outflow[nid][n] = f_out[nid]
-        log.events.extend(events)
-    return log
+    M = int(round(T / tau))
+    table = junctions.JunctionTable.for_network(network)
+    lam = np.repeat([tau / e.h for e in table.edges], table.widths)
+    rho = np.concatenate([project_cells(e, initial.densities.get(
+        e.id, [(0.0, 0.0)])) for e in table.edges])
+    r = np.array([float(initial.buffers.get(v, 0.0)) for v in network.nodes])
+    # edge-major history: road k's block starts at (M+1) first[k], and its
+    # step-n values sit n * cells further on
+    history = np.zeros((M + 1) * len(rho))
+    pos = np.arange(len(rho)) + np.repeat(M * table.first, table.widths)
+    stride = np.repeat(table.widths, table.widths)
+    loads = np.zeros((len(r), M + 1))
+    series = np.zeros((2 * len(table.edges) + 2 * len(r), M))
+    history[pos], loads[:, 0], events = rho, r, []
+    for n in range(M):
+        rho, r, fluxes, step_events = advance_step(table, lam, rho, r,
+                                                   n * tau, tau, mode)
+        pos += stride
+        history[pos], loads[:, n + 1] = rho, r
+        series[:, n] = np.concatenate(fluxes)
+        events.extend(step_events)
+    return SimLog(network, tau, T, mode, history, loads, series, events)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bufferlane.junctions import DemandMode
+from bufferlane.junctions import DemandMode, JunctionTable, buffer_step
 from bufferlane.network import (
     DEMAND_PROPORTIONAL,
     Edge,
@@ -41,6 +41,38 @@ def line_network(densities=(0.3, 0.5, 0.7), inflow=0.21, mu=0.25,
     init = InitialData(densities={f"e{i+1}": [(0.0, rho)]
                                   for i, rho in enumerate(densities)})
     return net, init
+
+
+def one_node_table(spec, n_in, n_out):
+    """JunctionTable of the single node `spec`, whose roads 0..n_in-1 enter
+    and n_in..n_in+n_out-1 leave it, one cell each."""
+    n = n_in + n_out
+    edges = [Edge(id=f"e{k}", source="", target="", length=1.0, cells=1)
+             for k in range(n)]
+    return JunctionTable([spec], [list(range(n_in))], [list(range(n_in, n))],
+                         edges)
+
+
+def node_fluxes(spec, rho_in, rho_out, r, mode=DemandMode.STANDARD):
+    """Boundary fluxes of one junction through a one-node table: the
+    outflows of its incoming roads, then the inflows of its outgoing roads."""
+    table = one_node_table(spec, len(rho_in), len(rho_out))
+    q_in, q_out, _, _ = table.fluxes(np.array([*rho_in, *rho_out], dtype=float),
+                                     np.array([float(r)]), 0.0, mode)
+    return (tuple(float(q) for q in q_out[:len(rho_in)])
+            + tuple(float(q) for q in q_in[len(rho_in):]))
+
+
+def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
+                     mode=DemandMode.STANDARD, node="", time=0.0):
+    """Euler update of one buffer through a one-node table; returns the new
+    load and the negativity event or None."""
+    table = one_node_table(JunctionSpec(id=node, kind=NodeKind.ONE_TO_ONE,
+                                        r_max=r_max), 1, 1)
+    new_r, events = buffer_step(table, np.array([float(r)]),
+                                np.array([float(inflow)]),
+                                np.array([float(outflow)]), tau, mode, time)
+    return float(new_r[0]), (events[0] if events else None)
 
 
 def total_mass(log, n):

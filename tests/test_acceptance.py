@@ -9,7 +9,7 @@ import pytest
 
 from bufferlane import bundled_scenario, oracle, scenario as scn
 from bufferlane.errors import HorizonExceeded, ZeroSpeedAtBoundary
-from bufferlane.junctions import DemandMode, two_to_one_fluxes
+from bufferlane.junctions import DemandMode
 from bufferlane.network import JunctionSpec, NodeKind
 from bufferlane.routing import RoutePolicy, fixed_path_chooser, online_chooser
 from bufferlane.run import execute, plan_route
@@ -25,6 +25,7 @@ from conftest import (
     buffer_bound_defect,
     line_network,
     mass_balance_defect,
+    node_fluxes,
     random_scenario,
     total_edge_time,
 )
@@ -38,11 +39,11 @@ def test_criterion_1_merge_example():
     """Reference merge state: both demand modes, exact flux values."""
     spec = JunctionSpec(id="j", kind=NodeKind.TWO_TO_ONE, r_max=0.3, mu=0.2,
                         priority=(0.5, 0.5))
-    q1h, q2h, q3h = two_to_one_fluxes(0.4, 0.1, 0.5, 0.0, spec,
-                                      mode=DemandMode.POOLED)
+    q1h, q2h, q3h = node_fluxes(spec, (0.4, 0.1), (0.5,), 0.0,
+                                DemandMode.POOLED)
     rate_h = q1h + q2h - q3h
-    q1s, q2s, q3s = two_to_one_fluxes(0.4, 0.1, 0.5, 0.0, spec,
-                                      mode=DemandMode.STANDARD)
+    q1s, q2s, q3s = node_fluxes(spec, (0.4, 0.1), (0.5,), 0.0,
+                                DemandMode.STANDARD)
     rate_s = q1s + q2s - q3s
     # expected values written as the defining double arithmetic: 0.09 and
     # -0.01 are not exactly representable, their rounded forms are
@@ -70,10 +71,10 @@ def test_criterion_2_demand_mode_equivalence():
         rho1, rho2 = rng.uniform(0.02, 0.98, size=2)
         rho3 = rng.uniform(0.0, 1.0)
         spec.mu = float(rng.uniform(0.01, 0.5))
-        q_std = two_to_one_fluxes(rho1, rho2, rho3, 0.0, spec,
-                                  mode=DemandMode.STANDARD)
-        q_her = two_to_one_fluxes(rho1, rho2, rho3, 0.0, spec,
-                                  mode=DemandMode.POOLED)
+        q_std = node_fluxes(spec, (rho1, rho2), (rho3,), 0.0,
+                            DemandMode.STANDARD)
+        q_her = node_fluxes(spec, (rho1, rho2), (rho3,), 0.0,
+                            DemandMode.POOLED)
         worst = max(worst, abs(q_std[2] - q_her[2]))
     ok = worst < 1e-14
     _report(2, ok, f"max |q3_std - q3_pooled| = {worst:.2e} over 10^4 states")

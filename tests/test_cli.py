@@ -59,6 +59,29 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, name", [
+    ("inflow=0.21", "inflow=nan", "node n1"),
+    ("inflow=0.21", "inflow=0:0.21,4:-0.1", "node n1"),
+    ("buffer n2 0.1", "buffer n2 nan", "node n2"),
+    ("buffer n2 0.1", "buffer n2 0.4", "node n2"),
+    ("edge e1 from=n1 to=n2 length=1", "edge e1 from=n1 to=n2 length=nan",
+     "edge e1"),
+    ("edge e1 from=n1 to=n2 length=1", "edge e1 from=n1 to=n2 length=inf",
+     "edge e1"),
+    ("T=8", "T=abc", "run: T=abc"),
+    ("T=8", "T=nan", "run: T=nan"),
+    ("T=8\n", "", "run: T=None"),
+    ("h=0.1", "h=nan", "cell width h=nan"),
+])
+def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
+    path = tmp_path / "bad.scn"
+    path.write_text(bundled_scenario("linear").replace(old, new))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_file_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "absent.scn")]) == 2
 

@@ -2,12 +2,13 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from bufferlane.errors import (
     DegreeMismatch,
     DisconnectedGraph,
+    NegativeInflow,
+    NonFiniteValue,
     NonPositiveLength,
     RateSumViolation,
 )
@@ -32,7 +33,6 @@ def test_line_network_validates():
 def test_edge_grid():
     e = Edge(id="e", source="a", target="b", length=1.0, cells=10)
     assert e.h == pytest.approx(0.1)
-    np.testing.assert_allclose(e.grid(), np.linspace(0.0, 1.0, 11))
 
 
 def test_cells_for_target_h():
@@ -71,15 +71,16 @@ def test_unknown_node_reference():
 
 
 def test_alpha_must_sum_to_one():
-    nodes = [JunctionSpec(id="s", kind=NodeKind.SOURCE),
-             JunctionSpec(id="j", kind=NodeKind.ONE_TO_TWO, r_max=0.3,
-                          alpha=(0.6, 0.5)),
-             JunctionSpec(id="t1", kind=NodeKind.SINK),
-             JunctionSpec(id="t2", kind=NodeKind.SINK)]
-    edges = [make_edge("e0", "s", "j"), make_edge("e1", "j", "t1"),
-             make_edge("e2", "j", "t2")]
-    with pytest.raises(RateSumViolation):
-        RoadNetwork(nodes, edges).validate()
+    for alpha in ((0.6, 0.5), (math.nan, math.nan)):
+        nodes = [JunctionSpec(id="s", kind=NodeKind.SOURCE),
+                 JunctionSpec(id="j", kind=NodeKind.ONE_TO_TWO, r_max=0.3,
+                              alpha=alpha),
+                 JunctionSpec(id="t1", kind=NodeKind.SINK),
+                 JunctionSpec(id="t2", kind=NodeKind.SINK)]
+        edges = [make_edge("e0", "s", "j"), make_edge("e1", "j", "t1"),
+                 make_edge("e2", "j", "t2")]
+        with pytest.raises(RateSumViolation):
+            RoadNetwork(nodes, edges).validate()
 
 
 def test_fixed_priority_must_sum_to_one():
@@ -123,6 +124,34 @@ def test_nonpositive_length():
     edges = [Edge(id="e0", source="s", target="t", length=-1.0, cells=10)]
     with pytest.raises(NonPositiveLength):
         RoadNetwork(nodes, edges).validate()
+
+
+@pytest.mark.parametrize("length", [math.nan, math.inf])
+def test_nonfinite_length(length):
+    nodes = [JunctionSpec(id="s", kind=NodeKind.SOURCE),
+             JunctionSpec(id="t", kind=NodeKind.SINK)]
+    edges = [Edge(id="e0", source="s", target="t", length=length, cells=10)]
+    with pytest.raises(NonFiniteValue, match="edge e0"):
+        RoadNetwork(nodes, edges).validate()
+
+
+def _source_network(inflow):
+    nodes = [JunctionSpec(id="s", kind=NodeKind.SOURCE, inflow=inflow),
+             JunctionSpec(id="t", kind=NodeKind.SINK)]
+    return RoadNetwork(nodes, [make_edge("e0", "s", "t")])
+
+
+def test_negative_inflow_rejected():
+    # the whole profile is checked, not only the value in force at t = 0
+    net = _source_network(((0.0, 0.1), (3.0, -0.1)))
+    with pytest.raises(NegativeInflow, match="node s: inflow -0.1 < 0"):
+        net.validate()
+
+
+@pytest.mark.parametrize("inflow", [((0.0, math.nan),), ((math.inf, 0.1),)])
+def test_nonfinite_inflow_rejected(inflow):
+    with pytest.raises(NonFiniteValue, match="node s"):
+        _source_network(inflow).validate()
 
 
 def test_disconnected_graph():

@@ -5,13 +5,14 @@ import pytest
 
 from bufferlane.errors import HorizonExceeded, ZeroSpeedAtBoundary
 from bufferlane.fluxes import demand
-from bufferlane.junctions import DemandMode, two_to_one_fluxes
+from bufferlane.junctions import DemandMode
 from bufferlane.network import JunctionSpec, NodeKind
 from bufferlane.solver import simulate
 from bufferlane.tracker import Tracker, TrackerKind
 from conftest import (
     buffer_bound_defect,
     mass_balance_defect,
+    node_fluxes,
     random_scenario,
     total_edge_time,
 )
@@ -29,10 +30,10 @@ class TestModeEquivalence:
             rho3 = rng.uniform(0.0, 1.0)
             assert demand(rho1) > 0.0 and demand(rho2) > 0.0
             spec.mu = float(rng.uniform(0.02, 0.5))
-            q_std = two_to_one_fluxes(rho1, rho2, rho3, 0.0, spec,
-                                      mode=DemandMode.STANDARD)
-            q_her = two_to_one_fluxes(rho1, rho2, rho3, 0.0, spec,
-                                      mode=DemandMode.POOLED)
+            q_std = node_fluxes(spec, (rho1, rho2), (rho3,), 0.0,
+                                DemandMode.STANDARD)
+            q_her = node_fluxes(spec, (rho1, rho2), (rho3,), 0.0,
+                                DemandMode.POOLED)
             assert abs(q_std[2] - q_her[2]) < 1e-14
 
 

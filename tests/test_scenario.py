@@ -6,7 +6,13 @@ import math
 import pytest
 
 from bufferlane import bundled_scenario
-from bufferlane.errors import ScenarioSemanticError, ScenarioSyntaxError
+from bufferlane.errors import (
+    BufferOutOfRange,
+    NegativeInflow,
+    NonFiniteValue,
+    ScenarioSemanticError,
+    ScenarioSyntaxError,
+)
 from bufferlane.junctions import DemandMode
 from bufferlane.network import DEMAND_PROPORTIONAL, NodeKind
 from bufferlane.run import execute
@@ -87,9 +93,10 @@ class TestParsing:
             parse_scenario(MINIMAL.replace("density e1 0.3", "density e1 1.3"))
 
     def test_breakpoints_must_increase(self):
-        bad = MINIMAL.replace("0.0:0.4,0.75:0.2", "0.75:0.4,0.0:0.2")
-        with pytest.raises(ScenarioSemanticError):
-            parse_scenario(bad)
+        for pieces in ("0.75:0.4,0.0:0.2", "0.0:0.4,nan:0.2"):
+            bad = MINIMAL.replace("0.0:0.4,0.75:0.2", pieces)
+            with pytest.raises(ScenarioSemanticError):
+                parse_scenario(bad)
 
 
 class TestBuildNetwork:
@@ -117,6 +124,23 @@ class TestBuildNetwork:
         net = build_network(doc)
         assert net.nodes["n5"].priority == DEMAND_PROPORTIONAL
         assert net.nodes["n2"].alpha == (0.6, 0.4)
+
+    @pytest.mark.parametrize("old, new, error, name", [
+        ("inflow=0.2", "inflow=nan", NonFiniteValue, "node in"),
+        ("inflow=0.2", "inflow=0:0.2,2:-0.1", NegativeInflow, "node in"),
+        ("buffer mid 0.1", "buffer mid nan", BufferOutOfRange, "node mid"),
+        ("buffer mid 0.1", "buffer mid 0.5", BufferOutOfRange, "node mid"),
+        ("buffer mid 0.1", "buffer mid -0.1", BufferOutOfRange, "node mid"),
+        ("length=1\n", "length=nan\n", NonFiniteValue, "edge e1"),
+        ("length=1\n", "length=inf\n", NonFiniteValue, "edge e1"),
+        ("length=1\n", "length=x\n", ScenarioSemanticError, "edge e1"),
+        ("mu=0.25\n", "mu=abc\n", ScenarioSemanticError, "node mid"),
+    ])
+    def test_bad_numbers_rejected(self, old, new, error, name):
+        # rejected when the network is built, before any simulation step
+        doc = parse_scenario(MINIMAL.replace(old, new))
+        with pytest.raises(error, match=name):
+            build_network(doc)
 
     def test_initial_data(self):
         doc = parse_scenario(MINIMAL)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bufferlane.errors import BufferOutOfRange, CFLViolation
 from bufferlane.junctions import DemandMode
 from bufferlane.network import Edge
 from bufferlane.solver import (
@@ -161,3 +162,21 @@ class TestSimulate:
         log = linear_log
         assert mass_balance_defect(log) < 1e-12
         assert total_mass(log, 0) == pytest.approx(0.3 + 0.5 + 0.7 + 0.1)
+
+
+class TestStepErrors:
+    def test_cfl_violation_names_edge(self):
+        # tau = 2h on a queue in front of a jam: the 0.95 cell overfills
+        net, init = line_network()
+        init.densities["e2"] = [(0.0, 0.5), (0.5, 0.95), (0.6, 1.0)]
+        simulate(net, init, 1.0, tau=0.05)
+        with pytest.raises(CFLViolation, match=r"edge e2: density left "
+                           r"\[0,1\] at t=0 \(range \[4.200e-01, 1.045e\+00\]\)"):
+            simulate(net, init, 1.0, tau=0.2)
+
+    def test_buffer_out_of_range_names_node(self):
+        net, init = line_network()
+        init.buffers["n2"] = 0.5
+        with pytest.raises(BufferOutOfRange,
+                           match=r"node n2: buffer load 0.5 outside \[0, 0.3\]"):
+            simulate(net, init, 1.0)
