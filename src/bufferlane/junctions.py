@@ -106,7 +106,7 @@ class JunctionTable:
                                    f"{float(r[k])} outside [0, {self.r_max[k]}]")
         rho_end = rho[self.last]
         d = fluxes.demand(rho_end)
-        s = np.append(fluxes.supply(rho[self.first]), fluxes.F_MAX)
+        s = np.concatenate((fluxes.supply(rho[self.first]), [fluxes.F_MAX]))
         q_in, q_out = np.empty(len(self.edges) + 1), np.empty(len(self.edges))
         f_in, f_out = np.empty(len(self.ids)), np.empty(len(self.ids))
 

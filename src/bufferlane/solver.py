@@ -91,7 +91,7 @@ def advance_step(table, lam, rho, r, t, tau, mode=DemandMode.STANDARD):
     junctions.limit_buffer_crossings(table, r, q_in, q_out, f_in, f_out,
                                      tau, mode)
     F = godunov_flux(rho[:-1], rho[1:])
-    right = np.append(F, 0.0)
+    right = np.concatenate((F, [0.0]))
     right[table.last] = q_out
     left = np.concatenate(([0.0], F))
     left[table.first] = q_in
@@ -131,10 +131,10 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
     series = np.zeros((2 * len(table.edges) + 2 * len(r), M))
     history[pos], loads[:, 0], events = rho, r, []
     for n in range(M):
-        rho, r, fluxes, step_events = advance_step(table, lam, rho, r,
-                                                   n * tau, tau, mode)
+        rho, r, flows, step_events = advance_step(table, lam, rho, r,
+                                                  n * tau, tau, mode)
         pos += stride
         history[pos], loads[:, n + 1] = rho, r
-        series[:, n] = np.concatenate(fluxes)
+        series[:, n] = np.concatenate(flows)
         events.extend(step_events)
     return SimLog(network, tau, T, mode, history, loads, series, events)
