@@ -2,7 +2,10 @@
 
 The file `golden.json` beside this one holds, per run, the sha256 of each
 SimLog table and of the pooled-mode event list, or the class of the error
-the run raises.  A change to the solver that keeps the arithmetic leaves
+the run raises.  Per car query (a bundled scenario with a `[car]` section
+under one policy and one tracker, run through `run.execute`) it holds the
+sha256 of the car log, the planned route and the predicted arrival.  A
+change to the solver or the tracker that keeps the arithmetic leaves
 every hash equal.  Re-record (only for an intended change of the numbers)
 with `PYTHONPATH=src:tests python tests/test_golden.py`.
 """
@@ -14,9 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bufferlane import bundled_scenario, scenario as scn
+from bufferlane import bundled_scenario, run, scenario as scn
 from bufferlane.errors import BufferlaneError
 from bufferlane.junctions import DemandMode
+from bufferlane.routing import RoutePolicy
 from bufferlane.solver import simulate
 from conftest import random_scenario
 
@@ -30,6 +34,11 @@ SEEDS = (0, 1, 2, 3, 4)
 CASES = ([f"bundled-{name}" for name in BUNDLED]
          + [f"random-{seed}-{mode.value}" for seed in SEEDS
             for mode in DemandMode])
+# every bundled scenario with a [car] section, per policy and tracker
+CARS = ("linear", "rarefaction_buffer", "rarefaction_single",
+        "small_network")
+CAR_CASES = [f"car-{name}-{policy.value}-{kind}" for name in CARS
+             for policy in RoutePolicy for kind in ("naive", "complex")]
 
 
 def _simulate(case):
@@ -65,6 +74,31 @@ def record(case):
     return out
 
 
+def record_car(case):
+    """Hash of one car query's log, planned route and predicted arrival."""
+    _, name, policy, kind = case.split("-")
+    doc = scn.parse_scenario(bundled_scenario(name))
+    plan_route, planned = run.plan_route, []
+
+    def planning(*args, **kwargs):
+        planned.append(plan_route(*args, **kwargs))
+        return planned[-1]
+
+    run.plan_route = planning
+    try:
+        result = run.execute(doc, overrides={"policy": policy,
+                                             "tracker": kind})
+    except BufferlaneError as exc:
+        return {"error": type(exc).__name__}
+    finally:
+        run.plan_route = plan_route
+    car = result.car_log
+    out = [car.samples, car.grid_t, car.grid_pos, car.travel_times,
+           car.waiting_times, car.path, car.arrival_time, car.status.value,
+           planned, result.route, result.predicted_arrival]
+    return {"car": _sha([json.dumps(out).encode()])}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -73,6 +107,11 @@ def golden():
 @pytest.mark.parametrize("case", CASES)
 def test_outputs_match_golden(case, golden):
     assert record(case) == golden[case]
+
+
+@pytest.mark.parametrize("case", CAR_CASES)
+def test_car_queries_match_golden(case, golden):
+    assert record_car(case) == golden[case]
 
 
 def test_density_history_layout():
@@ -86,5 +125,6 @@ def test_density_history_layout():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({case: record(case) for case in CASES},
-                                 indent=1) + "\n")
+    entries = {case: record(case) for case in CASES}
+    entries.update({case: record_car(case) for case in CAR_CASES})
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
