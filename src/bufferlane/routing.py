@@ -12,8 +12,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import HorizonExceeded, UnreachableDestination
-from .fluxes import velocity
-from .tracker import CarLog, Tracker, TrackerKind, node_waiting
+from .tracker import (TrackerKind, check_timestep, enter_edge, node_waiting,
+                      traverse_edge)
 
 
 class RoutePolicy(Enum):
@@ -91,16 +91,6 @@ def online_reroute(log, node, step, destination, w_rho, w_r):
     return path[0]
 
 
-def _probe_edge(tracker, edge_id, entry_step, entry_frac):
-    """Virtual car over one edge; returns the arrival event (n_hat, tau_hat)."""
-    log = tracker.log
-    edge = log.network.edges[edge_id]
-    if entry_step >= log.steps:
-        raise HorizonExceeded("probe starts at the time horizon")
-    x = (log.tau - entry_frac) * velocity(log.rho[edge_id][entry_step][0])
-    return tracker._traverse_edge(edge, entry_step + 1, x, CarLog(), 0.0)
-
-
 def fastest_path(log, start_node, arrival_event, destination,
                  kind=TrackerKind.COMPLEX):
     """Earliest-arrival path by a time-dependent Dijkstra search.
@@ -110,7 +100,7 @@ def fastest_path(log, start_node, arrival_event, destination,
     charged when leaving it; nothing is charged at the destination.
     Returns (edge ids, arrival time).
     """
-    tracker = Tracker(log, kind)
+    check_timestep(log)
     tau = log.tau
     n0, f0 = arrival_event
     best = {}
@@ -132,16 +122,17 @@ def fastest_path(log, start_node, arrival_event, destination,
             horizon_hit = True
             continue
         for eid in outs:
-            w = log.network.edges[eid].target
-            if w in best:
+            edge = log.network.edges[eid]
+            if edge.target in best:
                 continue
-            try:
-                n_hat, tau_hat = _probe_edge(tracker, eid, m, frac)
+            try:  # a virtual car over the road, same integration as a car
+                x = enter_edge(log, eid, m, frac)
+                n_hat, tau_hat = traverse_edge(log, edge, m + 1, x, kind)
             except HorizonExceeded:
                 horizon_hit = True
                 continue
-            heapq.heappush(heap, (n_hat * tau + tau_hat, path + (eid,), w,
-                                  (n_hat, tau_hat)))
+            heapq.heappush(heap, (n_hat * tau + tau_hat, path + (eid,),
+                                  edge.target, (n_hat, tau_hat)))
     if horizon_hit:
         raise HorizonExceeded(
             f"no path to {destination} completes within the horizon")

@@ -9,7 +9,7 @@ from .errors import ScenarioSemanticError
 from .junctions import DemandMode
 from .routing import RoutePolicy
 from .solver import SimLog, simulate
-from .tracker import CarLog, Tracker, TrackerKind, track_car
+from .tracker import CarLog, TrackerKind, start_step, track_car, traverse_edge
 
 
 @dataclass
@@ -36,10 +36,8 @@ def plan_route(log, policy, start_edge, start_x, start_time, destination,
         path, _ = routing.dijkstra(net, weights, s, destination)
         return [start_edge] + path, None
     if policy is RoutePolicy.FASTEST:
-        tracker = Tracker(log, kind)
-        n0 = round(start_time / log.tau)
-        event = tracker._traverse_edge(net.edges[start_edge], n0, start_x,
-                                       CarLog(), 0.0)
+        event = traverse_edge(log, net.edges[start_edge],
+                              start_step(log.tau, start_time), start_x, kind)
         path, arrival = routing.fastest_path(log, s, event, destination, kind)
         return [start_edge] + path, arrival
     return None, None  # online

@@ -68,25 +68,24 @@ def shock_intersection(x, x_i, rho_minus, rho_plus):
     return tau_bar, x + velocity(rho_minus) * tau_bar
 
 
-def rarefaction_exit(tau_bar, x_bar, x_i, rho_plus):
-    """Exit point (tau2, x2) of the fan entered at (tau_bar, x_bar).
+def fan_coefficient(tau_bar, x_bar, x_i):
+    """Coefficient c of the in-fan path x(t) = x_i + t - c sqrt(t), wave
+    origin at (0, x_i), that the car enters at (tau_bar, x_bar)."""
+    if tau_bar <= 0.0:
+        raise NotARarefaction(f"tau_bar {tau_bar} must be positive")
+    return (tau_bar + x_i - x_bar) / math.sqrt(tau_bar)
+
+
+def rarefaction_exit(coeff, x_i, rho_plus):
+    """Exit point (tau2, x2) of the in-fan path with coefficient `coeff`.
 
     Returns None when rho_plus = 0: the downstream front then moves at the
     free-flow speed and the car can never overtake it.
     """
-    if tau_bar <= 0.0:
-        raise NotARarefaction(f"tau_bar {tau_bar} must be positive")
     if rho_plus == 0.0:
         return None
-    coeff = (tau_bar + x_i - x_bar) / math.sqrt(tau_bar)
     tau2 = (coeff / (1.0 - flux_derivative(rho_plus))) ** 2
     return tau2, x_i + flux_derivative(rho_plus) * tau2
-
-
-def _fan_position(x_i, t, tau_bar, x_bar):
-    """In-fan trajectory t -> x relative to a wave origin (0, x_i)."""
-    coeff = (tau_bar + x_i - x_bar) / math.sqrt(tau_bar)
-    return x_i + t - math.sqrt(t) * coeff
 
 
 def complex_step(x, cells, h, tau):
@@ -118,10 +117,10 @@ def complex_step(x, cells, h, tau):
     tau_bar = (origin - x) / (velocity(rm) - lam)
     if tau_bar >= tau:
         return x + tau * velocity(rm)
-    x_bar = x + velocity(rm) * tau_bar
-    exit_point = rarefaction_exit(tau_bar, x_bar, origin, rp)
+    coeff = fan_coefficient(tau_bar, x + velocity(rm) * tau_bar, origin)
+    exit_point = rarefaction_exit(coeff, origin, rp)
     if exit_point is None or exit_point[0] >= tau:
-        return _fan_position(origin, tau, tau_bar, x_bar)
+        return origin + tau - math.sqrt(tau) * coeff
     tau2, x2 = exit_point
     return x2 + velocity(rp) * (tau - tau2)
 
@@ -168,87 +167,91 @@ def node_waiting(log, node, n_hat, tau_hat):
         offset = 0.0
 
 
-class Tracker:
-    """Tracks one car through a recorded simulation."""
+def check_timestep(log):
+    """Reject a log whose tau exceeds h/2 on some road: the complex step
+    assumes that at most one wave reaches the car per step."""
+    h_min = min(e.h for e in log.network.edges.values())
+    if log.tau > 0.5 * h_min + 1e-12:
+        raise ValueError(f"tau {log.tau} violates tau <= h/2 bound")
 
-    def __init__(self, log, kind=TrackerKind.COMPLEX):
-        self.log = log
-        self.kind = TrackerKind(kind)
-        h_min = min(e.h for e in log.network.edges.values())
-        if log.tau > 0.5 * h_min + 1e-12:
-            raise ValueError(f"tau {log.tau} violates tau <= h/2 bound")
 
-    def _step(self, x, cells, h, tau):
-        if self.kind is TrackerKind.NAIVE:
-            return naive_step(x, cells, h, tau)
-        return complex_step(x, cells, h, tau)
+def start_step(tau, start_time):
+    """Step n of a departure at t^n = start_time (grid step tau)."""
+    n = int(round(start_time / tau))
+    if n < 0 or abs(n * tau - start_time) > 1e-9:
+        raise ValueError(f"start time {start_time} is not a time-grid point "
+                         "t^n >= 0")
+    return n
 
-    def _traverse_edge(self, edge, n, x, car, cum):
-        """Advance full steps until the edge end is crossed.
 
-        Returns (n_hat, tau_hat); records grid samples along the way.
-        """
-        log = self.log
-        tau = log.tau
-        rho_hist = log.rho[edge.id]
-        b = edge.length
+def enter_edge(log, edge_id, m, frac):
+    """Position at t^{m+1} of a car entering road `edge_id` at t^m + frac."""
+    if m >= log.steps:
+        raise HorizonExceeded(f"car enters edge {edge_id} at the time horizon")
+    return (log.tau - frac) * velocity(log.rho[edge_id][m][0])
+
+
+def traverse_edge(log, edge, n, x, kind, car=None, cum=0.0):
+    """Drive from x on `edge` at t^n until the road end is crossed.
+
+    Returns the arrival event (n_hat, tau_hat), the end being reached at
+    t^n_hat + tau_hat.  Given a car log, records a sample at every grid time
+    on the road, at distance cum + x.
+    """
+    step = naive_step if TrackerKind(kind) is TrackerKind.NAIVE else complex_step
+    tau = log.tau
+    rho_hist = log.rho[edge.id]
+    b = edge.length
+    while x < b - _ARRIVAL_TOL:
+        if n >= log.steps:
+            raise HorizonExceeded(
+                f"car still on edge {edge.id} at the time horizon")
+        cells = rho_hist[n]
+        x_new = step(x, cells, edge.h, tau)
+        if x_new >= b - _ARRIVAL_TOL:
+            return n, min(end_of_road_time(x, cells[-1], b), tau)
+        n += 1
+        x = x_new
+        if car is not None:
+            _sample(car, n * tau, edge.id, x, cum + x, CarStatus.DRIVING,
+                    grid=True)
+    return n, 0.0
+
+
+def _sample(car, t, edge_id, x, dist, status, grid=False):
+    car.samples.append((t, edge_id, x, dist, status.value))
+    if grid:
+        car.grid_t.append(t)
+        car.grid_pos.append(dist)
+
+
+def track_car(log, start_edge, start_x, start_time, destination,
+              kind=TrackerKind.COMPLEX, choose_next=None):
+    """Run a car from (edge, x, t) until `destination` or the horizon.
+
+    `choose_next(node_id, n_hat, tau_hat) -> edge_id` resolves the exit
+    at dispersing junctions; junctions with a single outgoing road never
+    consult it.
+    """
+    check_timestep(log)
+    net = log.network
+    tau = log.tau
+    car = CarLog()
+    n = start_step(tau, start_time)
+    edge = net.edges[start_edge]
+    x = float(start_x)
+    cum = 0.0
+    car.path.append(edge.id)
+    t_dep = n * tau
+    _sample(car, t_dep, edge.id, x, x, CarStatus.DRIVING, grid=True)
+    try:
         while True:
-            if x >= b - _ARRIVAL_TOL:
-                n_hat, tau_hat = n, 0.0
-                break
-            if n >= log.steps:
-                raise HorizonExceeded(
-                    f"car still on edge {edge.id} at the time horizon")
-            cells = rho_hist[n]
-            x_new = self._step(x, cells, edge.h, tau)
-            if x_new >= b - _ARRIVAL_TOL:
-                n_hat = n
-                tau_hat = min(end_of_road_time(x, cells[-1], b), tau)
-                break
-            n += 1
-            x = x_new
-            self._sample(car, n * tau, edge.id, x, cum + x, CarStatus.DRIVING,
-                         grid=True)
-        return n_hat, tau_hat
-
-    def _sample(self, car, t, edge_id, x, dist, status, grid=False):
-        car.samples.append((t, edge_id, x, dist, status.value))
-        if grid:
-            car.grid_t.append(t)
-            car.grid_pos.append(dist)
-
-    def track(self, start_edge, start_x, start_time, destination,
-              choose_next=None):
-        """Run the car from (edge, x, t) until `destination` or the horizon.
-
-        `choose_next(node_id, n_hat, tau_hat) -> edge_id` resolves the exit
-        at dispersing junctions; junctions with a single outgoing road never
-        consult it.
-        """
-        log = self.log
-        net = log.network
-        tau = log.tau
-        car = CarLog()
-        n = int(round(start_time / tau))
-        if abs(n * tau - start_time) > 1e-9:
-            raise ValueError(f"start time {start_time} is not on the time grid")
-        edge = net.edges[start_edge]
-        x = float(start_x)
-        cum = 0.0
-        car.path.append(edge.id)
-        t_dep = n * tau
-        self._sample(car, n * tau, edge.id, x, x, CarStatus.DRIVING, grid=True)
-        while True:
-            try:
-                n_hat, tau_hat = self._traverse_edge(edge, n, x, car, cum)
-            except HorizonExceeded:
-                car.status = CarStatus.HORIZON_EXCEEDED
-                return car
+            n_hat, tau_hat = traverse_edge(log, edge, n, x, kind, car, cum)
             t_arr = n_hat * tau + tau_hat
             car.travel_times.append((edge.id, t_dep, t_arr - t_dep))
             dist_done = cum + edge.length
-            self._sample(car, t_arr, edge.id, edge.length, dist_done,
-                         CarStatus.DRIVING)
+            _sample(car, t_arr, edge.id, edge.length, dist_done,
+                    CarStatus.DRIVING)
             node = edge.target
             if node == destination:
                 car.arrival_time = t_arr
@@ -265,29 +268,21 @@ class Tracker:
             try:
                 wt, m, frac = node_waiting(log, node, n_hat, tau_hat)
             except HorizonExceeded:
-                car.status = CarStatus.HORIZON_EXCEEDED
                 car.waiting_times.append((node, t_arr, math.nan))
-                return car
+                raise
             car.waiting_times.append((node, t_arr, wt))
             # car sits at the node on every grid time spent waiting
             for k in range(n_hat + 1, m + 1):
-                self._sample(car, k * tau, edge.id, edge.length, dist_done,
-                             CarStatus.WAITING, grid=True)
+                _sample(car, k * tau, edge.id, edge.length, dist_done,
+                        CarStatus.WAITING, grid=True)
             cum = dist_done
             edge = net.edges[next_id]
             car.path.append(next_id)
-            if m >= log.steps:
-                car.status = CarStatus.HORIZON_EXCEEDED
-                return car
-            x = (tau - frac) * velocity(log.rho[next_id][m][0])
+            x = enter_edge(log, next_id, m, frac)
             t_dep = m * tau + frac
             n = m + 1
-            self._sample(car, n * tau, edge.id, x, cum + x, CarStatus.DRIVING,
-                         grid=True)
-
-
-def track_car(log, start_edge, start_x, start_time, destination,
-              kind=TrackerKind.COMPLEX, choose_next=None):
-    """Convenience wrapper around Tracker.track."""
-    return Tracker(log, kind).track(start_edge, start_x, start_time,
-                                    destination, choose_next)
+            _sample(car, n * tau, edge.id, x, cum + x, CarStatus.DRIVING,
+                    grid=True)
+    except HorizonExceeded:
+        car.status = CarStatus.HORIZON_EXCEEDED
+        return car

@@ -16,7 +16,7 @@ from bufferlane.network import (
     cells_for_target_h,
 )
 from bufferlane.solver import InitialData, simulate
-from bufferlane.tracker import Tracker, node_waiting
+from bufferlane.tracker import TrackerKind, node_waiting, traverse_edge
 
 
 def make_edge(eid, src, dst, length=1.0, h=0.1):
@@ -205,16 +205,16 @@ def random_scenario(rng, h=0.15):
     return net, InitialData(densities=densities, buffers=buffers)
 
 
-def total_edge_time(log, tracker, eid, n_start):
+def total_edge_time(log, eid, n_start):
     """Departure-to-exit time over one edge: transit plus buffer waiting.
 
-    Starts at the edge beginning at t^n_start and returns the time until
-    the car enters the next road (edge travel time plus the FIFO wait at
-    the downstream node).
+    Drives the complex tracker from the edge beginning at t^n_start and
+    returns the time until the car enters the next road (edge travel time
+    plus the FIFO wait at the downstream node).
     """
     edge = log.network.edges[eid]
-    from bufferlane.tracker import CarLog
-    n_hat, tau_hat = tracker._traverse_edge(edge, n_start, 0.0, CarLog(), 0.0)
+    n_hat, tau_hat = traverse_edge(log, edge, n_start, 0.0,
+                                   TrackerKind.COMPLEX)
     wt, m, frac = node_waiting(log, edge.target, n_hat, tau_hat)
     return (m * log.tau + frac) - n_start * log.tau
 

@@ -15,8 +15,8 @@ from bufferlane.routing import RoutePolicy, fixed_path_chooser, online_chooser
 from bufferlane.run import execute, plan_route
 from bufferlane.solver import simulate
 from bufferlane.tracker import (
-    Tracker,
     TrackerKind,
+    fan_coefficient,
     rarefaction_exit,
     shock_intersection,
     track_car,
@@ -245,7 +245,6 @@ def test_criterion_8_fifo_property():
         rng = np.random.default_rng(2000 + seed)
         net, init = random_scenario(rng)
         log = simulate(net, init, 8.0)
-        tracker = Tracker(log, TrackerKind.COMPLEX)
         interior = {n.id for n in net.interior_nodes()}
         for eid, edge in net.edges.items():
             if edge.target not in interior:
@@ -254,8 +253,8 @@ def test_criterion_8_fifo_property():
                 n1 = int(rng.integers(0, log.steps // 3))
                 n2 = n1 + int(rng.integers(1, log.steps // 3))
                 try:
-                    ttt1 = total_edge_time(log, tracker, eid, n1)
-                    ttt2 = total_edge_time(log, tracker, eid, n2)
+                    ttt1 = total_edge_time(log, eid, n1)
+                    ttt2 = total_edge_time(log, eid, n2)
                 except (HorizonExceeded, ZeroSpeedAtBoundary):
                     continue
                 worst = max(worst, (n1 * log.tau + ttt1) -
@@ -310,8 +309,8 @@ def test_criterion_9_wave_geometry_oracle():
     ref_t = np.empty(m)
     ref_x = np.empty(m)
     for k in range(m):
-        ref_t[k], ref_x[k] = rarefaction_exit(
-            tau_bar[k], x_bar[k], x_i[k], rho_plus[k])
+        coeff = fan_coefficient(tau_bar[k], x_bar[k], x_i[k])
+        ref_t[k], ref_x[k] = rarefaction_exit(coeff, x_i[k], rho_plus[k])
     t = tau_bar.copy()
     x = x_bar.copy()
     num_t = np.full(m, np.nan)

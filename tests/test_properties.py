@@ -8,7 +8,6 @@ from bufferlane.fluxes import demand
 from bufferlane.junctions import DemandMode
 from bufferlane.network import JunctionSpec, NodeKind
 from bufferlane.solver import simulate
-from bufferlane.tracker import Tracker, TrackerKind
 from conftest import (
     buffer_bound_defect,
     mass_balance_defect,
@@ -73,7 +72,6 @@ class TestFifo:
         rng = np.random.default_rng(seed)
         net, init = random_scenario(rng)
         log = simulate(net, init, 8.0)
-        tracker = Tracker(log, TrackerKind.COMPLEX)
         interior = {n.id for n in net.interior_nodes()}
         checked = 0
         for eid, edge in net.edges.items():
@@ -83,8 +81,8 @@ class TestFifo:
                 n1 = int(rng.integers(0, log.steps // 3))
                 n2 = n1 + int(rng.integers(1, log.steps // 3))
                 try:
-                    ttt1 = total_edge_time(log, tracker, eid, n1)
-                    ttt2 = total_edge_time(log, tracker, eid, n2)
+                    ttt1 = total_edge_time(log, eid, n1)
+                    ttt2 = total_edge_time(log, eid, n2)
                 except (HorizonExceeded, ZeroSpeedAtBoundary):
                     continue
                 t1 = n1 * log.tau

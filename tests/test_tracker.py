@@ -16,10 +16,10 @@ from bufferlane.junctions import DemandMode
 from bufferlane.solver import simulate
 from bufferlane.tracker import (
     CarStatus,
-    Tracker,
     TrackerKind,
     complex_step,
     end_of_road_time,
+    fan_coefficient,
     naive_step,
     node_waiting,
     rarefaction_exit,
@@ -52,7 +52,7 @@ class TestRarefactionExit:
         # fan 0.8|0.4 at x = 1, car enters the left edge after tau_bar
         tau_bar = (1.0 - 0.9) / (0.2 + 0.6)
         x_bar = 0.9 + 0.2 * tau_bar
-        out = rarefaction_exit(tau_bar, x_bar, 1.0, 0.4)
+        out = rarefaction_exit(fan_coefficient(tau_bar, x_bar, 1.0), 1.0, 0.4)
         assert out is not None
         tau2, x2 = out
         assert tau_bar == pytest.approx(0.125)
@@ -61,11 +61,12 @@ class TestRarefactionExit:
         assert x2 == pytest.approx(1.1)
 
     def test_vacuum_front_never_exits(self):
-        assert rarefaction_exit(0.1, 0.95, 1.0, 0.0) is None
+        coeff = fan_coefficient(0.1, 0.95, 1.0)
+        assert rarefaction_exit(coeff, 1.0, 0.0) is None
 
     def test_rejects_nonpositive_entry_time(self):
         with pytest.raises(NotARarefaction):
-            rarefaction_exit(0.0, 0.9, 1.0, 0.4)
+            fan_coefficient(0.0, 0.9, 1.0)
 
 
 class TestSteps:
@@ -175,4 +176,4 @@ class TestTracking:
         net, init = line_network()
         log = simulate(net, init, 1.0, tau=0.08)
         with pytest.raises(ValueError):
-            Tracker(log)
+            track_car(log, "e1", 0.0, 0.0, "n3")
