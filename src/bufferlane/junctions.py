@@ -175,11 +175,13 @@ def limit_buffer_crossings(table, r, q_in, q_out, f_in, f_out, tau, mode):
     step's flow before the fluxes switch.  Scaling the node's outgoing
     (resp. incoming) fluxes to stop exactly at the bound keeps the loads
     admissible and the scheme conservative.  In Pooled mode negative loads
-    are left in place: the known defect of that demand choice must stay
-    observable.
+    at merges are left in place: the known defect of that demand choice
+    must stay observable.  Every other node keeps the limiter in both modes.
     """
     ahead = r + tau * (f_in - f_out)
-    empties = (ahead < 0.0) & (mode is DemandMode.STANDARD)
+    empties = ahead < 0.0
+    if mode is DemandMode.POOLED:
+        empties[table.merge[0]] = False
     fills = ~empties & (ahead > table.r_max)
     for hit, room, scaled, other, q, node in (
             (empties, r, f_out, f_in, q_in, table.edge_source),

@@ -30,7 +30,7 @@ BUNDLED = ("linear", "merge_pooled", "rarefaction_buffer",
            "rarefaction_single", "small_network")
 SEEDS = (0, 1, 2, 3, 4)
 # bundled scenarios at their own h, T and demand mode; random networks in
-# both modes (pooled runs with split nodes may stop on a negative load)
+# both modes (pooled runs may leave a merge buffer negative, as events)
 CASES = ([f"bundled-{name}" for name in BUNDLED]
          + [f"random-{seed}-{mode.value}" for seed in SEEDS
             for mode in DemandMode])
