@@ -79,10 +79,6 @@ class SimLog:
                                                for f in (f_in, f_out))
         self.events = events
 
-    def step_of(self, t):
-        """Largest n with t^n <= t (clipped to the recorded range)."""
-        return min(max(int(np.floor(t / self.tau + 1e-9)), 0), self.steps)
-
 
 def advance_step(table, lam, rho, r, t, tau, mode=DemandMode.STANDARD):
     """One explicit step on the flat state (`lam` = tau / h per cell);

@@ -154,9 +154,6 @@ class TestSimulate:
         for eid, e in net.edges.items():
             assert log.rho[eid].shape == (log.steps + 1, e.cells)
             assert log.q_in[eid].shape == (log.steps,)
-        assert log.step_of(0.0) == 0
-        assert log.step_of(log.tau * 2.5) == 2
-        assert log.step_of(100.0) == log.steps
 
     def test_total_mass_tracks_boundary_fluxes(self, linear_log):
         log = linear_log
