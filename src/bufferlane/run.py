@@ -8,7 +8,7 @@ from . import routing, scenario as scn
 from .errors import ScenarioSemanticError
 from .junctions import DemandMode
 from .routing import RoutePolicy
-from .solver import SimLog, simulate
+from .solver import SimLog, cfl_timestep, simulate
 from .tracker import CarLog, TrackerKind, start_step, track_car, traverse_edge
 
 
@@ -43,8 +43,33 @@ def plan_route(log, policy, start_edge, start_x, start_time, destination,
     return None, None  # online
 
 
+def _setting(section, cfg, key, default, convert):
+    """`convert(cfg[key])` (or of the default); a value it rejects raises
+    ScenarioSemanticError naming the section and the setting."""
+    value = cfg.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioSemanticError(f"{section}: {key}={value}: {exc}") from None
+
+
+def _number(hi=math.inf):
+    """Converter to a finite float in [0, hi]."""
+    bound = "" if hi == math.inf else f" and <= {hi}"
+
+    def convert(value):
+        x = float(value)
+        if not (0.0 <= x <= hi and math.isfinite(x)):
+            raise ValueError(f"must be a finite number >= 0{bound}")
+        return x
+    return convert
+
+
 def execute(doc, target_h=None, overrides=None) -> RunResult:
-    """Simulate (and optionally track a routed car for) one scenario."""
+    """Simulate (and optionally track a routed car for) one scenario.
+
+    Every [run] and [car] setting is checked before the simulation starts.
+    """
     overrides = dict(overrides or {})
     run_cfg = dict(doc.run)
     car_cfg = dict(doc.car)
@@ -57,21 +82,32 @@ def execute(doc, target_h=None, overrides=None) -> RunResult:
     T = run_cfg.get("T")
     if not (isinstance(T, (int, float)) and 0.0 < T < math.inf):
         raise ScenarioSemanticError(f"run: T={T} must be a finite number > 0")
+    mode = _setting("run", run_cfg, "demand_mode", "standard", DemandMode)
     network = scn.build_network(doc, target_h=target_h)
     initial = scn.build_initial(doc)
-    mode = DemandMode(run_cfg.get("demand_mode", "standard"))
+    has_car = "destination" in car_cfg
+    if has_car:
+        kind = _setting("car", car_cfg, "tracker", "complex", TrackerKind)
+        policy = _setting("car", car_cfg, "policy", "shortest", RoutePolicy)
+        w_rho = _setting("car", car_cfg, "w_rho", 0.5, _number())
+        w_r = _setting("car", car_cfg, "w_r", 0.5, _number())
+        start_edge = car_cfg.get("start_edge")
+        if start_edge not in network.edges:
+            raise ScenarioSemanticError(
+                f"car: start_edge={start_edge} is not an edge")
+        start_x = _setting("car", car_cfg, "start_x", 0.0,
+                           _number(network.edges[start_edge].length))
+        start_time = _setting("car", car_cfg, "start_time", 0.0, _number())
+        try:
+            start_step(cfl_timestep(network, float(T)), start_time)
+        except ValueError as exc:
+            raise ScenarioSemanticError(
+                f"car: start_time={start_time}: {exc}") from None
+        destination = car_cfg["destination"]
     log = simulate(network, initial, float(T), mode=mode)
     result = RunResult(network=network, log=log)
-    if "destination" not in car_cfg:
+    if not has_car:
         return result
-    kind = TrackerKind(car_cfg.get("tracker", "complex"))
-    policy = RoutePolicy(car_cfg.get("policy", "shortest"))
-    start_edge = car_cfg["start_edge"]
-    start_x = float(car_cfg.get("start_x", 0.0))
-    start_time = float(car_cfg.get("start_time", 0.0))
-    destination = car_cfg["destination"]
-    w_rho = float(car_cfg.get("w_rho", 0.5))
-    w_r = float(car_cfg.get("w_r", 0.5))
     route, predicted = plan_route(log, policy, start_edge, start_x, start_time,
                                   destination, kind, w_rho, w_r)
     if route is not None:

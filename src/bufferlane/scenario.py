@@ -110,15 +110,18 @@ def parse_scenario(text) -> ScenarioDoc:
                 raise ScenarioSyntaxError("expected `density|buffer <id> <value>`",
                                           lineno)
             kind, ident, value = tokens
-            if kind == "density":
-                if ":" in value:
+            if kind not in ("density", "buffer"):
+                raise ScenarioSyntaxError(f"unknown initial entry {kind!r}", lineno)
+            try:
+                if kind == "buffer":
+                    doc.buffers[ident] = float(value)
+                elif ":" in value:
                     doc.densities[ident] = _parse_pairs(value, lineno)
                 else:
                     doc.densities[ident] = [(0.0, float(value))]
-            elif kind == "buffer":
-                doc.buffers[ident] = float(value)
-            else:
-                raise ScenarioSyntaxError(f"unknown initial entry {kind!r}", lineno)
+            except ValueError:
+                raise ScenarioSyntaxError(f"expected a number, got {value!r}",
+                                          lineno) from None
         else:
             attrs = _parse_attrs(tokens, lineno)
             target = doc.run if section == "run" else doc.car

@@ -1,11 +1,24 @@
 """Command line interface: subcommands, exit codes and output files."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bufferlane import bundled_scenario
 from bufferlane.cli import main
+
+LINEAR = bundled_scenario("linear").splitlines()
+# (line, start, end) of every value: the right side of key=value and the
+# number of a density/buffer line
+VALUES = [(i, *m.span(1)) for i, line in enumerate(LINEAR)
+          for pattern in (r"=(\S*)", r"^(?:density|buffer) \S+ (\S+)")
+          for m in re.finditer(pattern, line)]
 
 
 @pytest.fixture()
@@ -72,6 +85,19 @@ def test_parse_error_exit_2(tmp_path, capsys):
     ("T=8", "T=nan", "run: T=nan"),
     ("T=8\n", "", "run: T=None"),
     ("h=0.1", "h=nan", "cell width h=nan"),
+    ("T=8", "T=8\ndemand_mode=bogus", "run: demand_mode=bogus"),
+    ("tracker=complex", "tracker=bogus", "car: tracker=bogus"),
+    ("tracker=complex", "tracker=complex\npolicy=bogus", "car: policy=bogus"),
+    ("tracker=complex", "tracker=complex\nw_rho=abc", "car: w_rho=abc"),
+    ("start_x=0", "start_x=abc", "car: start_x=abc"),
+    ("start_x=0", "start_x=nan", "car: start_x=nan"),
+    ("start_x=0", "start_x=-1", "car: start_x=-1"),
+    ("start_x=0", "start_x=5", "car: start_x=5"),
+    ("start_time=0", "start_time=abc", "car: start_time=abc"),
+    ("start_time=0", "start_time=0.013", "car: start_time=0.013"),
+    ("start_time=0", "start_time=-0.5", "car: start_time=-0.5"),
+    ("start_edge=e1", "start_edge=e9", "car: start_edge=e9"),
+    ("start_edge=e1\n", "", "car: start_edge=None"),
 ])
 def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
     path = tmp_path / "bad.scn"
@@ -80,6 +106,33 @@ def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name}") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.integers(0, len(LINEAR) - 1),
+    st.tuples(st.sampled_from(VALUES),
+              st.sampled_from(["nan", "inf", "-1", "0", "abc", ""]))))
+def test_mutated_scenario_never_raises(mutation):
+    # one line dropped, or one value replaced: `run` ends with an exit code
+    # and at most one `error:` line, never a traceback
+    lines = list(LINEAR)
+    if isinstance(mutation, int):
+        del lines[mutation]
+    else:
+        (i, start, end), value = mutation
+        lines[i] = lines[i][:start] + value + lines[i][end:]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.scn"
+        path.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(path), "--out", str(Path(tmp) / "o")])
+    assert isinstance(code, int)
+    text = err.getvalue()
+    assert text == "" or (text.startswith("error:") and text.count("\n") == 1
+                          and text.endswith("\n"))
 
 
 def test_missing_file_exit_2(tmp_path):
