@@ -9,8 +9,6 @@ import heapq
 import math
 from enum import Enum
 
-import numpy as np
-
 from .errors import HorizonExceeded, UnreachableDestination
 from .tracker import (TrackerKind, check_timestep, enter_edge, node_waiting,
                       traverse_edge)
@@ -50,22 +48,23 @@ def shortest_path(network, source, destination):
     return dijkstra(network, lengths, source, destination)
 
 
-def _interior_rmax(network):
+def _scales(network):
+    """Weight normalizers: the longest road and the largest finite interior
+    buffer capacity."""
     caps = [n.r_max for n in network.interior_nodes() if math.isfinite(n.r_max)]
-    return max(caps) if caps else math.inf
+    return (max(e.length for e in network.edges.values()),
+            max(caps) if caps else math.inf)
 
 
 def aggregated_weights(log, w_rho, w_r):
     """Static edge weights from time-aggregated densities and buffer loads."""
     net = log.network
-    max_len = max(e.length for e in net.edges.values())
-    r_max = _interior_rmax(net)
+    max_len, r_max = _scales(net)
     T = log.T
     tau = log.tau
     weights = {}
     for eid, e in net.edges.items():
-        mass = float(log.rho[eid].sum())
-        lam_rho = tau * e.h / (T * max_len) * mass
+        lam_rho = tau * e.h / (T * max_len) * float(log.rho[eid].sum())
         lam_r = tau / (T * r_max) * float(log.buffers[e.source].sum())
         weights[eid] = w_rho * lam_rho + w_r * lam_r
     return weights
@@ -74,8 +73,7 @@ def aggregated_weights(log, w_rho, w_r):
 def online_weights(log, step, w_rho, w_r):
     """Snapshot edge weights from the state at one time step."""
     net = log.network
-    max_len = max(e.length for e in net.edges.values())
-    r_max = _interior_rmax(net)
+    max_len, r_max = _scales(net)
     weights = {}
     for eid, e in net.edges.items():
         lam_rho = e.h / max_len * float(log.rho[eid][step].sum())

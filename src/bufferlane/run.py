@@ -24,23 +24,25 @@ class RunResult:
 
 def plan_route(log, policy, start_edge, start_x, start_time, destination,
                kind, w_rho=0.5, w_r=0.5):
-    """Resolve the edge sequence for a policy; online returns None (the car
-    decides junction by junction)."""
+    """Resolve the edge sequence for a policy, plus the predicted arrival
+    for fastest; online returns (None, None): the car decides junction by
+    junction."""
+    policy = RoutePolicy(policy)
+    if policy is RoutePolicy.ONLINE:
+        return None, None
     net = log.network
     s = net.edges[start_edge].target
+    arrival = None
     if policy is RoutePolicy.SHORTEST:
         path, _ = routing.shortest_path(net, s, destination)
-        return [start_edge] + path, None
-    if policy is RoutePolicy.AGGREGATED:
+    elif policy is RoutePolicy.AGGREGATED:
         weights = routing.aggregated_weights(log, w_rho, w_r)
         path, _ = routing.dijkstra(net, weights, s, destination)
-        return [start_edge] + path, None
-    if policy is RoutePolicy.FASTEST:
+    else:
         event = traverse_edge(log, net.edges[start_edge],
                               start_step(log.tau, start_time), start_x, kind)
         path, arrival = routing.fastest_path(log, s, event, destination, kind)
-        return [start_edge] + path, arrival
-    return None, None  # online
+    return [start_edge] + path, arrival
 
 
 def _setting(section, cfg, key, default, convert):
@@ -53,14 +55,14 @@ def _setting(section, cfg, key, default, convert):
         raise ScenarioSemanticError(f"{section}: {key}={value}: {exc}") from None
 
 
-def _number(hi=math.inf):
-    """Converter to a finite float in [0, hi]."""
-    bound = "" if hi == math.inf else f" and <= {hi}"
-
+def _number(hi=math.inf, tau=None):
+    """Converter to a finite float in [0, hi], on the time grid if tau."""
     def convert(value):
         x = float(value)
         if not (0.0 <= x <= hi and math.isfinite(x)):
-            raise ValueError(f"must be a finite number >= 0{bound}")
+            raise ValueError(f"must be a finite number in [0, {hi}]")
+        if tau is not None:
+            start_step(tau, x)
         return x
     return convert
 
@@ -73,41 +75,32 @@ def execute(doc, target_h=None, overrides=None) -> RunResult:
     overrides = dict(overrides or {})
     run_cfg = dict(doc.run)
     car_cfg = dict(doc.car)
-    for key in ("T", "demand_mode"):
-        if key in overrides and overrides[key] is not None:
-            run_cfg[key] = overrides[key]
-    for key in ("tracker", "policy", "w_rho", "w_r"):
-        if key in overrides and overrides[key] is not None:
-            car_cfg[key] = overrides[key]
+    for cfg, keys in ((run_cfg, ("T", "demand_mode")),
+                      (car_cfg, ("tracker", "policy", "w_rho", "w_r"))):
+        cfg.update((key, overrides[key]) for key in keys
+                   if overrides.get(key) is not None)
     T = run_cfg.get("T")
     if not (isinstance(T, (int, float)) and 0.0 < T < math.inf):
         raise ScenarioSemanticError(f"run: T={T} must be a finite number > 0")
+    T = float(T)
     mode = _setting("run", run_cfg, "demand_mode", "standard", DemandMode)
     network = scn.build_network(doc, target_h=target_h)
     initial = scn.build_initial(doc)
-    has_car = "destination" in car_cfg
-    if has_car:
-        kind = _setting("car", car_cfg, "tracker", "complex", TrackerKind)
-        policy = _setting("car", car_cfg, "policy", "shortest", RoutePolicy)
-        w_rho = _setting("car", car_cfg, "w_rho", 0.5, _number())
-        w_r = _setting("car", car_cfg, "w_r", 0.5, _number())
-        start_edge = car_cfg.get("start_edge")
-        if start_edge not in network.edges:
-            raise ScenarioSemanticError(
-                f"car: start_edge={start_edge} is not an edge")
-        start_x = _setting("car", car_cfg, "start_x", 0.0,
-                           _number(network.edges[start_edge].length))
-        start_time = _setting("car", car_cfg, "start_time", 0.0, _number())
-        try:
-            start_step(cfl_timestep(network, float(T)), start_time)
-        except ValueError as exc:
-            raise ScenarioSemanticError(
-                f"car: start_time={start_time}: {exc}") from None
-        destination = car_cfg["destination"]
-    log = simulate(network, initial, float(T), mode=mode)
-    result = RunResult(network=network, log=log)
-    if not has_car:
-        return result
+    if "destination" not in car_cfg:
+        return RunResult(network, simulate(network, initial, T, mode=mode))
+    kind = _setting("car", car_cfg, "tracker", "complex", TrackerKind)
+    policy = _setting("car", car_cfg, "policy", "shortest", RoutePolicy)
+    w_rho = _setting("car", car_cfg, "w_rho", 0.5, _number())
+    w_r = _setting("car", car_cfg, "w_r", 0.5, _number())
+    start_edge = car_cfg.get("start_edge")
+    if start_edge not in network.edges:
+        raise ScenarioSemanticError(f"car: start_edge={start_edge} is not an edge")
+    start_x = _setting("car", car_cfg, "start_x", 0.0,
+                       _number(network.edges[start_edge].length))
+    start_time = _setting("car", car_cfg, "start_time", 0.0,
+                          _number(tau=cfl_timestep(network, T)))
+    destination = car_cfg["destination"]
+    log = simulate(network, initial, T, mode=mode)
     route, predicted = plan_route(log, policy, start_edge, start_x, start_time,
                                   destination, kind, w_rho, w_r)
     if route is not None:
@@ -116,8 +109,4 @@ def execute(doc, target_h=None, overrides=None) -> RunResult:
         chooser = routing.online_chooser(log, destination, w_rho, w_r)
     car_log = track_car(log, start_edge, start_x, start_time, destination,
                         kind=kind, choose_next=chooser)
-    result.policy = policy
-    result.route = car_log.path
-    result.predicted_arrival = predicted
-    result.car_log = car_log
-    return result
+    return RunResult(network, log, policy, car_log.path, predicted, car_log)

@@ -52,6 +52,14 @@ class CarLog:
     def total_waiting(self):
         return sum(w for _, _, w in self.waiting_times)
 
+    def sample(self, t, edge_id, x, dist, status=CarStatus.DRIVING, grid=True):
+        """Record a position; grid samples (at some t^n) also feed grid_t
+        and grid_pos."""
+        self.samples.append((t, edge_id, x, dist, status.value))
+        if grid:
+            self.grid_t.append(t)
+            self.grid_pos.append(dist)
+
 
 def naive_step(x, cells, h, tau):
     """Euler step at the speed of the Godunov cell containing x."""
@@ -109,14 +117,12 @@ def complex_step(x, cells, h, tau):
         return x + tau * velocity(rm)
     if rm < rp:  # shock
         tau_bar, x_bar = shock_intersection(x, origin, rm, rp)
-        if tau_bar >= tau:
-            return x + tau * velocity(rm)
-        return x_bar + velocity(rp) * (tau - tau_bar)
-    # rarefaction: left front moves at f'(rm)
-    lam = flux_derivative(rm)
-    tau_bar = (origin - x) / (velocity(rm) - lam)
-    if tau_bar >= tau:
+    else:  # rarefaction: left front moves at f'(rm)
+        tau_bar = (origin - x) / (velocity(rm) - flux_derivative(rm))
+    if tau_bar >= tau:  # the wave does not reach the car within the step
         return x + tau * velocity(rm)
+    if rm < rp:
+        return x_bar + velocity(rp) * (tau - tau_bar)
     coeff = fan_coefficient(tau_bar, x + velocity(rm) * tau_bar, origin)
     exit_point = rarefaction_exit(coeff, origin, rp)
     if exit_point is None or exit_point[0] >= tau:
@@ -144,10 +150,9 @@ def node_waiting(log, node, n_hat, tau_hat):
     tau = log.tau
     f_in = log.node_inflow[node][n_hat]
     f_out = log.node_outflow[node][n_hat]
-    r_hat = log.buffers[node][n_hat] + tau_hat * (f_in - f_out)
-    if r_hat <= _WAIT_TOL:
+    need = log.buffers[node][n_hat] + tau_hat * (f_in - f_out)  # load ahead
+    if need <= _WAIT_TOL:
         return 0.0, n_hat, tau_hat
-    need = r_hat
     n = n_hat
     offset = tau_hat
     while True:
@@ -179,8 +184,7 @@ def start_step(tau, start_time):
     """Step n of a departure at t^n = start_time (grid step tau)."""
     n = int(round(start_time / tau))
     if n < 0 or abs(n * tau - start_time) > 1e-9:
-        raise ValueError(f"start time {start_time} is not a time-grid point "
-                         "t^n >= 0")
+        raise ValueError(f"start time {start_time} is not a grid time t^n >= 0")
     return n
 
 
@@ -213,16 +217,8 @@ def traverse_edge(log, edge, n, x, kind, car=None, cum=0.0):
         n += 1
         x = x_new
         if car is not None:
-            _sample(car, n * tau, edge.id, x, cum + x, CarStatus.DRIVING,
-                    grid=True)
+            car.sample(n * tau, edge.id, x, cum + x)
     return n, 0.0
-
-
-def _sample(car, t, edge_id, x, dist, status, grid=False):
-    car.samples.append((t, edge_id, x, dist, status.value))
-    if grid:
-        car.grid_t.append(t)
-        car.grid_pos.append(dist)
 
 
 def track_car(log, start_edge, start_x, start_time, destination,
@@ -241,17 +237,16 @@ def track_car(log, start_edge, start_x, start_time, destination,
     edge = net.edges[start_edge]
     x = float(start_x)
     cum = 0.0
-    car.path.append(edge.id)
     t_dep = n * tau
-    _sample(car, t_dep, edge.id, x, x, CarStatus.DRIVING, grid=True)
+    car.path.append(edge.id)
     try:
         while True:
+            car.sample(n * tau, edge.id, x, cum + x)
             n_hat, tau_hat = traverse_edge(log, edge, n, x, kind, car, cum)
             t_arr = n_hat * tau + tau_hat
             car.travel_times.append((edge.id, t_dep, t_arr - t_dep))
-            dist_done = cum + edge.length
-            _sample(car, t_arr, edge.id, edge.length, dist_done,
-                    CarStatus.DRIVING)
+            cum += edge.length
+            car.sample(t_arr, edge.id, edge.length, cum, grid=False)
             node = edge.target
             if node == destination:
                 car.arrival_time = t_arr
@@ -273,16 +268,12 @@ def track_car(log, start_edge, start_x, start_time, destination,
             car.waiting_times.append((node, t_arr, wt))
             # car sits at the node on every grid time spent waiting
             for k in range(n_hat + 1, m + 1):
-                _sample(car, k * tau, edge.id, edge.length, dist_done,
-                        CarStatus.WAITING, grid=True)
-            cum = dist_done
+                car.sample(k * tau, edge.id, edge.length, cum, CarStatus.WAITING)
             edge = net.edges[next_id]
             car.path.append(next_id)
             x = enter_edge(log, next_id, m, frac)
             t_dep = m * tau + frac
             n = m + 1
-            _sample(car, n * tau, edge.id, x, cum + x, CarStatus.DRIVING,
-                    grid=True)
     except HorizonExceeded:
         car.status = CarStatus.HORIZON_EXCEEDED
         return car
