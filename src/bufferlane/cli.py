@@ -4,8 +4,8 @@
 writes the CSV/JSON result files; `bufferlane verify` checks the built-in
 analytic trajectories and prints the truncation error per scenario.
 
-Exit codes: 0 ok, 2 scenario parse error, 3 time horizon exceeded,
-4 unreachable destination.
+Exit codes: 0 ok, 1 bad scenario value or setting, 2 scenario parse
+error, 3 time horizon exceeded, 4 unreachable destination.
 """
 
 import argparse

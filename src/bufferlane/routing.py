@@ -64,7 +64,8 @@ def aggregated_weights(log, w_rho, w_r):
     tau = log.tau
     weights = {}
     for eid, e in net.edges.items():
-        lam_rho = tau * e.h / (T * max_len) * float(log.rho[eid].sum())
+        mass = float(log.rho[eid].sum())
+        lam_rho = tau * e.h / (T * max_len) * mass
         lam_r = tau / (T * r_max) * float(log.buffers[e.source].sum())
         weights[eid] = w_rho * lam_rho + w_r * lam_r
     return weights
