@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from . import fluxes
-from .errors import BufferOutOfRange, BufferOverflow, BufferUnderflow
+from .errors import BufferOverflow, BufferUnderflow
 from .network import DEMAND_PROPORTIONAL, NodeKind
 
 # emptiness / fullness decided up to round-off
@@ -78,10 +78,11 @@ class JunctionTable:
                                  for n in merging], dtype=bool)
         self.priority = np.array([(0.5, 0.5) if d else n.priority for n, d
                                   in zip(merging, self.dynamic)]).reshape(-1, 2).T
-        # rows whose kernel needs 0 <= r <= r_max, in node order; merges
-        # only under the standard demand, as pooled loads may go negative
-        self.bounded = {DemandMode.POOLED: self.split[0], DemandMode.STANDARD:
-                        np.sort(np.concatenate([self.split[0], self.merge[0]]))}
+        # nodes whose load is held at >= 0, per demand mode: pooled loads
+        # may go negative at merges, the known defect of that demand
+        self.floored = {mode: np.ones(len(nodes), dtype=bool)
+                        for mode in DemandMode}
+        self.floored[DemandMode.POOLED][self.merge[0]] = False
 
     @classmethod
     def for_network(cls, network):
@@ -98,12 +99,6 @@ class JunctionTable:
         per-edge (q_in, q_out) and the per-node (f_in, f_out): the buffer's
         inflow and outflow.
         """
-        rows = self.bounded[mode]
-        bad = (r[rows] < -_TOL) | (r[rows] > self.r_max[rows] + _TOL)
-        if bad.any():
-            k = rows[np.argmax(bad)]
-            raise BufferOutOfRange(f"node {self.ids[k]}: buffer load "
-                                   f"{float(r[k])} outside [0, {self.r_max[k]}]")
         rho_end = rho[self.last]
         d = fluxes.demand(rho_end)
         s = np.concatenate((fluxes.supply(rho[self.first]), [fluxes.F_MAX]))
@@ -179,9 +174,7 @@ def limit_buffer_crossings(table, r, q_in, q_out, f_in, f_out, tau, mode):
     must stay observable.  Every other node keeps the limiter in both modes.
     """
     ahead = r + tau * (f_in - f_out)
-    empties = ahead < 0.0
-    if mode is DemandMode.POOLED:
-        empties[table.merge[0]] = False
+    empties = (ahead < 0.0) & table.floored[mode]
     fills = ~empties & (ahead > table.r_max)
     for hit, room, scaled, other, q, node in (
             (empties, r, f_out, f_in, q_in, table.edge_source),
@@ -197,15 +190,17 @@ def buffer_step(table, r, inflow, outflow, tau, mode=DemandMode.STANDARD,
                 time=0.0):
     """Explicit Euler update of every buffer; returns (new loads, events).
 
-    The fluxes are assumed admissible for the load (crossings of 0 / r_max
-    already limited), so violations beyond round-off signal a coupling bug
-    and raise.  In Pooled mode negative loads are reported as events instead
-    of raising, so the known defect of that demand choice is observable.
+    Every load after the initial one (which `simulate` checks) is checked
+    here, and only here.  The fluxes are assumed admissible for the load
+    (crossings of 0 / r_max already limited), so violations beyond
+    round-off signal a coupling bug and raise.  Only merges in Pooled mode
+    report negative loads as events instead of raising, so the known
+    defect of that demand choice is observable.
     """
     new_r = r + tau * (inflow - outflow)
     over = new_r > table.r_max + _TOL
     under = new_r < -_TOL
-    fatal = over | under if mode is DemandMode.STANDARD else over
+    fatal = over | (under & table.floored[mode])
     if fatal.any():
         k = int(np.argmax(fatal))
         node, load = table.ids[k], float(new_r[k])

@@ -5,12 +5,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import junctions
-from .errors import CFLViolation
+from .errors import BufferOutOfRange, CFLViolation, DensityOutOfRange
 from .fluxes import godunov_flux
 from .junctions import DemandMode
 from .network import RoadNetwork
 
 _CLIP_TOL = 1e-10
+_ENTRY_TOL = 1e-12  # initial data off [0, 1] or [0, r_max] by more is rejected
 
 
 @dataclass
@@ -108,7 +109,12 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
 
     The state is one flat density vector, road after road, and one load
     per node; a JunctionTable gives all boundary fluxes of a step in array
-    passes.
+    passes.  The initial state is checked here, once: a density off [0, 1]
+    or a load off [0, r_max] beyond round-off, or not finite, raises
+    DensityOutOfRange naming the edge or BufferOutOfRange naming the node;
+    round-off densities are clipped.  Each later state is checked by the
+    step that makes it (`advance_step`, `junctions.buffer_step`), so the
+    flux law and the junction kernels read every value unchecked.
     """
     if tau is None:
         tau = cfl_timestep(network, T)
@@ -118,6 +124,18 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
     rho = np.concatenate([project_cells(e, initial.densities.get(
         e.id, [(0.0, 0.0)])) for e in table.edges])
     r = np.array([float(initial.buffers.get(v, 0.0)) for v in network.nodes])
+    bad = ~((rho >= -_ENTRY_TOL) & (rho <= 1.0 + _ENTRY_TOL))
+    if bad.any():
+        i = np.argmax(bad)
+        raise DensityOutOfRange(
+            f"edge {table.edges[np.searchsorted(table.last, i)].id}: initial "
+            f"density {float(rho[i])} outside [0, 1]")
+    np.clip(rho, 0.0, 1.0, out=rho)
+    bad = ~(np.isfinite(r) & (r >= -_ENTRY_TOL) & (r <= table.r_max + _ENTRY_TOL))
+    if bad.any():
+        k = np.argmax(bad)
+        raise BufferOutOfRange(f"node {table.ids[k]}: buffer load "
+                               f"{float(r[k])} outside [0, {table.r_max[k]}]")
     # edge-major history: road k's block starts at (M+1) first[k], and its
     # step-n values sit n * cells further on
     history = np.zeros((M + 1) * len(rho))

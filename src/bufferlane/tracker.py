@@ -182,7 +182,7 @@ def check_timestep(log):
 
 def start_step(tau, start_time):
     """Step n of a departure at t^n = start_time (grid step tau)."""
-    n = int(round(start_time / tau))
+    n = int(round(start_time / tau)) if math.isfinite(start_time) else -1
     if n < 0 or abs(n * tau - start_time) > 1e-9:
         raise ValueError(f"start time {start_time} is not a grid time t^n >= 0")
     return n
@@ -227,7 +227,7 @@ def track_car(log, start_edge, start_x, start_time, destination,
 
     `choose_next(node_id, n_hat, tau_hat) -> edge_id` resolves the exit
     at dispersing junctions; junctions with a single outgoing road never
-    consult it.
+    consult it.  `start_x` must lie in [0, length] of the start road.
     """
     check_timestep(log)
     net = log.network
@@ -236,6 +236,9 @@ def track_car(log, start_edge, start_x, start_time, destination,
     n = start_step(tau, start_time)
     edge = net.edges[start_edge]
     x = float(start_x)
+    if not 0.0 <= x <= edge.length:  # NaN fails too
+        raise ValueError(f"start_x {start_x} outside [0, {edge.length}] "
+                         f"of edge {start_edge}")
     cum = 0.0
     t_dep = n * tau
     car.path.append(edge.id)

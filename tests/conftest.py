@@ -66,9 +66,10 @@ def node_fluxes(spec, rho_in, rho_out, r, mode=DemandMode.STANDARD):
 def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
                      mode=DemandMode.STANDARD, node="", time=0.0):
     """Euler update of one buffer through a one-node table; returns the new
-    load and the negativity event or None."""
-    table = one_node_table(JunctionSpec(id=node, kind=NodeKind.ONE_TO_ONE,
-                                        r_max=r_max), 1, 1)
+    load and the negativity event or None.  The node is a merge (2 roads
+    in, 1 out): pooled loads may go negative only there."""
+    table = one_node_table(JunctionSpec(id=node, kind=NodeKind.TWO_TO_ONE,
+                                        r_max=r_max), 2, 1)
     new_r, events = buffer_step(table, np.array([float(r)]),
                                 np.array([float(inflow)]),
                                 np.array([float(outflow)]), tau, mode, time)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bufferlane import fluxes
-from bufferlane.errors import DensityOutOfRange
 
 
 def test_flux_values():
@@ -80,16 +79,3 @@ def test_vectorized_matches_scalar():
     np.testing.assert_allclose(fluxes.supply(rho),
                                [fluxes.supply(r) for r in rho])
 
-
-def test_out_of_range_raises():
-    with pytest.raises(DensityOutOfRange):
-        fluxes.flux(-0.01)
-    with pytest.raises(DensityOutOfRange):
-        fluxes.demand(1.5)
-    with pytest.raises(DensityOutOfRange):
-        fluxes.supply(np.array([0.2, 1.1]))
-
-
-def test_roundoff_is_clamped():
-    assert fluxes.flux(-1e-14) == 0.0
-    assert fluxes.flux(1.0 + 1e-14) == 0.0

@@ -2,16 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from bufferlane.errors import (
-    BufferOutOfRange,
-    BufferUnderflow,
-)
+from bufferlane import junctions
+from bufferlane.errors import BufferUnderflow
 from bufferlane.junctions import DemandMode, dynamic_priorities
 from bufferlane.network import JunctionSpec, NodeKind
 from conftest import node_buffer_step as buffer_step
-from conftest import node_fluxes
+from conftest import node_fluxes, one_node_table
 
 
 def split_spec(alpha=(0.5, 0.5), mu=0.25, r_max=0.3):
@@ -94,10 +93,6 @@ class TestOneToTwo:
     def test_zero_state(self):
         spec = split_spec()
         assert one_to_two_fluxes(0.0, 0.0, 0.0, 0.0, spec) == (0.0, 0.0, 0.0)
-
-    def test_buffer_out_of_range(self):
-        with pytest.raises(BufferOutOfRange, match="node j: buffer load 0.5"):
-            one_to_two_fluxes(0.3, 0.3, 0.3, 0.5, split_spec(r_max=0.3))
 
 
 class TestTwoToOne:
@@ -198,6 +193,13 @@ class TestBufferStep:
         with pytest.raises(BufferUnderflow):
             buffer_step(0.0, 0.19, 0.2, 0.05, r_max=1.0,
                         mode=DemandMode.STANDARD)
+
+    def test_pooled_underflow_raises_off_merges(self):
+        # pooled loads may go negative only at merges
+        table = one_node_table(pass_spec(r_max=1.0), 1, 1)
+        with pytest.raises(BufferUnderflow, match="node j: buffer"):
+            junctions.buffer_step(table, np.array([0.0]), np.array([0.19]),
+                                  np.array([0.2]), 0.05, DemandMode.POOLED)
 
     def test_unbounded_capacity(self):
         r, _ = buffer_step(1.0, 0.25, 0.0, 0.05, r_max=math.inf)

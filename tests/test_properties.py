@@ -1,12 +1,15 @@
 """Randomized invariants: conservation, bounds, determinism, FIFO order."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bufferlane.errors import HorizonExceeded, ZeroSpeedAtBoundary
-from bufferlane.fluxes import demand
+from bufferlane.fluxes import demand, supply
 from bufferlane.junctions import DemandMode
-from bufferlane.network import JunctionSpec, NodeKind
+from bufferlane.network import DEMAND_PROPORTIONAL, JunctionSpec, NodeKind
 from bufferlane.solver import simulate
 from conftest import (
     buffer_bound_defect,
@@ -34,6 +37,55 @@ class TestModeEquivalence:
             q_her = node_fluxes(spec, (rho1, rho2), (rho3,), 0.0,
                                 DemandMode.POOLED)
             assert abs(q_std[2] - q_her[2]) < 1e-14
+
+
+# (roads in, roads out) per node kind
+DEGREES = {NodeKind.SOURCE: (0, 1), NodeKind.SINK: (1, 0),
+           NodeKind.ONE_TO_ONE: (1, 1), NodeKind.ONE_TO_TWO: (1, 2),
+           NodeKind.TWO_TO_ONE: (2, 1)}
+DENSITIES = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+SHARES = st.floats(0.01, 0.99)
+
+
+@st.composite
+def junctions(draw):
+    """A node of any kind, with its road densities, load and demand mode."""
+    kind = draw(st.sampled_from(list(DEGREES)))
+    n_in, n_out = DEGREES[kind]
+    mu = draw(st.floats(0.01, max(n_in, n_out) * 0.25))
+    spec = JunctionSpec(id="j", kind=kind, mu=mu)
+    if kind is NodeKind.SOURCE:
+        spec.inflow = ((0.0, draw(st.floats(0.0, 1.0))),)
+    if kind not in (NodeKind.SOURCE, NodeKind.SINK):
+        spec.r_max = draw(st.floats(0.01, 1.0))
+    if kind is NodeKind.ONE_TO_TWO:
+        a = draw(SHARES)
+        spec.alpha = (a, 1.0 - a)
+    if kind is NodeKind.TWO_TO_ONE:
+        c = draw(SHARES)
+        spec.priority = draw(st.sampled_from([DEMAND_PROPORTIONAL,
+                                              (c, 1.0 - c)]))
+    cap = spec.r_max if math.isfinite(spec.r_max) else 1.0
+    r = 0.0 if kind is NodeKind.SINK else draw(st.one_of(
+        st.sampled_from([0.0, cap]), st.floats(0.0, cap)))
+    return (spec, draw(st.lists(DENSITIES, min_size=n_in, max_size=n_in)),
+            draw(st.lists(DENSITIES, min_size=n_out, max_size=n_out)), r,
+            draw(st.sampled_from(list(DemandMode))))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(junctions())
+def test_junction_fluxes_within_demand_supply_and_mu(case):
+    spec, rho_in, rho_out, r, mode = case
+    q = node_fluxes(spec, rho_in, rho_out, r, mode)
+    out_of_roads, into_roads = q[:len(rho_in)], q[len(rho_in):]
+    assert min(q) >= 0.0
+    assert all(x <= demand(rho) for x, rho in zip(out_of_roads, rho_in))
+    assert all(x <= supply(rho) for x, rho in zip(into_roads, rho_out))
+    if spec.kind is not NodeKind.SINK:  # buffer outflow, then intake
+        assert sum(into_roads) <= spec.mu + 1e-15
+    if spec.kind not in (NodeKind.SOURCE, NodeKind.SINK):
+        assert sum(out_of_roads) <= spec.mu + 1e-15
 
 
 class TestConservation:

@@ -1,9 +1,12 @@
 """Network Godunov solver: time stepping, projections and invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
-from bufferlane.errors import BufferOutOfRange, CFLViolation
+from bufferlane import bundled_scenario, scenario as scn
+from bufferlane.errors import BufferOutOfRange, CFLViolation, DensityOutOfRange
 from bufferlane.junctions import DemandMode
 from bufferlane.network import Edge
 from bufferlane.solver import (
@@ -172,8 +175,35 @@ class TestStepErrors:
             simulate(net, init, 1.0, tau=0.2)
 
     def test_buffer_out_of_range_names_node(self):
+        # an over-full and a NaN pass-through load, a negative source load,
+        # and a negative load at a pooled merge, which may go negative only
+        # once the run is under way
+        doc = scn.parse_scenario(bundled_scenario("merge_pooled"))
+        merge = scn.build_network(doc), scn.build_initial(doc)
+        line = line_network()
+        for (net, init), node, load, bound, mode in (
+                (line, "n2", 0.5, 0.3, DemandMode.STANDARD),
+                (line, "n1", float("nan"), 0.3, DemandMode.STANDARD),
+                (line, "n0", -0.5, float("inf"), DemandMode.STANDARD),
+                (merge, "n3", -0.01, 1.0, DemandMode.POOLED)):
+            buffers = dict(init.buffers, **{node: load})
+            with pytest.raises(BufferOutOfRange, match=re.escape(
+                    f"node {node}: buffer load {load} outside [0, {bound}]")):
+                simulate(net, InitialData(init.densities, buffers), 1.0,
+                         mode=mode)
+
+
+class TestInitialState:
+    def test_density_out_of_range_raises(self):
+        for rho in (1.5, -0.01, float("nan"), float("inf")):
+            net, init = line_network()
+            init.densities["e2"] = [(0.0, rho)]
+            with pytest.raises(DensityOutOfRange,
+                               match=re.escape(f"edge e2: initial density {rho}")):
+                simulate(net, init, 1.0)
+
+    def test_density_roundoff_is_clamped(self):
         net, init = line_network()
-        init.buffers["n2"] = 0.5
-        with pytest.raises(BufferOutOfRange,
-                           match=r"node n2: buffer load 0.5 outside \[0, 0.3\]"):
-            simulate(net, init, 1.0)
+        init.densities["e2"] = [(0.0, 1.0 + 1e-14)]
+        log = simulate(net, init, 1.0)
+        assert np.all(log.rho["e2"][0] == 1.0)

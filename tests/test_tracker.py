@@ -160,6 +160,16 @@ class TestTracking:
         with pytest.raises(ValueError):
             track_car(linear_log, "e1", 0.0, 0.013, "n3")
 
+    @pytest.mark.parametrize("start_time", [math.inf, math.nan])
+    def test_nonfinite_start_time_rejected(self, linear_log, start_time):
+        with pytest.raises(ValueError, match="is not a grid time"):
+            track_car(linear_log, "e1", 0.0, start_time, "n3")
+
+    @pytest.mark.parametrize("start_x", [-1.0, 5.0, math.nan, math.inf])
+    def test_start_x_outside_road_rejected(self, linear_log, start_x):
+        with pytest.raises(ValueError, match=r"start_x .* outside \[0, 1.0\]"):
+            track_car(linear_log, "e1", start_x, 0.0, "n3")
+
     def test_samples_monotone(self, linear_log):
         car = track_car(linear_log, "e1", 0.0, 0.0, "n3")
         ts = [s[0] for s in car.samples]
