@@ -46,15 +46,20 @@ def test_run_writes_outputs(linear_file, tmp_path, capsys):
 
 
 def test_run_log_stride(linear_file, tmp_path):
+    # stride 7 keeps the header and, road by road, the rows of every 7th
+    # instant (161 instants: the last kept one is t^154)
     out1 = tmp_path / "full"
     out2 = tmp_path / "strided"
     assert main(["run", str(linear_file), "--out", str(out1)]) == 0
     assert main(["run", str(linear_file), "--out", str(out2),
-                 "--log-stride", "10"]) == 0
+                 "--log-stride", "7"]) == 0
     full = (out1 / "density.csv").read_text().splitlines()
     strided = (out2 / "density.csv").read_text().splitlines()
-    assert len(strided) < len(full)
-    assert strided[0] == full[0]
+    times = list(dict.fromkeys(line.split(",", 1)[0] for line in full[1:]))
+    kept = set(times[::7])
+    assert len(times) == 161 and len(kept) == 23
+    assert strided == [full[0]] + [line for line in full[1:]
+                                   if line.split(",", 1)[0] in kept]
 
 
 def test_run_pooled_mode_prints_events(tmp_path, capsys):

@@ -4,20 +4,28 @@ The file `golden.json` beside this one holds, per run, the sha256 of each
 SimLog table and of the pooled-mode event list, or the class of the error
 the run raises.  Per car query (a bundled scenario with a `[car]` section
 under one policy and one tracker, run through `run.execute`) it holds the
-sha256 of the car log, the planned route and the predicted arrival.  A
-change to the solver or the tracker that keeps the arithmetic leaves
-every hash equal.  Re-record (only for an intended change of the numbers)
-with `PYTHONPATH=src:tests python tests/test_golden.py`.
+sha256 of the car log, the planned route and the predicted arrival.  Per
+`bufferlane run` of such a scenario, at log stride 1 and 7, it holds the
+exit code and the sha256 of every output file but `manifest.json`, so the
+result writers are pinned byte for byte.  A change to the solver, the
+tracker or the writers that keeps the arithmetic and the text leaves every
+hash equal.  Re-record all entries (only for an intended change of the
+numbers or of the files) with
+`PYTHONPATH=src:tests python tests/test_golden.py`.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bufferlane import bundled_scenario, run, scenario as scn
+from bufferlane.cli import main
 from bufferlane.errors import BufferlaneError
 from bufferlane.junctions import DemandMode
 from bufferlane.routing import RoutePolicy
@@ -39,6 +47,9 @@ CARS = ("linear", "rarefaction_buffer", "rarefaction_single",
         "small_network")
 CAR_CASES = [f"car-{name}-{policy.value}-{kind}" for name in CARS
              for policy in RoutePolicy for kind in ("naive", "complex")]
+# the same scenarios through `bufferlane run`, per log stride
+CLI_FILES = ("density.csv", "buffers.csv", "trajectory.csv", "route.json")
+CLI_CASES = [f"cli-{name}-{stride}" for name in CARS for stride in (1, 7)]
 
 
 def _simulate(case):
@@ -99,6 +110,19 @@ def record_car(case):
     return {"car": _sha([json.dumps(out).encode()])}
 
 
+def record_cli(case, work):
+    """Exit code and output file hashes of one `bufferlane run` in `work`."""
+    _, name, stride = case.split("-")
+    path = Path(work) / f"{name}.scn"
+    path.write_text(bundled_scenario(name))
+    out = Path(work) / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(path), "--out", str(out),
+                     "--log-stride", stride])
+    return {"code": code,
+            **{f: _sha([(out / f).read_bytes()]) for f in CLI_FILES}}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -114,6 +138,11 @@ def test_car_queries_match_golden(case, golden):
     assert record_car(case) == golden[case]
 
 
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_outputs_match_golden(case, golden, tmp_path):
+    assert record_cli(case, tmp_path) == golden[case]
+
+
 def test_density_history_layout():
     # one C-contiguous (steps+1, cells) block per road: readers such as the
     # CSV writer and byte hashing then never copy a history
@@ -127,4 +156,7 @@ def test_density_history_layout():
 if __name__ == "__main__":
     entries = {case: record(case) for case in CASES}
     entries.update({case: record_car(case) for case in CAR_CASES})
+    for case in CLI_CASES:
+        with tempfile.TemporaryDirectory() as work:
+            entries[case] = record_cli(case, work)
     GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")

@@ -27,6 +27,8 @@ from bufferlane.scenario import (
     write_route_summary,
     write_trajectory_csv,
 )
+from bufferlane.solver import simulate
+from conftest import line_network
 
 MINIMAL = """
 [network]
@@ -185,6 +187,30 @@ class TestWriters:
         t, eid, idx, rho = lines[1].split(",")
         assert eid == "e1" and idx == "0"
         assert 0.0 <= float(rho) <= 1.0
+
+    def test_csv_values_written_as_repr(self, tmp_path):
+        # the writers print each value exactly as `repr` of the float does:
+        # -0.0 stays apart from 0.0, and the smallest subnormal keeps its
+        # digits; the reference is the plain loop over every value
+        net, init = line_network()
+        log = simulate(net, init, 1.0)
+        special = [-0.0, 0.0, 1.0, 5e-324]
+        log.rho["e1"][0, :4] = special
+        log.rho["e2"][3, -4:] = special[::-1]
+        log.rho["e3"][-1, :] = -0.0
+        log.buffers["n1"][:4] = special
+        write_density_csv(log, tmp_path / "density.csv")
+        write_buffer_csv(log, tmp_path / "buffers.csv")
+        density = ["t,edge_id,cell_index,rho"] + [
+            f"{float(log.t[n])!r},{eid},{i},{float(hist[n, i])!r}"
+            for eid, hist in log.rho.items()
+            for n in range(hist.shape[0]) for i in range(hist.shape[1])]
+        buffers = ["t,node_id,r"] + [
+            f"{float(log.t[n])!r},{nid},{float(r[n])!r}"
+            for nid, r in log.buffers.items() for n in range(r.shape[0])]
+        assert (tmp_path / "density.csv").read_text() == "\n".join(density) + "\n"
+        assert (tmp_path / "buffers.csv").read_text() == "\n".join(buffers) + "\n"
+        assert "0.0,e1,0,-0.0" in density and "0.0,e1,3,5e-324" in density
 
     def test_buffer_csv(self, result, tmp_path):
         path = tmp_path / "buffers.csv"
