@@ -21,6 +21,9 @@ the grammar.  Example:
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from operator import add
+
+import numpy as np
 
 from .errors import (
     BufferOutOfRange,
@@ -259,24 +262,39 @@ def serialize_scenario(doc: ScenarioDoc) -> str:
 # ---------------------------------------------------------------------------
 # result serialization
 
+def _reprs(values):
+    """`repr` of each float of the 1-D float64 array `values`, computed once
+    per distinct bit pattern: keying on bits keeps -0.0 and 0.0 apart."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    return map(texts.__getitem__, inverse.tolist())
+
+
 def write_density_csv(log, path):
+    """One `t,edge_id,cell_index,rho` line per recorded cell and instant,
+    road by road; each time row of a road is formatted and written as one
+    string, so memory beyond the log stays one row's text."""
+    times = list(map(repr, log.t.tolist()))
     with open(path, "w") as fh:
         fh.write("t,edge_id,cell_index,rho\n")
         for eid in log.network.edges:
             hist = log.rho[eid]
-            for n in range(hist.shape[0]):
-                t = log.t[n]
-                for i in range(hist.shape[1]):
-                    fh.write(f"{float(t)!r},{eid},{i},{float(hist[n, i])!r}\n")
+            cells = [f",{eid},{i}," for i in range(hist.shape[1])]
+            for t, row in zip(times, hist):
+                fh.write(t + ("\n" + t).join(map(add, cells, _reprs(row)))
+                         + "\n")
 
 
 def write_buffer_csv(log, path):
+    """One `t,node_id,r` line per node and recorded instant, node by node;
+    each node's series is formatted and written as one string."""
+    times = list(map(repr, log.t.tolist()))
     with open(path, "w") as fh:
         fh.write("t,node_id,r\n")
         for nid in log.network.nodes:
-            series = log.buffers[nid]
-            for n in range(series.shape[0]):
-                fh.write(f"{float(log.t[n])!r},{nid},{float(series[n])!r}\n")
+            heads = [f"{t},{nid}," for t in times]
+            fh.write("\n".join(map(add, heads, _reprs(log.buffers[nid])))
+                     + "\n")
 
 
 def write_trajectory_csv(car_log, path):
