@@ -47,6 +47,10 @@ def _oracle_error(doc, result):
 
 
 def _cmd_run(args):
+    if args.log_stride < 1:
+        print(f"error: --log-stride {args.log_stride} must be >= 1",
+              file=sys.stderr)
+        return 1
     try:
         doc = parse_scenario(Path(args.scenario).read_text())
     except (ScenarioSyntaxError, ScenarioSemanticError, OSError) as exc:
@@ -73,16 +77,15 @@ def _cmd_run(args):
 
     out = Path(args.out or (Path(args.scenario).stem + "_out"))
     out.mkdir(parents=True, exist_ok=True)
-    stride = max(args.log_stride, 1)
     log = result.log
-    write_density_csv(_strided(log, stride), out / "density.csv")
-    write_buffer_csv(_strided(log, stride), out / "buffers.csv")
+    write_density_csv(_strided(log, args.log_stride), out / "density.csv")
+    write_buffer_csv(_strided(log, args.log_stride), out / "buffers.csv")
     extra = {}
     code = 0
     if result.car_log is not None:
         write_trajectory_csv(result.car_log, out / "trajectory.csv")
         write_route_summary(out / "route.json", result.policy.value,
-                            result.route, float(doc.car.get("start_time", 0.0)),
+                            result.route, result.doc.car["start_time"],
                             result.car_log)
         if result.car_log.status is CarStatus.ARRIVED:
             print(f"policy={result.policy.value} path={'-'.join(result.route)} "
@@ -97,7 +100,7 @@ def _cmd_run(args):
             print(f"trajectory error vs built-in oracle: {err:.3e}")
     for ev in log.events:
         print(f"negativity event: node {ev.node} t={ev.time:.6g} r={ev.load:.3e}")
-    write_manifest(out / "manifest.json", doc, log, extra)
+    write_manifest(out / "manifest.json", result.doc, log, extra)
     return code
 
 

@@ -1,7 +1,7 @@
 """Glue that executes a parsed scenario end to end."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import routing, scenario as scn
@@ -9,13 +9,15 @@ from .errors import ScenarioSemanticError
 from .junctions import DemandMode
 from .routing import RoutePolicy
 from .solver import SimLog, cfl_timestep, simulate
-from .tracker import CarLog, TrackerKind, start_step, track_car, traverse_edge
+from .tracker import (CarLog, TrackerKind, start_position, start_step,
+                      track_car, traverse_edge)
 
 
 @dataclass
 class RunResult:
     network: object
     log: SimLog
+    doc: object  # the scenario as run, see `execute`
     policy: Optional[RoutePolicy] = None
     route: Optional[list] = None
     predicted_arrival: Optional[float] = None
@@ -26,11 +28,12 @@ def plan_route(log, policy, start_edge, start_x, start_time, destination,
                kind, w_rho=0.5, w_r=0.5):
     """Resolve the edge sequence for a policy, plus the predicted arrival
     for fastest; online returns (None, None): the car decides junction by
-    junction."""
+    junction.  `start_x` must lie in [0, length] of the start road."""
     policy = RoutePolicy(policy)
+    net = log.network
+    start_x = start_position(net.edges[start_edge], start_x)
     if policy is RoutePolicy.ONLINE:
         return None, None
-    net = log.network
     s = net.edges[start_edge].target
     arrival = None
     if policy is RoutePolicy.SHORTEST:
@@ -71,6 +74,9 @@ def execute(doc, target_h=None, overrides=None) -> RunResult:
     """Simulate (and optionally track a routed car for) one scenario.
 
     Every [run] and [car] setting is checked before the simulation starts.
+    The result's `doc` is the scenario as run: its [run] and [car] settings
+    carry the overrides, `h=target_h` when given, and the checked value of
+    every setting read (defaults included).
     """
     overrides = dict(overrides or {})
     run_cfg = dict(doc.run)
@@ -86,8 +92,12 @@ def execute(doc, target_h=None, overrides=None) -> RunResult:
     mode = _setting("run", run_cfg, "demand_mode", "standard", DemandMode)
     network = scn.build_network(doc, target_h=target_h)
     initial = scn.build_initial(doc)
+    run_cfg.update(T=T, demand_mode=mode.value)
+    if target_h is not None:
+        run_cfg["h"] = target_h
     if "destination" not in car_cfg:
-        return RunResult(network, simulate(network, initial, T, mode=mode))
+        return RunResult(network, simulate(network, initial, T, mode=mode),
+                         replace(doc, run=run_cfg))
     kind = _setting("car", car_cfg, "tracker", "complex", TrackerKind)
     policy = _setting("car", car_cfg, "policy", "shortest", RoutePolicy)
     w_rho = _setting("car", car_cfg, "w_rho", 0.5, _number())
@@ -100,6 +110,8 @@ def execute(doc, target_h=None, overrides=None) -> RunResult:
     start_time = _setting("car", car_cfg, "start_time", 0.0,
                           _number(tau=cfl_timestep(network, T)))
     destination = car_cfg["destination"]
+    car_cfg.update(tracker=kind.value, policy=policy.value, w_rho=w_rho,
+                   w_r=w_r, start_x=start_x, start_time=start_time)
     log = simulate(network, initial, T, mode=mode)
     route, predicted = plan_route(log, policy, start_edge, start_x, start_time,
                                   destination, kind, w_rho, w_r)
@@ -109,4 +121,5 @@ def execute(doc, target_h=None, overrides=None) -> RunResult:
         chooser = routing.online_chooser(log, destination, w_rho, w_r)
     car_log = track_car(log, start_edge, start_x, start_time, destination,
                         kind=kind, choose_next=chooser)
-    return RunResult(network, log, policy, car_log.path, predicted, car_log)
+    return RunResult(network, log, replace(doc, run=run_cfg, car=car_cfg),
+                     policy, car_log.path, predicted, car_log)

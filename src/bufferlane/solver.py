@@ -28,7 +28,14 @@ class InitialData:
 
 
 def project_cells(edge, pieces):
-    """Exact cell averages of a piecewise-constant profile."""
+    """Exact cell averages of a piecewise-constant profile.
+
+    A non-finite piece value raises DensityOutOfRange naming the edge
+    before it meets the zero overlap of the cells outside its piece."""
+    for _, v in pieces:
+        if not np.isfinite(v):
+            raise DensityOutOfRange(
+                f"edge {edge.id}: initial density {v} outside [0, 1]")
     lo = np.arange(edge.cells) * edge.h
     hi = np.arange(1, edge.cells + 1) * edge.h
     ends = [x for x, _ in pieces[1:]] + [edge.length]

@@ -188,6 +188,15 @@ def start_step(tau, start_time):
     return n
 
 
+def start_position(edge, start_x):
+    """`start_x` as a float, checked to lie in [0, length] of `edge`."""
+    x = float(start_x)
+    if not 0.0 <= x <= edge.length:  # NaN fails too
+        raise ValueError(f"start_x {start_x} outside [0, {edge.length}] "
+                         f"of edge {edge.id}")
+    return x
+
+
 def enter_edge(log, edge_id, m, frac):
     """Position at t^{m+1} of a car entering road `edge_id` at t^m + frac."""
     if m >= log.steps:
@@ -235,10 +244,7 @@ def track_car(log, start_edge, start_x, start_time, destination,
     car = CarLog()
     n = start_step(tau, start_time)
     edge = net.edges[start_edge]
-    x = float(start_x)
-    if not 0.0 <= x <= edge.length:  # NaN fails too
-        raise ValueError(f"start_x {start_x} outside [0, {edge.length}] "
-                         f"of edge {start_edge}")
+    x = start_position(edge, start_x)
     cum = 0.0
     t_dep = n * tau
     car.path.append(edge.id)

@@ -113,6 +113,28 @@ def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_bad_log_stride_exits_with_error_line(linear_file, tmp_path, capsys,
+                                              stride):
+    assert main(["run", str(linear_file), "--out", str(tmp_path / "o"),
+                 "--log-stride", stride]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --log-stride {stride} must be >= 1\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_manifest_records_settings_as_run(linear_file, tmp_path):
+    # the overrides and the cell width of the command line, not the file's
+    out = tmp_path / "o"
+    assert main(["run", str(linear_file), "--out", str(out),
+                 "--tracker", "naive", "--h", "0.05"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    run, car = manifest["scenario"]["run"], manifest["scenario"]["car"]
+    assert car["tracker"] == "naive" and run["h"] == 0.05
+    assert car["policy"] == "shortest" and run["demand_mode"] == "standard"
+    assert manifest["cells"] == {"e1": 20, "e2": 20, "e3": 20}
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(st.one_of(
     st.integers(0, len(LINEAR) - 1),

@@ -1,6 +1,7 @@
 """Network Godunov solver: time stepping, projections and invariants."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,17 @@ class TestInitialState:
             init.densities["e2"] = [(0.0, rho)]
             with pytest.raises(DensityOutOfRange,
                                match=re.escape(f"edge e2: initial density {rho}")):
+                simulate(net, init, 1.0)
+
+    def test_nonfinite_piece_raises_without_warning(self):
+        # inf on half of e2 meets the zero overlap of the cells of the
+        # other half: no inf * 0 is computed, so no RuntimeWarning
+        net, init = line_network()
+        init.densities["e2"] = [(0.0, 0.5), (0.5, float("inf"))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DensityOutOfRange,
+                               match="edge e2: initial density inf"):
                 simulate(net, init, 1.0)
 
     def test_density_roundoff_is_clamped(self):

@@ -13,6 +13,7 @@ from bufferlane.errors import (
     ZeroSpeedAtBoundary,
 )
 from bufferlane.junctions import DemandMode
+from bufferlane.run import plan_route
 from bufferlane.solver import simulate
 from bufferlane.tracker import (
     CarStatus,
@@ -169,6 +170,16 @@ class TestTracking:
     def test_start_x_outside_road_rejected(self, linear_log, start_x):
         with pytest.raises(ValueError, match=r"start_x .* outside \[0, 1.0\]"):
             track_car(linear_log, "e1", start_x, 0.0, "n3")
+
+    @pytest.mark.parametrize("start_x", [-1.0, 5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("policy", ["shortest", "fastest", "aggregated",
+                                        "online"])
+    def test_plan_route_rejects_start_x_outside_road(self, linear_log, policy,
+                                                     start_x):
+        # the fastest branch drives the start road itself: a car off the
+        # road used to get a prediction (5.70 for start_x=5)
+        with pytest.raises(ValueError, match=r"start_x .* outside \[0, 1.0\]"):
+            plan_route(linear_log, policy, "e1", start_x, 0.0, "n3", "naive")
 
     def test_samples_monotone(self, linear_log):
         car = track_car(linear_log, "e1", 0.0, 0.0, "n3")
