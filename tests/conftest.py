@@ -43,6 +43,49 @@ def line_network(densities=(0.3, 0.5, 0.7), inflow=0.21, mu=0.25,
     return net, init
 
 
+def every_row_network():
+    """One network with every junction row kind at once.
+
+    A pass-through p1 feeds a split d1 whose two exits merge again at m1
+    under a fixed priority; m1 feeds a split x1 with a side exit to the
+    sink t2 (its road's last cell starts above 0.5, so the sink's flux
+    differs from the road's demand), and its main exit merges at m2 with a
+    side source s2 under demand-proportional priority.  s2's inflow has
+    three pieces with breakpoints on grid times (tau = 0.05 over T = 4).
+    The load of p1 starts near 0 and that of x1 near r_max, so the
+    limiter rescales both ways; m1 starts empty, so the two demand modes
+    differ there.
+    """
+    def node(nid, kind, **kw):
+        return JunctionSpec(id=nid, kind=kind, **kw)
+
+    nodes = [node("s1", NodeKind.SOURCE, mu=0.25, inflow=((0.0, 0.22),)),
+             node("p1", NodeKind.ONE_TO_ONE, r_max=0.3, mu=0.25),
+             node("d1", NodeKind.ONE_TO_TWO, r_max=0.3, mu=0.3,
+                  alpha=(0.6, 0.4)),
+             node("m1", NodeKind.TWO_TO_ONE, r_max=0.25, mu=0.2,
+                  priority=(0.7, 0.3)),
+             node("x1", NodeKind.ONE_TO_TWO, r_max=0.35, mu=0.24,
+                  alpha=(0.75, 0.25)),
+             node("s2", NodeKind.SOURCE, mu=0.2,
+                  inflow=((0.0, 0.05), (1.0, 0.3), (2.5, 0.1))),
+             node("m2", NodeKind.TWO_TO_ONE, r_max=0.3, mu=0.3,
+                  priority=DEMAND_PROPORTIONAL),
+             node("t1", NodeKind.SINK), node("t2", NodeKind.SINK)]
+    roads = [("e1", "s1", "p1"), ("e2", "p1", "d1"), ("e3", "d1", "m1"),
+             ("e4", "d1", "m1"), ("e5", "m1", "x1"), ("e6", "x1", "m2"),
+             ("e7", "x1", "t2"), ("e8", "s2", "m2"), ("e9", "m2", "t1")]
+    net = RoadNetwork(nodes, [make_edge(eid, a, b) for eid, a, b in roads]
+                      ).validate()
+    densities = {f"e{k}": [(0.0, rho)] for k, rho in
+                 enumerate((0.4, 0.25, 0.1, 0.15, 0.45, 0.8, 0.3, 0.1, 0.35), 1)}
+    densities["e7"] = [(0.0, 0.3), (0.5, 0.8)]
+    init = InitialData(densities=densities,
+                       buffers={"p1": 0.002, "d1": 0.1, "m1": 0.0,
+                                "x1": 0.3455, "m2": 0.0})
+    return net, init
+
+
 def one_node_table(spec, n_in, n_out):
     """JunctionTable of the single node `spec`, whose roads 0..n_in-1 enter
     and n_in..n_in+n_out-1 leave it, one cell each."""

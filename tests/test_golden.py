@@ -30,18 +30,20 @@ from bufferlane.errors import BufferlaneError
 from bufferlane.junctions import DemandMode
 from bufferlane.routing import RoutePolicy
 from bufferlane.solver import simulate
-from conftest import random_scenario
+from conftest import every_row_network, random_scenario
 
 GOLDEN = Path(__file__).with_name("golden.json")
 TABLES = ("rho", "buffers", "q_in", "q_out", "node_inflow", "node_outflow")
 BUNDLED = ("linear", "merge_pooled", "rarefaction_buffer",
            "rarefaction_single", "small_network")
 SEEDS = (0, 1, 2, 3, 4)
-# bundled scenarios at their own h, T and demand mode; random networks in
-# both modes (pooled runs may leave a merge buffer negative, as events)
+# bundled scenarios at their own h, T and demand mode; random networks and
+# the network with every junction row kind in both modes (pooled runs may
+# leave a merge buffer negative, as events)
 CASES = ([f"bundled-{name}" for name in BUNDLED]
          + [f"random-{seed}-{mode.value}" for seed in SEEDS
-            for mode in DemandMode])
+            for mode in DemandMode]
+         + [f"rows-{mode.value}" for mode in DemandMode])
 # every bundled scenario with a [car] section, per policy and tracker
 CARS = ("linear", "rarefaction_buffer", "rarefaction_single",
         "small_network")
@@ -59,6 +61,9 @@ def _simulate(case):
         mode = DemandMode(doc.run.get("demand_mode", "standard"))
         return simulate(scn.build_network(doc), scn.build_initial(doc),
                         float(doc.run["T"]), mode=mode)
+    if kind == "rows":
+        net, init = every_row_network()
+        return simulate(net, init, 4.0, mode=DemandMode(name))
     net, init = random_scenario(np.random.default_rng(int(name)))
     return simulate(net, init, 4.0, mode=DemandMode(rest[0]))
 
