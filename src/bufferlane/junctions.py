@@ -1,8 +1,14 @@
 """Junction coupling: boundary fluxes from demand/supply and buffer state.
 
-All nodes of a network form one table, evaluated once per time step with
-one array pass per row kind: source, sink, dispersing (one_to_two, and
-one_to_one as a split with alpha = (1, 0)) and merging (two_to_one).
+All nodes form one table of 2-in/2-out rows, evaluated in one array pass
+per step.  A merge (two_to_one) is a row as written; a split (one_to_two)
+is a merge whose second incoming slot is a phantom with priority 0;
+one_to_one is a split with alpha = (1, 0) whose second exit is a phantom;
+a source is a one_to_one fed by its inflow.  A phantom reads demand or
+supply 0.0 with priority or split 0, so each term it adds is exactly 0
+(`1.0 * x` and `x + 0.0` are exact for x >= 0): every row gives its
+kind's fluxes bit for bit.  A sink absorbs min(demand, supply) = f of its
+road's last cell.
 """
 
 from dataclasses import dataclass
@@ -33,56 +39,76 @@ class NegativityEvent:
 
 
 class JunctionTable:
-    """Index arrays of a network's nodes, grouped into rows by kind.
+    """A network's nodes as rows over one work vector.
 
-    Edges are numbered in declaration order, their cells laid out road
-    after road in one flat vector: road k owns cells `first[k]` to
-    `last[k]`.  `ins[k]` / `outs[k]` list the edge numbers at node k in the
-    order that pairs them with alpha and priority.  Edge number `len(edges)`
-    is a phantom road: the second exit of a one_to_one row, whose split
-    fraction 0 keeps it empty.
+    Road k owns cells `first[k]` to `last[k]` of the flat cell vector;
+    `ins[k]` / `outs[k]` list the edges at node k in the order that pairs
+    them with priority and alpha.  The work vector holds every cell's
+    demand and supply, the phantoms' 0.0, the sources' inflows, then per
+    row the outflows of both incoming and the inflows of both outgoing
+    slots and the buffer's inflow and outflow (a sink's row goes unread),
+    then the sinks' fluxes.  One gather feeds the rows; one scatter reads
+    the flow vector: q_in and q_out per edge (the first `edge_flows`
+    entries), then f_in and f_out (buffer in/out) per node.
     """
 
     def __init__(self, nodes, ins, outs, edges):
         self.ids = [n.id for n in nodes]
         self.edges = edges
-        n_edges = len(edges)
+        E, N = len(edges), len(nodes)
         self.widths = np.array([e.cells for e in edges], dtype=np.intp)
         self.last = np.cumsum(self.widths) - 1
         self.first = self.last + 1 - self.widths
+        cells = int(self.widths.sum())
+        # each cell's right and left flux in [interior interfaces, q_in, q_out]
+        self.sides = np.arange(cells) - np.array([[0], [1]])
+        self.sides[0, self.last] = cells - 1 + E + np.arange(E)
+        self.sides[1, self.first] = cells - 1 + np.arange(E)
         self.r_max = np.array([n.r_max for n in nodes], dtype=float)
         self.mu = np.array([n.mu for n in nodes], dtype=float)
-        self.edge_source = np.zeros(n_edges, dtype=np.intp)
-        self.edge_target = np.zeros(n_edges, dtype=np.intp)
-        for k in range(len(nodes)):
-            self.edge_source[outs[k]] = k
-            self.edge_target[ins[k]] = k
-
-        def rows(*kinds):  # node numbers, then in / out edges as (2, rows)
-            ks = [k for k, n in enumerate(nodes) if n.kind in kinds]
-            return (np.array(ks, dtype=np.intp),
-                    *(np.array([(lists[k] + [n_edges] * 2)[:2] for k in ks],
-                               dtype=np.intp).reshape(-1, 2).T
-                      for lists in (ins, outs)))
-
-        self.source = rows(NodeKind.SOURCE)
-        self.sink = rows(NodeKind.SINK)
-        self.split = rows(NodeKind.ONE_TO_ONE, NodeKind.ONE_TO_TWO)
-        self.merge = rows(NodeKind.TWO_TO_ONE)
-        self.inflows = [nodes[k] for k in self.source[0]]
-        self.alpha = np.array([nodes[k].alpha if nodes[k].kind is
-                               NodeKind.ONE_TO_TWO else (1.0, 0.0)
-                               for k in self.split[0]]).reshape(-1, 2).T
-        merging = [nodes[k] for k in self.merge[0]]
-        self.dynamic = np.array([n.priority == DEMAND_PROPORTIONAL
-                                 for n in merging], dtype=bool)
-        self.priority = np.array([(0.5, 0.5) if d else n.priority for n, d
-                                  in zip(merging, self.dynamic)]).reshape(-1, 2).T
+        self.edge_flows = 2 * E
+        self.inflows = [n for n in nodes if n.kind is NodeKind.SOURCE]
+        sinks = [k for k, n in enumerate(nodes) if n.kind is NodeKind.SINK]
+        zero, fed = 2 * cells, 2 * cells + 1
+        base = fed + len(self.inflows)
+        self.work = np.zeros(base + 6 * N + len(sinks))
+        self.fed = self.work[fed:base]
+        self.slots = self.work[base:base + 4 * N].reshape(2, 2, N)
+        self.node_flows = self.work[base + 4 * N:base + 6 * N].reshape(2, N)
+        self.sink_flows = self.work[base + 6 * N:]
+        gather = np.full((2, 2, N), zero)
+        scatter = np.full((2, E), zero)
+        nodal = base + 4 * N + np.arange(2 * N).reshape(2, N)
+        for k in range(N):
+            for j, e in enumerate(ins[k]):
+                gather[0, j, k], scatter[1, e] = self.last[e], base + j * N + k
+            for j, e in enumerate(outs[k]):
+                gather[1, j, k] = cells + self.first[e]
+                scatter[0, e] = base + (2 + j) * N + k
+            if nodes[k].kind is NodeKind.SOURCE:
+                gather[0, 0, k] = nodal[0, k] = fed
+                fed += 1
+        # each edge's q_in (q_out) is scaled as its source (target) node's
+        # outflow (inflow): its index in the limiter's flat (2, nodes) scale
+        self.edge_nodes = ((scatter - base) % N + [[0], [N]]).ravel()
+        for j, k in enumerate(sinks):
+            nodal[:, k] = scatter[1, ins[k][0]] = base + 6 * N + j
+        ends = self.last[[ins[k][0] for k in sinks]]
+        self.gather = np.concatenate((gather.ravel(), ends, cells + ends))
+        self.scatter = np.concatenate((scatter.ravel(), nodal.ravel()))
+        merge = np.array([n.kind is NodeKind.TWO_TO_ONE for n in nodes])
+        self.dynamic = merge & [n.priority == DEMAND_PROPORTIONAL for n in nodes]
+        self.priority = np.array([(0.5, 0.5) if dyn else n.priority if m else
+                                  (1.0, 0.0) for n, m, dyn in zip(
+                                      nodes, merge, self.dynamic)]).T
+        self.alpha = np.array([n.alpha if n.kind is NodeKind.ONE_TO_TWO else
+                               (1.0, 0.0) for n in nodes]).T
+        self.alpha_mu = self.alpha * self.mu
+        self.full = self.r_max - _TOL
         # nodes whose load is held at >= 0, per demand mode: pooled loads
         # may go negative at merges, the known defect of that demand
-        self.floored = {mode: np.ones(len(nodes), dtype=bool)
-                        for mode in DemandMode}
-        self.floored[DemandMode.POOLED][self.merge[0]] = False
+        self.floored = {DemandMode.STANDARD: np.ones(N, dtype=bool),
+                        DemandMode.POOLED: ~merge}
 
     @classmethod
     def for_network(cls, network):
@@ -92,77 +118,47 @@ class JunctionTable:
                    [[index[e] for e in network.out_edges[v]] for v in network.nodes],
                    list(network.edges.values()))
 
-    def fluxes(self, rho, r, t, mode=DemandMode.STANDARD):
+    def inflow_table(self, tau, steps):
+        """Every source's inflow at t = n tau for n < steps, as a (steps,
+        sources) array equal to `JunctionSpec.inflow_at` bit for bit."""
+        t = np.arange(steps)[:, None] * tau
+        table = np.empty((steps, len(self.inflows)))
+        for j, node in enumerate(self.inflows):
+            times, values = np.array(node.inflow, dtype=float).T
+            # inflow_at keeps the last of the leading breakpoints reached
+            reached = np.cumprod(t >= times - 1e-15, axis=1).sum(1)
+            table[:, j] = values[np.maximum(reached - 1, 0)]
+        return table
+
+    def fluxes(self, rho, r, inflow, mode=DemandMode.STANDARD):
         """Boundary fluxes of every road and node at one instant.
 
-        `rho` is the flat cell vector and `r` the buffer loads.  Returns the
-        per-edge (q_in, q_out) and the per-node (f_in, f_out): the buffer's
-        inflow and outflow.
+        `rho` is the flat cell vector, `r` the buffer loads and `inflow` the
+        sources' inflows.  Returns the (2, cells) demand and supply, a view
+        of the work vector valid until the next call, and the flow vector.
         """
-        rho_end = rho[self.last]
-        d = fluxes.demand(rho_end)
-        s = np.concatenate((fluxes.supply(rho[self.first]), [fluxes.F_MAX]))
-        q_in, q_out = np.empty(len(self.edges) + 1), np.empty(len(self.edges))
-        f_in, f_out = np.empty(len(self.ids)), np.empty(len(self.ids))
-
-        # sources: the inflow enters the buffer, which feeds the first road
-        # at up to mu (all of it while the queue is empty)
-        v, _, (e, _) = self.source
-        f_in[v] = [node.inflow_at(t) for node in self.inflows]
-        d_b = np.where(r[v] > _TOL, self.mu[v], np.minimum(f_in[v], self.mu[v]))
-        q_in[e] = f_out[v] = np.minimum(d_b, s[e])
-
-        # sinks absorb the road's flux: waves never reflect there
-        v, (e, _), _ = self.sink
-        q_out[e] = f_in[v] = f_out[v] = fluxes.flux(rho_end[e])
-
-        v, (e, _), (e2, e3) = self.split
-        q_out[e], q_in[e2], q_in[e3] = one_to_two_fluxes(
-            d[e], s[e2], s[e3], r[v], self.alpha, self.mu[v], self.r_max[v])
-        f_in[v] = q_out[e]
-        f_out[v] = q_in[e2] + q_in[e3]
-
-        v, (e1, e2), (e, _) = self.merge
-        q_out[e1], q_out[e2], q_in[e] = two_to_one_fluxes(
-            d[e1], d[e2], s[e], r[v], self.priority, self.dynamic,
-            self.mu[v], self.r_max[v], mode)
-        f_in[v] = q_out[e1] + q_out[e2]
-        f_out[v] = q_in[e]
-        return q_in[:-1], q_out, f_in, f_out
+        w, N, mu = self.work, len(self.ids), self.mu
+        ds = fluxes.demand_supply(rho, w[:2 * len(rho)].reshape(2, -1))
+        self.fed[:] = inflow
+        g = w.take(self.gather)
+        (d, s), ends = g[:4 * N].reshape(2, 2, N), g[4 * N:].reshape(2, -1)
+        total = d[0] + d[1]
+        # demand-proportional right of way; (0.5, 0.5) when both demands vanish
+        c = np.divide(d, total, out=self.priority.copy(),
+                      where=self.dynamic & (total > 0.0))
+        m = np.minimum(s, self.alpha_mu)
+        s_b = np.where(r < self.full, mu, m[0] + m[1])
+        m = np.minimum(d, c * mu)
+        d_b = np.where(r > _TOL, mu, m[0] + m[1] if mode is DemandMode.STANDARD
+                       else np.minimum(total, mu))
+        np.minimum(c * s_b, d, out=self.slots[0])
+        np.minimum(self.alpha * d_b, s, out=self.slots[1])
+        np.add(self.slots[:, 0], self.slots[:, 1], out=self.node_flows)
+        np.minimum(ends[0], ends[1], out=self.sink_flows)
+        return ds, w.take(self.scatter)
 
 
-def dynamic_priorities(d1, d2):
-    """Demand-proportional right-of-way pair; (0.5, 0.5) when both vanish."""
-    total = np.add(d1, d2)
-    return tuple(np.divide(d, total, out=np.full_like(total, 0.5),
-                           where=total > 0.0) for d in (d1, d2))
-
-
-def one_to_two_fluxes(d1, s2, s3, r, alpha, mu, r_max):
-    """Dispersing rows: returns (q1_out, q2_in, q3_in)."""
-    a2, a3 = alpha
-    d_b = np.where(r > _TOL, mu, np.minimum(d1, mu))
-    s_b = np.where(r < r_max - _TOL, mu,
-                   np.minimum(s2, a2 * mu) + np.minimum(s3, a3 * mu))
-    return (np.minimum(s_b, d1), np.minimum(a2 * d_b, s2),
-            np.minimum(a3 * d_b, s3))
-
-
-def two_to_one_fluxes(d1, d2, s3, r, priority, dynamic, mu, r_max,
-                      mode=DemandMode.STANDARD):
-    """Merging rows: returns (q1_out, q2_out, q3_in)."""
-    c1, c2 = np.where(dynamic, dynamic_priorities(d1, d2), priority)
-    s_b = np.where(r < r_max - _TOL, mu, np.minimum(s3, mu))
-    if mode is DemandMode.STANDARD:
-        d_empty = np.minimum(d1, c1 * mu) + np.minimum(d2, c2 * mu)
-    else:
-        d_empty = np.minimum(d1 + d2, mu)
-    d_b = np.where(r > _TOL, mu, d_empty)
-    return (np.minimum(c1 * s_b, d1), np.minimum(c2 * s_b, d2),
-            np.minimum(d_b, s3))
-
-
-def limit_buffer_crossings(table, r, q_in, q_out, f_in, f_out, tau, mode):
+def limit_buffer_crossings(table, r, flows, tau, mode):
     """Rescale node fluxes in place so no buffer crosses 0 or r_max.
 
     The coupling branches on the buffer state at t^n, so a buffer that
@@ -172,18 +168,18 @@ def limit_buffer_crossings(table, r, q_in, q_out, f_in, f_out, tau, mode):
     admissible and the scheme conservative.  In Pooled mode negative loads
     at merges are left in place: the known defect of that demand choice
     must stay observable.  Every other node keeps the limiter in both modes.
+    Returns the (2, nodes) mask of the nodes rescaled at 0 and at r_max.
     """
-    ahead = r + tau * (f_in - f_out)
-    empties = (ahead < 0.0) & table.floored[mode]
-    fills = ~empties & (ahead > table.r_max)
-    for hit, room, scaled, other, q, node in (
-            (empties, r, f_out, f_in, q_in, table.edge_source),
-            (fills, table.r_max - r, f_in, f_out, q_out, table.edge_target)):
-        if hit.any():
-            scale = np.ones_like(r)
-            scale[hit] = (room[hit] / tau + other[hit]) / scaled[hit]
-            scaled *= scale
-            q *= scale[node]
+    f = flows[table.edge_flows:].reshape(2, -1)  # f_in, f_out
+    ahead = r + tau * (f[0] - f[1])
+    hit = np.array([(ahead < 0.0) & table.floored[mode], ahead > table.r_max])
+    # the room to each bound, r above 0 and r_max - r below r_max, scales
+    # f_out (and the q_in it feeds), resp. f_in (and the q_out)
+    room = np.array([r, table.r_max - r])
+    scale = np.divide(room / tau + f, f[::-1], out=np.ones(f.shape), where=hit)
+    f[::-1] *= scale
+    flows[:table.edge_flows] *= scale.take(table.edge_nodes)
+    return hit
 
 
 def buffer_step(table, r, inflow, outflow, tau, mode=DemandMode.STANDARD,
@@ -208,8 +204,7 @@ def buffer_step(table, r, inflow, outflow, tau, mode=DemandMode.STANDARD,
             raise BufferOverflow(
                 f"node {node}: buffer {load} > r_max {table.r_max[k]}")
         raise BufferUnderflow(f"node {node}: buffer {load} < 0")
-    events = [NegativityEvent(node=table.ids[k], time=time,
-                              load=float(new_r[k]))
-              for k in np.flatnonzero(under)]
+    events = [NegativityEvent(table.ids[k], time, float(new_r[k]))
+              for k in under.nonzero()[0]]
     clamped = np.minimum(np.maximum(new_r, 0.0), table.r_max)
     return np.where(under, new_r, clamped), events

@@ -333,6 +333,7 @@ def write_manifest(path, doc, log, extra):
         "negativity_events": [
             {"node": ev.node, "time": ev.time, "load": ev.load}
             for ev in log.events],
+        "limiter_fired": log.limiter_fired,
         "tool_version": "0.1.0",
     }
     payload.update(extra)

@@ -65,10 +65,12 @@ class SimLog:
     largest road's history, raising peak RSS by that copy.
     """
 
-    def __init__(self, network, tau, T, mode, history, loads, series, events):
+    def __init__(self, network, tau, T, mode, history, loads, series,
+                 events, fired):
         """`history` holds road after road each (M+1, cells) block, `loads`
-        the (nodes, M+1) buffer loads and `series` the (2 edges + 2 nodes,
-        M) rows of q_in, q_out, node_inflow and node_outflow."""
+        the (nodes, M+1) buffer loads, `series` the (2 edges + 2 nodes,
+        M) rows of q_in, q_out, node_inflow and node_outflow, and `fired`
+        per node the number of steps whose fluxes the limiter rescaled."""
         self.network = network
         self.tau = tau
         self.T = T
@@ -86,19 +88,17 @@ class SimLog:
         self.node_inflow, self.node_outflow = (dict(zip(network.nodes, f))
                                                for f in (f_in, f_out))
         self.events = events
+        self.limiter_fired = dict(zip(network.nodes, fired.sum(0).tolist()))
 
 
-def advance_step(table, lam, rho, r, t, tau, mode=DemandMode.STANDARD):
-    """One explicit step on the flat state (`lam` = tau / h per cell);
-    returns the new state and the fluxes (q_in, q_out, f_in, f_out) used."""
-    q_in, q_out, f_in, f_out = table.fluxes(rho, r, t, mode)
-    junctions.limit_buffer_crossings(table, r, q_in, q_out, f_in, f_out,
-                                     tau, mode)
-    F = godunov_flux(rho[:-1], rho[1:])
-    right = np.concatenate((F, [0.0]))
-    right[table.last] = q_out
-    left = np.concatenate(([0.0], F))
-    left[table.first] = q_in
+def advance_step(table, lam, rho, r, inflow, tau, mode, t):
+    """One explicit step on the flat state (`lam` = tau / h per cell) with
+    the sources' `inflow`; returns the new state, the flow vector used
+    (see `JunctionTable`), the limiter's mask and the step's events."""
+    ds, flows = table.fluxes(rho, r, inflow, mode)
+    hit = junctions.limit_buffer_crossings(table, r, flows, tau, mode)
+    F = godunov_flux(ds[0, :-1], ds[1, 1:])
+    right, left = np.concatenate((F, flows[:table.edge_flows])).take(table.sides)
     nu = rho - lam * (right - left)
     if nu.min() < -_CLIP_TOL or nu.max() > 1.0 + _CLIP_TOL:
         lo, hi = (f.reduceat(nu, table.first) for f in (np.minimum, np.maximum))
@@ -107,21 +107,23 @@ def advance_step(table, lam, rho, r, t, tau, mode=DemandMode.STANDARD):
             f"edge {table.edges[k].id}: density left [0,1] at t={t:.6g} "
             f"(range [{lo[k]:.3e}, {hi[k]:.3e}])")
     np.clip(nu, 0.0, 1.0, out=nu)
-    new_r, events = junctions.buffer_step(table, r, f_in, f_out, tau, mode, t)
-    return nu, new_r, (q_in, q_out, f_in, f_out), events
+    new_r, events = junctions.buffer_step(
+        table, r, *flows[table.edge_flows:].reshape(2, -1), tau, mode, t)
+    return nu, new_r, flows, hit, events
 
 
 def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
     """Run the coupled scheme over [0, T] and record every step.
 
     The state is one flat density vector, road after road, and one load
-    per node; a JunctionTable gives all boundary fluxes of a step in array
-    passes.  The initial state is checked here, once: a density off [0, 1]
-    or a load off [0, r_max] beyond round-off, or not finite, raises
+    per node; a JunctionTable gives all boundary fluxes of a step in one
+    array pass, from inflows sampled for every step up front.  The initial
+    state is checked here, once: a density off [0, 1] or a load off
+    [0, r_max] beyond round-off, or not finite, raises
     DensityOutOfRange naming the edge or BufferOutOfRange naming the node;
     round-off densities are clipped.  Each later state is checked by the
     step that makes it (`advance_step`, `junctions.buffer_step`), so the
-    flux law and the junction kernels read every value unchecked.
+    flux law and the junction table read every value unchecked.
     """
     if tau is None:
         tau = cfl_timestep(network, T)
@@ -143,6 +145,7 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
         k = np.argmax(bad)
         raise BufferOutOfRange(f"node {table.ids[k]}: buffer load "
                                f"{float(r[k])} outside [0, {table.r_max[k]}]")
+    inflows = table.inflow_table(tau, M)
     # edge-major history: road k's block starts at (M+1) first[k], and its
     # step-n values sit n * cells further on
     history = np.zeros((M + 1) * len(rho))
@@ -150,12 +153,14 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
     stride = np.repeat(table.widths, table.widths)
     loads = np.zeros((len(r), M + 1))
     series = np.zeros((2 * len(table.edges) + 2 * len(r), M))
+    fired = np.zeros((2, len(r)), dtype=np.intp)
     history[pos], loads[:, 0], events = rho, r, []
     for n in range(M):
-        rho, r, flows, step_events = advance_step(table, lam, rho, r,
-                                                  n * tau, tau, mode)
+        rho, r, series[:, n], hit, step_events = advance_step(
+            table, lam, rho, r, inflows[n], tau, mode, n * tau)
+        fired += hit
         pos += stride
         history[pos], loads[:, n + 1] = rho, r
-        series[:, n] = np.concatenate(flows)
         events.extend(step_events)
-    return SimLog(network, tau, T, mode, history, loads, series, events)
+    return SimLog(network, tau, T, mode, history, loads, series, events,
+                  fired)

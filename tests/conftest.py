@@ -100,8 +100,10 @@ def node_fluxes(spec, rho_in, rho_out, r, mode=DemandMode.STANDARD):
     """Boundary fluxes of one junction through a one-node table: the
     outflows of its incoming roads, then the inflows of its outgoing roads."""
     table = one_node_table(spec, len(rho_in), len(rho_out))
-    q_in, q_out, _, _ = table.fluxes(np.array([*rho_in, *rho_out], dtype=float),
-                                     np.array([float(r)]), 0.0, mode)
+    _, flows = table.fluxes(np.array([*rho_in, *rho_out], dtype=float),
+                            np.array([float(r)]), table.inflow_table(1.0, 1)[0],
+                            mode)
+    q_in, q_out = flows[:table.edge_flows].reshape(2, -1)
     return (tuple(float(q) for q in q_out[:len(rho_in)])
             + tuple(float(q) for q in q_in[len(rho_in):]))
 

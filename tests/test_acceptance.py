@@ -284,19 +284,20 @@ def test_criterion_9_wave_geometry_oracle():
         ref_t[k], ref_x[k] = shock_intersection(
             x0[k], x_i[k], rho_minus[k], rho_plus[k])
     lam = 1.0 - rho_minus - rho_plus          # shock speed
-    speed = 1.0 - rho_minus                   # car speed behind the front
+    step = dt * (1.0 - rho_minus)             # car advance per dt behind the front
+    # every car moves on after its hit; only the first hit is recorded
     t = np.zeros(m)
     x = x0.copy()
     num_t = np.full(m, np.nan)
     num_x = np.full(m, np.nan)
-    active = np.ones(m, dtype=bool)
-    while active.any():
-        t[active] += dt
-        x[active] += dt * speed[active]
-        hit = active & (x >= x_i + lam * t)
-        num_t[hit] = t[hit]
-        num_x[hit] = x[hit]
-        active &= ~hit
+    pending = np.ones(m, dtype=bool)
+    while pending.any():
+        t += dt
+        x += step
+        hit = pending & (x >= x_i + lam * t)
+        if hit.any():
+            num_t[hit], num_x[hit] = t[hit], x[hit]
+            pending &= ~hit
     shock_err = max(np.max(np.abs(num_t - ref_t)),
                     np.max(np.abs(num_x - ref_x)))
 
@@ -315,19 +316,17 @@ def test_criterion_9_wave_geometry_oracle():
     x = x_bar.copy()
     num_t = np.full(m, np.nan)
     num_x = np.full(m, np.nan)
-    active = np.ones(m, dtype=bool)
+    pending = np.ones(m, dtype=bool)
     exit_slope = 1.0 - 2.0 * rho_plus
-    while active.any():
+    while pending.any():
         # in-fan density is (1 - (x - x_i)/t) / 2, so the speed is the mean
         # of the fan slope and the free-flow speed
-        v = 0.5 * (1.0 + (x[active] - x_i[active]) / t[active])
-        x[active] += dt * v
-        t[active] += dt
-        hit = active.copy()
-        hit[active] = (x[active] - x_i[active]) >= exit_slope[active] * t[active]
-        num_t[hit] = t[hit]
-        num_x[hit] = x[hit]
-        active &= ~hit
+        x += dt * (0.5 * (1.0 + (x - x_i) / t))
+        t += dt
+        hit = pending & ((x - x_i) >= exit_slope * t)
+        if hit.any():
+            num_t[hit], num_x[hit] = t[hit], x[hit]
+            pending &= ~hit
     fan_err = max(np.max(np.abs(num_t - ref_t)),
                   np.max(np.abs(num_x - ref_x)))
 

@@ -45,6 +45,14 @@ def test_run_writes_outputs(linear_file, tmp_path, capsys):
     assert manifest["demand_mode"] == "standard"
 
 
+def test_manifest_records_limiter_counts(linear_file, tmp_path):
+    # the linear scenario's buffer at n2 empties once in mid-step
+    out = tmp_path / "out"
+    assert main(["run", str(linear_file), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["limiter_fired"] == {"n1": 0, "n2": 1, "n3": 0, "n4": 0}
+
+
 def test_run_log_stride(linear_file, tmp_path):
     # stride 7 keeps the header and, road by road, the rows of every 7th
     # instant (161 instants: the last kept one is t^154)

@@ -7,10 +7,10 @@ import pytest
 
 from bufferlane import junctions
 from bufferlane.errors import BufferUnderflow
-from bufferlane.junctions import DemandMode, dynamic_priorities
+from bufferlane.junctions import DemandMode, JunctionTable
 from bufferlane.network import JunctionSpec, NodeKind
 from conftest import node_buffer_step as buffer_step
-from conftest import node_fluxes, one_node_table
+from conftest import every_row_network, node_fluxes, one_node_table
 
 
 def split_spec(alpha=(0.5, 0.5), mu=0.25, r_max=0.3):
@@ -54,15 +54,54 @@ def sink_flux(rho_last):
                        (rho_last,), (), 0.0)[0]
 
 
+class TestInflowTable:
+    TAU = 0.05
+
+    def check(self, table, specs, steps=120):
+        got = table.inflow_table(self.TAU, steps)
+        assert got.shape == (steps, len(specs))
+        for col, spec in zip(got.T, specs):
+            want = np.array([spec.inflow_at(n * self.TAU)
+                             for n in range(steps)])
+            assert col.tobytes() == want.tobytes()
+
+    def test_breakpoints_on_and_near_grid_times(self):
+        # on a grid time (20 tau), within 1e-15 after and before one
+        # (inflow_at's tolerance), 2e-15 after one, between grid times,
+        # and an out-of-order breakpoint inflow_at never reaches
+        assert 20 * self.TAU == 1.0 and 50 * self.TAU == 2.5
+        profile = ((0.0, 0.1), (1.0, 0.3), (2.5 + 9e-16, 0.0),
+                   (3.0 - 9e-16, 0.2), (3.5 + 2e-15, 0.05), (4.01, 0.15),
+                   (4.0, 0.25))
+        spec = JunctionSpec(id="s", kind=NodeKind.SOURCE, inflow=profile)
+        self.check(one_node_table(spec, 0, 1), [spec])
+
+    def test_first_breakpoint_after_start(self):
+        spec = JunctionSpec(id="s", kind=NodeKind.SOURCE,
+                            inflow=((1.0, 0.2), (2.0, 0.1)))
+        self.check(one_node_table(spec, 0, 1), [spec])
+
+    def test_one_column_per_source_in_node_order(self):
+        net, _ = every_row_network()
+        self.check(JunctionTable.for_network(net), net.sources(), steps=80)
+
+
 class TestDynamicPriorities:
+    # a full merge buffer takes in min(s3, mu) and shares it out by the
+    # right-of-way pair, here below both demands
     def test_proportional(self):
-        c1, c2 = dynamic_priorities(0.24, 0.09)
-        assert c1 == pytest.approx(8.0 / 11.0)
-        assert c2 == pytest.approx(3.0 / 11.0)
-        assert c1 + c2 == pytest.approx(1.0)
+        spec = merge_spec(mu=0.25, r_max=0.3)
+        q1, q2, _ = two_to_one_fluxes(0.4, 0.1, 0.9, spec.r_max, spec)
+        # demands 0.24 and 0.09
+        assert q1 / (q1 + q2) == pytest.approx(8.0 / 11.0)
+        assert q2 / (q1 + q2) == pytest.approx(3.0 / 11.0)
 
     def test_zero_demands_default(self):
-        assert dynamic_priorities(0.0, 0.0) == (0.5, 0.5)
+        # both demands vanish: the (0.5, 0.5) pair keeps 0/0 out of the
+        # fluxes (a RuntimeWarning fails the test)
+        spec = merge_spec(mu=0.25, r_max=0.3)
+        assert two_to_one_fluxes(0.0, 0.0, 0.3, spec.r_max, spec) == (
+            0.0, 0.0, 0.25)
 
 
 class TestOneToTwo:

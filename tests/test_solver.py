@@ -165,6 +165,23 @@ class TestSimulate:
         assert total_mass(log, 0) == pytest.approx(0.3 + 0.5 + 0.7 + 0.1)
 
 
+class TestLimiterCounts:
+    def test_free_flow_never_fires(self):
+        net, init = line_network(densities=(0.3, 0.3, 0.3))
+        log = simulate(net, init, 4.0)
+        assert log.limiter_fired == {"n0": 0, "n1": 0, "n2": 0, "n3": 0}
+
+    def test_fires_only_at_the_filling_node(self):
+        # the dense last road throttles n2, whose buffer fills to r_max
+        net, init = line_network(densities=(0.3, 0.3, 0.95))
+        log = simulate(net, init, 4.0)
+        assert log.buffers["n2"].max() == pytest.approx(0.3, abs=1e-12)
+        assert max(log.buffers[v].max() for v in ("n0", "n1", "n3")) < 0.3
+        assert log.limiter_fired["n2"] > 0
+        assert {v: k for v, k in log.limiter_fired.items() if v != "n2"} == {
+            "n0": 0, "n1": 0, "n3": 0}
+
+
 class TestStepErrors:
     def test_cfl_violation_names_edge(self):
         # tau = 2h on a queue in front of a jam: the 0.95 cell overfills
