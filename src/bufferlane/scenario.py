@@ -304,21 +304,29 @@ def write_trajectory_csv(car_log, path):
             fh.write(f"{float(t)!r},{eid},{float(x)!r},{float(dist)!r},{status}\n")
 
 
+def _finite_or_null(x):
+    """x, or None (JSON null) for the NaN of an unknown time."""
+    return None if math.isnan(x) else x
+
+
 def write_route_summary(path, policy, route, departure, car_log):
+    """route.json: strict JSON, with null for the arrival and waits that the
+    horizon cut short."""
     payload = {
         "policy": policy,
         "path": list(route),
         "departure": departure,
-        "arrival": None if math.isnan(car_log.arrival_time) else car_log.arrival_time,
+        "arrival": _finite_or_null(car_log.arrival_time),
         "status": car_log.status.value,
         "travel_times": [
             {"edge": e, "start": s, "tt": tt} for e, s, tt in car_log.travel_times],
         "waiting_times": [
-            {"node": v, "arrival": a, "wt": w} for v, a, w in car_log.waiting_times],
-        "total_waiting": car_log.total_waiting,
+            {"node": v, "arrival": a, "wt": _finite_or_null(w)}
+            for v, a, w in car_log.waiting_times],
+        "total_waiting": _finite_or_null(car_log.total_waiting),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=True)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

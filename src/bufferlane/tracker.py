@@ -4,11 +4,22 @@ Two trackers are provided: a plain Euler step at the speed of the
 containing cell (naive) and a piecewise-exact step that resolves the one
 wave that can reach the car within a time step (complex).  Both consume an
 immutable SimLog; the car never feeds back into the field.
+
+A road leg depends only on its entry event, so `traverse_edge` drives
+each (edge, step, position, tracker) leg once per log and replays it
+afterwards: route planning and tracking against one simulation share
+their legs.  The memo lives as long as the log and holds at most one
+stored value (a position, or a leg) per density value of the log.  A
+SimLog must therefore not be mutated once a car has been tracked or a
+route planned on it.
 """
 
 import math
+import weakref
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 from .errors import (
     HorizonExceeded,
@@ -52,13 +63,21 @@ class CarLog:
     def total_waiting(self):
         return sum(w for _, _, w in self.waiting_times)
 
-    def sample(self, t, edge_id, x, dist, status=CarStatus.DRIVING, grid=True):
-        """Record a position; grid samples (at some t^n) also feed grid_t
-        and grid_pos."""
-        self.samples.append((t, edge_id, x, dist, status.value))
+    def sample(self, t, edge_id, x, dist, status="driving", grid=True):
+        """Record a position with its status string (a `CarStatus` value);
+        grid samples (at some t^n) also feed grid_t and grid_pos."""
+        self.samples.append((t, edge_id, x, dist, status))
         if grid:
             self.grid_t.append(t)
             self.grid_pos.append(dist)
+
+    def grid_samples(self, ts, edge_id, xs, dists, status):
+        """Record one grid sample per time in `ts`; `xs` is an iterable of
+        positions on the road, `dists` a list of cumulative distances."""
+        self.samples.extend(zip(ts, repeat(edge_id), xs, dists,
+                                repeat(status)))
+        self.grid_t.extend(ts)
+        self.grid_pos.extend(dists)
 
 
 def naive_step(x, cells, h, tau):
@@ -204,30 +223,77 @@ def enter_edge(log, edge_id, m, frac):
     return (log.tau - frac) * velocity(log.rho[edge_id][m][0])
 
 
+# SimLog -> _Legs; an entry dies with its log
+_LEGS = weakref.WeakKeyDictionary()
+
+
+class _Legs(dict):
+    """Legs driven on one log: (edge id, n, x, kind) -> (n_hat, tau_hat,
+    positions at t^{n+1}, t^{n+2}, ..., error class and message or None).
+
+    `stored` counts each leg's positions plus one for the leg itself; it
+    never exceeds `budget`, the number of density values the log holds."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.budget = sum(a.size for a in log.rho.values())
+        self.stored = 0
+
+
+def _drive(log, edge, n, x, kind):
+    """Drive one leg step by step; returns its memo entry."""
+    step = naive_step if kind is TrackerKind.NAIVE else complex_step
+    tau = log.tau
+    rho_hist = log.rho[edge.id]
+    b = edge.length
+    xs = array("d")
+    try:
+        while x < b - _ARRIVAL_TOL:
+            if n >= log.steps:
+                raise HorizonExceeded(
+                    f"car still on edge {edge.id} at the time horizon")
+            cells = rho_hist[n]
+            x_new = step(x, cells, edge.h, tau)
+            if x_new >= b - _ARRIVAL_TOL:
+                return n, min(end_of_road_time(x, cells[-1], b), tau), xs, None
+            n += 1
+            x = x_new
+            xs.append(x)
+        return n, 0.0, xs, None
+    except (HorizonExceeded, ZeroSpeedAtBoundary) as exc:
+        return None, None, xs, (type(exc), str(exc))
+
+
 def traverse_edge(log, edge, n, x, kind, car=None, cum=0.0):
     """Drive from x on `edge` at t^n until the road end is crossed.
 
     Returns the arrival event (n_hat, tau_hat), the end being reached at
     t^n_hat + tau_hat.  Given a car log, records a sample at every grid time
-    on the road, at distance cum + x.
+    on the road, at distance cum + x.  A leg already driven on this log is
+    replayed from its stored positions, with the same samples and errors.
     """
-    step = naive_step if TrackerKind(kind) is TrackerKind.NAIVE else complex_step
-    tau = log.tau
-    rho_hist = log.rho[edge.id]
-    b = edge.length
-    while x < b - _ARRIVAL_TOL:
-        if n >= log.steps:
-            raise HorizonExceeded(
-                f"car still on edge {edge.id} at the time horizon")
-        cells = rho_hist[n]
-        x_new = step(x, cells, edge.h, tau)
-        if x_new >= b - _ARRIVAL_TOL:
-            return n, min(end_of_road_time(x, cells[-1], b), tau)
-        n += 1
-        x = x_new
-        if car is not None:
-            car.sample(n * tau, edge.id, x, cum + x)
-    return n, 0.0
+    kind = TrackerKind(kind)
+    legs = _LEGS.get(log)
+    if legs is None:
+        legs = _LEGS[log] = _Legs(log)
+    key = (edge.id, n, x, kind)
+    leg = legs.get(key)
+    if leg is None:
+        leg = _drive(log, edge, n, x, kind)
+        size = len(leg[2]) + 1
+        if legs.stored + size > legs.budget:
+            legs.clear()
+            legs.stored = 0
+        legs[key] = leg
+        legs.stored += size
+    n_hat, tau_hat, xs, error = leg
+    if car is not None:
+        car.grid_samples([k * log.tau for k in range(n + 1, n + 1 + len(xs))],
+                         edge.id, xs, [cum + p for p in xs], "driving")
+    if error is not None:
+        cls, message = error
+        raise cls(message)
+    return n_hat, tau_hat
 
 
 def track_car(log, start_edge, start_x, start_time, destination,
@@ -276,8 +342,9 @@ def track_car(log, start_edge, start_x, start_time, destination,
                 raise
             car.waiting_times.append((node, t_arr, wt))
             # car sits at the node on every grid time spent waiting
-            for k in range(n_hat + 1, m + 1):
-                car.sample(k * tau, edge.id, edge.length, cum, CarStatus.WAITING)
+            car.grid_samples([k * tau for k in range(n_hat + 1, m + 1)],
+                             edge.id, repeat(edge.length), [cum] * (m - n_hat),
+                             "waiting")
             edge = net.edges[next_id]
             car.path.append(next_id)
             x = enter_edge(log, next_id, m, frac)

@@ -183,6 +183,47 @@ def test_horizon_exceeded_exit_3(linear_file, tmp_path, capsys):
     assert "did not arrive" in capsys.readouterr().out
 
 
+WAIT_CUT = """\
+[network]
+node n0 kind=source mu=0.25 inflow=0.21
+node n1 kind=one_to_one r_max=0.3 mu=0.25
+node n2 kind=sink
+edge e1 from=n0 to=n1 length=1
+edge e2 from=n1 to=n2 length=1
+[initial]
+density e1 0.3
+density e2 0.5
+buffer n1 0.1
+[run]
+T=1.5
+h=0.1
+[car]
+start_edge=e1
+start_x=0
+start_time=0
+destination=n2
+"""
+
+
+def test_route_json_strict_when_wait_cut_by_horizon(tmp_path, capsys):
+    # the car reaches n1 at t = 10/7 and is still waiting there at T:
+    # the unknown wait is null, never NaN, which JSON does not have
+    path = tmp_path / "wait.scn"
+    path.write_text(WAIT_CUT)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    def reject(name):
+        raise ValueError(f"route.json holds {name}")
+
+    route = json.loads((tmp_path / "o" / "route.json").read_text(),
+                       parse_constant=reject)
+    assert route["status"] == "horizon_exceeded"
+    assert route["arrival"] is None
+    assert route["waiting_times"] == [
+        {"node": "n1", "arrival": pytest.approx(10.0 / 7.0), "wt": None}]
+    assert route["total_waiting"] is None
+
+
 def test_unreachable_destination_exit_4(tmp_path, capsys):
     text = bundled_scenario("linear").replace("destination=n4",
                                               "destination=n1")

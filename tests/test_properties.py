@@ -1,4 +1,5 @@
-"""Randomized invariants: conservation, bounds, determinism, FIFO order."""
+"""Randomized invariants: conservation, bounds, determinism, FIFO order,
+fastest routes."""
 
 import math
 
@@ -10,7 +11,10 @@ from bufferlane.errors import HorizonExceeded, ZeroSpeedAtBoundary
 from bufferlane.fluxes import demand, supply
 from bufferlane.junctions import DemandMode
 from bufferlane.network import DEMAND_PROPORTIONAL, JunctionSpec, NodeKind
+from bufferlane.routing import fixed_path_chooser
+from bufferlane.run import plan_route
 from bufferlane.solver import simulate
+from bufferlane.tracker import CarStatus, TrackerKind, track_car
 from conftest import (
     buffer_bound_defect,
     mass_balance_defect,
@@ -147,3 +151,49 @@ class TestFifo:
                 assert t1 + ttt1 <= t2 + ttt2 + 1e-9
                 checked += 1
         assert checked > 0
+
+
+def simple_paths(network, edge_id, destination):
+    """Every simple edge sequence from road `edge_id` to `destination`
+    (the random networks are acyclic)."""
+    node = network.edges[edge_id].target
+    if node == destination:
+        yield [edge_id]
+    for nxt in network.out_edges[node]:
+        for rest in simple_paths(network, nxt, destination):
+            yield [edge_id, *rest]
+
+
+class TestFastestIsFastest:
+    @pytest.mark.parametrize("kind", list(TrackerKind))
+    def test_prediction_is_the_best_tracked_arrival(self, kind):
+        # fastest_path's prediction equals, bit for bit, the earliest
+        # arrival of a car tracked along each simple path; None when no
+        # path arrives within the horizon.  T = 20 lets both branches of
+        # a diamond or bypass arrive in most cases (at T = 6 none did)
+        choices = 0  # cases where two or more paths arrive
+        for seed in range(50):
+            net, init = random_scenario(np.random.default_rng(seed))
+            log = simulate(net, init, 20.0)  # long enough for both
+            sources = [n for n in net.nodes if not net.in_edges[n]]
+            sinks = [n for n in net.nodes if not net.out_edges[n]]
+            for start in (e for n in sources for e in net.out_edges[n]):
+                for sink in sinks:
+                    paths = list(simple_paths(net, start, sink))
+                    for n in (0, log.steps // 6, log.steps // 3) if paths else ():
+                        t = n * log.tau
+                        try:
+                            _, predicted = plan_route(log, "fastest", start,
+                                                      0.0, t, sink, kind)
+                        except HorizonExceeded:
+                            predicted = None
+                        arrivals = []
+                        for path in paths:
+                            car = track_car(log, start, 0.0, t, sink, kind,
+                                            fixed_path_chooser(net, path))
+                            if car.status is CarStatus.ARRIVED:
+                                arrivals.append(car.arrival_time)
+                        choices += len(arrivals) > 1
+                        assert predicted == min(arrivals, default=None), (
+                            seed, start, sink, n)
+        assert choices > 0

@@ -1,10 +1,12 @@
 """Car trajectory integration: wave geometry, steps, waits and tracking."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from bufferlane import tracker
 from bufferlane.errors import (
     HorizonExceeded,
     NotARarefaction,
@@ -198,3 +200,115 @@ class TestTracking:
         log = simulate(net, init, 1.0, tau=0.08)
         with pytest.raises(ValueError):
             track_car(log, "e1", 0.0, 0.0, "n3")
+
+
+def car_record(car):
+    """Every field of a CarLog as text; NaN times compare equal."""
+    return json.dumps([car.samples, car.grid_t, car.grid_pos,
+                       car.travel_times, car.waiting_times, car.path,
+                       car.arrival_time, car.status.value])
+
+
+@pytest.fixture()
+def driven_steps(monkeypatch):
+    """Counts the car steps actually driven (not replayed from the memo)."""
+    count = [0]
+    for name in ("naive_step", "complex_step"):
+        step = getattr(tracker, name)
+
+        def counted(*args, step=step):
+            count[0] += 1
+            return step(*args)
+        monkeypatch.setattr(tracker, name, counted)
+    return count
+
+
+def horizon_on_road_log():
+    # the log of test_horizon_exceeded_status: T ends while the car is on e1
+    net, init = line_network()
+    init.buffers["n1"] = 0.1
+    return simulate(net, init, 1.0)
+
+
+def horizon_in_wait_log():
+    # T ends while the car waits in the buffer of n1
+    net, init = line_network(densities=(0.3, 0.5))
+    init.buffers["n1"] = 0.1
+    return simulate(net, init, 1.5)
+
+
+def linear_8_log():
+    # a fresh log like the linear_log fixture, whose memo other tests fill
+    net, init = line_network()
+    init.buffers["n1"] = 0.1
+    return simulate(net, init, 8.0)
+
+
+class TestLegMemo:
+    @pytest.mark.parametrize("kind", list(TrackerKind))
+    @pytest.mark.parametrize("make_log, destination, status", [
+        (linear_8_log, "n3", CarStatus.ARRIVED),
+        (horizon_on_road_log, "n3", CarStatus.HORIZON_EXCEEDED),
+        (horizon_in_wait_log, "n2", CarStatus.HORIZON_EXCEEDED),
+    ])
+    def test_replay_equals_driving(self, driven_steps, make_log, destination,
+                                   status, kind):
+        log = make_log()
+        first = track_car(log, "e1", 0.0, 0.0, destination, kind)
+        driven = driven_steps[0]
+        again = track_car(log, "e1", 0.0, 0.0, destination, kind)
+        assert driven > 0 and driven_steps[0] == driven  # all replayed
+        fresh = track_car(make_log(), "e1", 0.0, 0.0, destination, kind)
+        assert first.status is status
+        assert car_record(first) == car_record(again) == car_record(fresh)
+
+    def test_wait_cut_by_horizon(self):
+        car = track_car(horizon_in_wait_log(), "e1", 0.0, 0.0, "n2")
+        assert car.path == ["e1"]
+        assert math.isnan(car.waiting_times[-1][2])
+        assert car.samples[-1][2:] == (1.0, 1.0, "driving")  # at the node
+
+    def test_replayed_error_is_fresh_and_equal(self):
+        log = horizon_on_road_log()
+        edge = log.network.edges["e1"]
+        caught = []
+        for _ in range(2):
+            with pytest.raises(HorizonExceeded) as info:
+                tracker.traverse_edge(log, edge, 0, 0.0, TrackerKind.COMPLEX)
+            caught.append(info.value)
+        assert caught[0] is not caught[1]
+        assert str(caught[0]) == str(caught[1]) == (
+            "car still on edge e1 at the time horizon")
+
+    def test_trackers_do_not_share_legs(self):
+        # the naive car is tracked first on the same log; the complex car
+        # must still be driven, not served the naive legs
+        log = linear_8_log()
+        naive = track_car(log, "e1", 0.0, 0.0, "n3", TrackerKind.NAIVE)
+        complex_ = track_car(log, "e1", 0.0, 0.0, "n3", TrackerKind.COMPLEX)
+        fresh = track_car(linear_8_log(), "e1", 0.0, 0.0, "n3",
+                          TrackerKind.COMPLEX)
+        assert car_record(naive) != car_record(fresh)
+        assert car_record(complex_) == car_record(fresh)
+
+    def test_bound_clears_memo(self, driven_steps):
+        # two short roads of two cells hold few density values, so many
+        # departures overflow the memo and it is emptied on the way
+        def make_log():
+            net, init = line_network(densities=(0.3, 0.5), h=0.5)
+            return simulate(net, init, 20.0)
+
+        log = make_log()
+        values = sum(a.size for a in log.rho.values())
+        departures = range(log.steps // 2)
+        cars = [track_car(log, "e1", 0.0, n * log.tau, "n2")
+                for n in departures]
+        assert driven_steps[0] > values  # more steps than the bound
+        driven = driven_steps[0]
+        first = track_car(log, "e1", 0.0, 0.0, "n2")
+        assert driven_steps[0] > driven  # the first legs were dropped
+        fresh = make_log()
+        assert car_record(first) == car_record(cars[0])
+        assert [car_record(c) for c in cars] == [
+            car_record(track_car(fresh, "e1", 0.0, n * log.tau, "n2"))
+            for n in departures]
