@@ -43,7 +43,7 @@ def demand_supply(rho, out):
     of `out`; equal to `demand` and `supply` bit for bit."""
     np.minimum(rho, SIGMA, out=out[0])
     np.maximum(rho, SIGMA, out=out[1])
-    out[...] = flux(out)
+    out *= 1.0 - out
     return out
 
 

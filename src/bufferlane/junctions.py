@@ -49,7 +49,8 @@ class JunctionTable:
     slots and the buffer's inflow and outflow (a sink's row goes unread),
     then the sinks' fluxes.  One gather feeds the rows; one scatter reads
     the flow vector: q_in and q_out per edge (the first `edge_flows`
-    entries), then f_in and f_out (buffer in/out) per node.
+    entries), then f_in and f_out (buffer in/out) per node.  `state` is
+    the row `solver.advance_step` writes each new cell state to.
     """
 
     def __init__(self, nodes, ins, outs, edges):
@@ -60,10 +61,7 @@ class JunctionTable:
         self.last = np.cumsum(self.widths) - 1
         self.first = self.last + 1 - self.widths
         cells = int(self.widths.sum())
-        # each cell's right and left flux in [interior interfaces, q_in, q_out]
-        self.sides = np.arange(cells) - np.array([[0], [1]])
-        self.sides[0, self.last] = cells - 1 + E + np.arange(E)
-        self.sides[1, self.first] = cells - 1 + np.arange(E)
+        self.state = np.empty(cells)  # the new cell state of a step
         self.r_max = np.array([n.r_max for n in nodes], dtype=float)
         self.mu = np.array([n.mu for n in nodes], dtype=float)
         self.edge_flows = 2 * E
@@ -168,24 +166,30 @@ def limit_buffer_crossings(table, r, flows, tau, mode):
     admissible and the scheme conservative.  In Pooled mode negative loads
     at merges are left in place: the known defect of that demand choice
     must stay observable.  Every other node keeps the limiter in both modes.
-    Returns the (2, nodes) mask of the nodes rescaled at 0 and at r_max.
+    Returns the (2, nodes) mask of the nodes rescaled at 0 and at r_max,
+    and the Euler loads r + tau (f_in - f_out) of the limited fluxes.
     """
     f = flows[table.edge_flows:].reshape(2, -1)  # f_in, f_out
     ahead = r + tau * (f[0] - f[1])
     hit = np.array([(ahead < 0.0) & table.floored[mode], ahead > table.r_max])
+    if not hit.any():
+        return hit, ahead
     # the room to each bound, r above 0 and r_max - r below r_max, scales
     # f_out (and the q_in it feeds), resp. f_in (and the q_out)
     room = np.array([r, table.r_max - r])
     scale = np.divide(room / tau + f, f[::-1], out=np.ones(f.shape), where=hit)
     f[::-1] *= scale
     flows[:table.edge_flows] *= scale.take(table.edge_nodes)
-    return hit
+    # a scale of 1 is exact: every other node's load keeps its bits
+    return hit, r + tau * (f[0] - f[1])
 
 
 def buffer_step(table, r, inflow, outflow, tau, mode=DemandMode.STANDARD,
-                time=0.0):
+                time=0.0, ahead=None):
     """Explicit Euler update of every buffer; returns (new loads, events).
 
+    `ahead`, when given, is r + tau (inflow - outflow) as
+    `limit_buffer_crossings` returns it, and is not computed again.
     Every load after the initial one (which `simulate` checks) is checked
     here, and only here.  The fluxes are assumed admissible for the load
     (crossings of 0 / r_max already limited), so violations beyond
@@ -193,7 +197,7 @@ def buffer_step(table, r, inflow, outflow, tau, mode=DemandMode.STANDARD,
     report negative loads as events instead of raising, so the known
     defect of that demand choice is observable.
     """
-    new_r = r + tau * (inflow - outflow)
+    new_r = r + tau * (inflow - outflow) if ahead is None else ahead
     over = new_r > table.r_max + _TOL
     under = new_r < -_TOL
     fatal = over | (under & table.floored[mode])

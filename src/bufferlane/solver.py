@@ -59,10 +59,12 @@ class SimLog:
     Flux entries at index n are the constants used on [t^n, t^{n+1}), so
     flux arrays have M entries while state arrays have M+1.  Each table is
     a dict of views into one edge-major buffer: `rho[eid]` is a C-contiguous
-    (M+1, cells) block and every node or edge series a contiguous row.  A
-    time-major (M+1) x C array would make each road's history strided, and
-    readers that need it contiguous (hashing, binary dumps) would copy the
-    largest road's history, raising peak RSS by that copy.
+    (M+1, cells) block and every node or edge series a contiguous row.
+    `simulate` fills the blocks from a small time-major chunk of recent
+    steps, one block copy per road whenever the chunk is full.  A
+    time-major (M+1) x C history would make each road's history strided,
+    and readers that need it contiguous (hashing, binary dumps) would copy
+    the largest road's history, raising peak RSS by that copy.
     """
 
     def __init__(self, network, tau, T, mode, history, loads, series,
@@ -91,24 +93,47 @@ class SimLog:
         self.limiter_fired = dict(zip(network.nodes, fired.sum(0).tolist()))
 
 
+def _chunk_rows(cells):
+    """Steps `simulate` holds before copying them to the history: at
+    most 64, and at most 2^17 values (1 MB) in all."""
+    return max(1, min(64, 2**17 // cells))
+
+
 def advance_step(table, lam, rho, r, inflow, tau, mode, t):
     """One explicit step on the flat state (`lam` = tau / h per cell) with
     the sources' `inflow`; returns the new state, the flow vector used
-    (see `JunctionTable`), the limiter's mask and the step's events."""
+    (see `JunctionTable`), the limiter's mask and the step's events.
+
+    The new state is `table.state`, overwritten by the next call; it may
+    be passed back as `rho`.
+    """
     ds, flows = table.fluxes(rho, r, inflow, mode)
-    hit = junctions.limit_buffer_crossings(table, r, flows, tau, mode)
+    hit, ahead = junctions.limit_buffer_crossings(table, r, flows, tau, mode)
     F = godunov_flux(ds[0, :-1], ds[1, 1:])
-    right, left = np.concatenate((F, flows[:table.edge_flows])).take(table.sides)
-    nu = rho - lam * (right - left)
-    if nu.min() < -_CLIP_TOL or nu.max() > 1.0 + _CLIP_TOL:
+    # demand and supply are spent: their rows take each cell's right and
+    # left flux, the interior interfaces' F and the roads' q_out and q_in
+    right, left = ds
+    right[:-1] = F
+    left[1:] = F
+    q_in, q_out = flows[:table.edge_flows].reshape(2, -1)
+    right[table.last] = q_out
+    left[table.first] = q_in
+    nu = table.state
+    np.subtract(right, left, out=right)
+    right *= lam
+    np.subtract(rho, right, out=nu)
+    lo, hi = nu.min(), nu.max()
+    if lo < -_CLIP_TOL or hi > 1.0 + _CLIP_TOL:
         lo, hi = (f.reduceat(nu, table.first) for f in (np.minimum, np.maximum))
         k = np.argmax((lo < -_CLIP_TOL) | (hi > 1.0 + _CLIP_TOL))
         raise CFLViolation(
             f"edge {table.edges[k].id}: density left [0,1] at t={t:.6g} "
             f"(range [{lo[k]:.3e}, {hi[k]:.3e}])")
-    np.clip(nu, 0.0, 1.0, out=nu)
+    if lo < 0.0 or hi > 1.0:
+        np.clip(nu, 0.0, 1.0, out=nu)
     new_r, events = junctions.buffer_step(
-        table, r, *flows[table.edge_flows:].reshape(2, -1), tau, mode, t)
+        table, r, *flows[table.edge_flows:].reshape(2, -1), tau, mode, t,
+        ahead)
     return nu, new_r, flows, hit, events
 
 
@@ -146,21 +171,29 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
         raise BufferOutOfRange(f"node {table.ids[k]}: buffer load "
                                f"{float(r[k])} outside [0, {table.r_max[k]}]")
     inflows = table.inflow_table(tau, M)
-    # edge-major history: road k's block starts at (M+1) first[k], and its
-    # step-n values sit n * cells further on
     history = np.zeros((M + 1) * len(rho))
-    pos = np.arange(len(rho)) + np.repeat(M * table.first, table.widths)
-    stride = np.repeat(table.widths, table.widths)
+    # road k's (M+1, cells) block of the edge-major history, and its cells
+    roads = [(history[(M + 1) * a:(M + 1) * (b + 1)].reshape(M + 1, -1),
+              slice(a, b + 1)) for a, b in zip(table.first, table.last)]
+    # the states of the last K steps, time-major, copied to every road's
+    # block at once when full and at the end
+    K = _chunk_rows(len(rho))
+    chunk = np.empty((K, len(rho)))
     loads = np.zeros((len(r), M + 1))
     series = np.zeros((2 * len(table.edges) + 2 * len(r), M))
     fired = np.zeros((2, len(r)), dtype=np.intp)
-    history[pos], loads[:, 0], events = rho, r, []
+    for block, cells in roads:
+        block[0] = rho[cells]
+    loads[:, 0], events = r, []
     for n in range(M):
         rho, r, series[:, n], hit, step_events = advance_step(
             table, lam, rho, r, inflows[n], tau, mode, n * tau)
         fired += hit
-        pos += stride
-        history[pos], loads[:, n + 1] = rho, r
+        j = n % K
+        chunk[j], loads[:, n + 1] = rho, r
         events.extend(step_events)
+        if j == K - 1 or n == M - 1:
+            for block, cells in roads:
+                block[n + 1 - j:n + 2] = chunk[:j + 1, cells]
     return SimLog(network, tau, T, mode, history, loads, series, events,
                   fired)

@@ -337,14 +337,16 @@ def track_car(log, start_edge, start_x, start_time, destination,
                 next_id = choose_next(node, n_hat, tau_hat)
             try:
                 wt, m, frac = node_waiting(log, node, n_hat, tau_hat)
-            except HorizonExceeded:
-                car.waiting_times.append((node, t_arr, math.nan))
-                raise
+            except HorizonExceeded:  # the car waits at the node until T
+                wt, m = math.nan, log.steps
             car.waiting_times.append((node, t_arr, wt))
             # car sits at the node on every grid time spent waiting
             car.grid_samples([k * tau for k in range(n_hat + 1, m + 1)],
                              edge.id, repeat(edge.length), [cum] * (m - n_hat),
                              "waiting")
+            if math.isnan(wt):
+                car.status = CarStatus.HORIZON_EXCEEDED
+                return car
             edge = net.edges[next_id]
             car.path.append(next_id)
             x = enter_edge(log, next_id, m, frac)

@@ -1,6 +1,7 @@
 """Network Godunov solver: time stepping, projections and invariants."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,16 +9,19 @@ import pytest
 
 from bufferlane import bundled_scenario, scenario as scn
 from bufferlane.errors import BufferOutOfRange, CFLViolation, DensityOutOfRange
-from bufferlane.junctions import DemandMode
+from bufferlane.junctions import DemandMode, JunctionTable
 from bufferlane.network import Edge
 from bufferlane.solver import (
     InitialData,
+    _chunk_rows,
+    advance_step,
     cfl_timestep,
     project_cells,
     simulate,
 )
 from conftest import (
     buffer_bound_defect,
+    every_row_network,
     line_network,
     mass_balance_defect,
     total_mass,
@@ -165,6 +169,82 @@ class TestSimulate:
         assert total_mass(log, 0) == pytest.approx(0.3 + 0.5 + 0.7 + 0.1)
 
 
+def stepped(net, init, steps, tau, mode):
+    """`steps` plain `advance_step` calls from the initial state, recorded
+    step by step: the states, loads, flow vectors, events and the number
+    of steps the limiter rescaled each node at 0 and at r_max."""
+    table = JunctionTable.for_network(net)
+    lam = np.repeat([tau / e.h for e in table.edges], table.widths)
+    rho = np.concatenate([project_cells(e, init.densities[e.id])
+                          for e in table.edges])
+    r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
+    inflows = table.inflow_table(tau, steps)
+    states, loads, flows, events = [rho], [r], [], []
+    fired = 0
+    for n in range(steps):
+        rho, r, f, hit, step_events = advance_step(
+            table, lam, rho, r, inflows[n], tau, mode, n * tau)
+        states.append(rho.copy())  # the next call overwrites rho
+        loads.append(r)
+        flows.append(f)
+        events.extend(step_events)
+        fired = fired + hit
+    return table, np.array(states), np.array(loads), np.array(flows), \
+        events, fired
+
+
+class TestRecording:
+    @pytest.mark.parametrize("mode", list(DemandMode))
+    def test_simulate_equals_stepping(self, mode):
+        # runs that end before a flush of the recent-steps chunk, on one
+        # and just after one must record every step as it was made
+        net, init = every_row_network()
+        tau = 0.05
+        K = _chunk_rows(sum(e.cells for e in net.edges.values()))
+        assert K > 2
+        for steps in (1, K - 1, K, K + 1, 2 * K + 1):
+            log = simulate(net, init, steps * tau, mode, tau=tau)
+            table, states, loads, flows, events, fired = stepped(
+                net, init, steps, tau, mode)
+            assert log.steps == steps
+            for k, eid in enumerate(net.edges):
+                cells = slice(table.first[k], table.last[k] + 1)
+                assert np.array_equal(log.rho[eid], states[:, cells])
+            E, N = len(net.edges), len(net.nodes)
+            for j, series in enumerate((log.q_in, log.q_out)):
+                for k, eid in enumerate(net.edges):
+                    assert np.array_equal(series[eid], flows[:, j * E + k])
+            for k, v in enumerate(net.nodes):
+                assert np.array_equal(log.buffers[v], loads[:, k])
+                assert np.array_equal(log.node_inflow[v], flows[:, 2 * E + k])
+                assert np.array_equal(log.node_outflow[v],
+                                      flows[:, 2 * E + N + k])
+            assert log.events == events
+            assert log.limiter_fired == dict(zip(net.nodes,
+                                                 fired.sum(0).tolist()))
+        if mode is DemandMode.POOLED:
+            assert events  # the last run reaches the pooled merge's events
+
+    def test_peak_memory_bounded_by_cell_vectors(self):
+        # beyond the log, simulate holds a few work vectors, the chunk of
+        # recent steps and the step's temporaries (about 11 vectors); a
+        # copy of one road's 65-step history would add 32.5 more
+        net, init = line_network(densities=(0.3, 0.6), h=1 / 16384)
+        cells = sum(e.cells for e in net.edges.values())
+        tau = cfl_timestep(net)
+        tracemalloc.start()
+        try:
+            log = simulate(net, init, 64 * tau, tau=tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for table in (log.rho, log.buffers, log.q_in,
+                                          log.q_out, log.node_inflow,
+                                          log.node_outflow)
+                   for a in table.values()) + log.t.nbytes
+        assert peak - held < 24 * cells * 8
+
+
 class TestLimiterCounts:
     def test_free_flow_never_fires(self):
         net, init = line_network(densities=(0.3, 0.3, 0.3))
@@ -190,6 +270,19 @@ class TestStepErrors:
         simulate(net, init, 1.0, tau=0.05)
         with pytest.raises(CFLViolation, match=r"edge e2: density left "
                            r"\[0,1\] at t=0 \(range \[4.200e-01, 1.045e\+00\]\)"):
+            simulate(net, init, 1.0, tau=0.2)
+
+    @pytest.mark.parametrize("edge, lo", [("e1", "4.200e-01"),
+                                          ("e3", "5.000e-01")])
+    def test_cfl_violation_names_end_roads(self, edge, lo):
+        # the same queue on the first and on the last road of the flat
+        # vector: the per-road segments must not shift the edge or range
+        net, init = line_network()
+        init.densities[edge] = [(0.0, 0.5), (0.5, 0.95), (0.6, 1.0)]
+        simulate(net, init, 1.0, tau=0.05)
+        with pytest.raises(CFLViolation, match=re.escape(
+                f"edge {edge}: density left [0,1] at t=0 "
+                f"(range [{lo}, 1.045e+00])")):
             simulate(net, init, 1.0, tau=0.2)
 
     def test_buffer_out_of_range_names_node(self):

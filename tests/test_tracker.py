@@ -263,10 +263,20 @@ class TestLegMemo:
         assert car_record(first) == car_record(again) == car_record(fresh)
 
     def test_wait_cut_by_horizon(self):
-        car = track_car(horizon_in_wait_log(), "e1", 0.0, 0.0, "n2")
+        # the car waits at the node from its arrival until T, sampled at
+        # every grid time of the wait
+        log = horizon_in_wait_log()
+        car = track_car(log, "e1", 0.0, 0.0, "n2")
         assert car.path == ["e1"]
-        assert math.isnan(car.waiting_times[-1][2])
-        assert car.samples[-1][2:] == (1.0, 1.0, "driving")  # at the node
+        assert car.status is CarStatus.HORIZON_EXCEEDED
+        _, t_arr, wt = car.waiting_times[-1]
+        assert math.isnan(wt)
+        arrival = car.samples.index((t_arr, "e1", 1.0, 1.0, "driving"))
+        waits = car.samples[arrival + 1:]
+        n_hat = car.grid_t.index(waits[0][0]) - 1
+        assert [s[0] for s in waits] == [k * log.tau for k in range(
+            n_hat + 1, log.steps + 1)] == car.grid_t[n_hat + 1:]
+        assert {s[1:] for s in waits} == {("e1", 1.0, 1.0, "waiting")}
 
     def test_replayed_error_is_fresh_and_equal(self):
         log = horizon_on_road_log()
