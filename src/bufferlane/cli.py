@@ -10,6 +10,7 @@ error, 3 time horizon exceeded, 4 unreachable destination.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bundled_scenario, oracle
@@ -56,15 +57,11 @@ def _cmd_run(args):
     except (ScenarioSyntaxError, ScenarioSemanticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    overrides = {
-        "demand_mode": args.demand_mode,
-        "tracker": args.tracker,
-        "policy": args.policy,
-        "w_rho": args.wrho,
-        "w_r": args.wr,
-    }
+    doc = _with_settings(doc, {"demand_mode": args.demand_mode, "h": args.h},
+                         {"tracker": args.tracker, "policy": args.policy,
+                          "w_rho": args.wrho, "w_r": args.wr})
     try:
-        result = execute(doc, target_h=args.h, overrides=overrides)
+        result = execute(doc)
     except HorizonExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -77,22 +74,22 @@ def _cmd_run(args):
 
     out = Path(args.out or (Path(args.scenario).stem + "_out"))
     out.mkdir(parents=True, exist_ok=True)
-    log = result.log
-    write_density_csv(_strided(log, args.log_stride), out / "density.csv")
-    write_buffer_csv(_strided(log, args.log_stride), out / "buffers.csv")
+    log, car, car_log = result.log, result.doc.car, result.car_log
+    strided = _StridedView(log, args.log_stride)
+    write_density_csv(strided, out / "density.csv")
+    write_buffer_csv(strided, out / "buffers.csv")
     extra = {}
     code = 0
-    if result.car_log is not None:
-        write_trajectory_csv(result.car_log, out / "trajectory.csv")
-        write_route_summary(out / "route.json", result.policy.value,
-                            result.route, result.doc.car["start_time"],
-                            result.car_log)
-        if result.car_log.status is CarStatus.ARRIVED:
-            print(f"policy={result.policy.value} path={'-'.join(result.route)} "
-                  f"arrival={result.car_log.arrival_time:.6g} "
-                  f"waiting={result.car_log.total_waiting:.6g}")
+    if car_log is not None:
+        write_trajectory_csv(car_log, out / "trajectory.csv")
+        write_route_summary(out / "route.json", car["policy"], car_log.path,
+                            car["start_time"], car_log)
+        if car_log.status is CarStatus.ARRIVED:
+            print(f"policy={car['policy']} path={'-'.join(car_log.path)} "
+                  f"arrival={car_log.arrival_time:.6g} "
+                  f"waiting={car_log.total_waiting:.6g}")
         else:
-            print(f"car did not arrive: {result.car_log.status.value}")
+            print(f"car did not arrive: {car_log.status.value}")
             code = 3
         err = _oracle_error(doc, result)
         if err is not None:
@@ -104,8 +101,17 @@ def _cmd_run(args):
     return code
 
 
+def _with_settings(doc, run, car):
+    """`doc` with the given [run] and [car] settings in place of the file's;
+    a setting given as None keeps the file's entry."""
+    def merged(cfg, settings):
+        return {**cfg, **{k: v for k, v in settings.items() if v is not None}}
+    return replace(doc, run=merged(doc.run, run), car=merged(doc.car, car))
+
+
 class _StridedView:
-    """Read-only SimLog facade that skips steps for CSV output."""
+    """Read-only SimLog facade that keeps every `stride`-th step for CSV
+    output (all of them at stride 1, as views of the log's arrays)."""
 
     def __init__(self, log, stride):
         self.network = log.network
@@ -114,17 +120,13 @@ class _StridedView:
         self.buffers = {nid: arr[::stride] for nid, arr in log.buffers.items()}
 
 
-def _strided(log, stride):
-    return log if stride == 1 else _StridedView(log, stride)
-
-
 def _cmd_verify(args):
     failures = 0
     for name in ("linear", "rarefaction_single", "rarefaction_buffer"):
         doc = parse_scenario(bundled_scenario(name))
         for tracker in ("naive", "complex"):
-            result = execute(doc, target_h=args.h,
-                             overrides={"tracker": tracker})
+            result = execute(_with_settings(doc, {"h": args.h},
+                                            {"tracker": tracker}))
             err = _oracle_error(doc, result)
             arrived = result.car_log.status is CarStatus.ARRIVED
             status = "ok" if arrived else "FAIL"

@@ -184,12 +184,11 @@ def limit_buffer_crossings(table, r, flows, tau, mode):
     return hit, r + tau * (f[0] - f[1])
 
 
-def buffer_step(table, r, inflow, outflow, tau, mode=DemandMode.STANDARD,
-                time=0.0, ahead=None):
-    """Explicit Euler update of every buffer; returns (new loads, events).
+def buffer_step(table, new_r, mode=DemandMode.STANDARD, time=0.0):
+    """Check and clamp the Euler loads r + tau (f_in - f_out) of every
+    buffer, as `limit_buffer_crossings` returns them; returns (new loads,
+    events).
 
-    `ahead`, when given, is r + tau (inflow - outflow) as
-    `limit_buffer_crossings` returns it, and is not computed again.
     Every load after the initial one (which `simulate` checks) is checked
     here, and only here.  The fluxes are assumed admissible for the load
     (crossings of 0 / r_max already limited), so violations beyond
@@ -197,7 +196,6 @@ def buffer_step(table, r, inflow, outflow, tau, mode=DemandMode.STANDARD,
     report negative loads as events instead of raising, so the known
     defect of that demand choice is observable.
     """
-    new_r = r + tau * (inflow - outflow) if ahead is None else ahead
     over = new_r > table.r_max + _TOL
     under = new_r < -_TOL
     fatal = over | (under & table.floored[mode])

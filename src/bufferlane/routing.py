@@ -23,8 +23,6 @@ class RoutePolicy(Enum):
 
 def dijkstra(network, weights, source, destination):
     """Min-weight path by edge weights; returns (edge ids, total weight)."""
-    if source == destination:
-        return [], 0.0
     best = {}
     heap = [(0.0, (), source)]
     while heap:

@@ -15,11 +15,8 @@ from .tracker import (CarLog, TrackerKind, start_position, start_step,
 
 @dataclass
 class RunResult:
-    network: object
     log: SimLog
     doc: object  # the scenario as run, see `execute`
-    policy: Optional[RoutePolicy] = None
-    route: Optional[list] = None
     predicted_arrival: Optional[float] = None
     car_log: Optional[CarLog] = None
 
@@ -70,34 +67,26 @@ def _number(hi=math.inf, tau=None):
     return convert
 
 
-def execute(doc, target_h=None, overrides=None) -> RunResult:
+def execute(doc) -> RunResult:
     """Simulate (and optionally track a routed car for) one scenario.
 
     Every [run] and [car] setting is checked before the simulation starts.
-    The result's `doc` is the scenario as run: its [run] and [car] settings
-    carry the overrides, `h=target_h` when given, and the checked value of
-    every setting read (defaults included).
+    The result's `doc` is the scenario as run: `doc` with the checked value
+    of every [run] and [car] setting read (defaults included), so that
+    `execute(result.doc)` runs it again.
     """
-    overrides = dict(overrides or {})
-    run_cfg = dict(doc.run)
-    car_cfg = dict(doc.car)
-    for cfg, keys in ((run_cfg, ("T", "demand_mode")),
-                      (car_cfg, ("tracker", "policy", "w_rho", "w_r"))):
-        cfg.update((key, overrides[key]) for key in keys
-                   if overrides.get(key) is not None)
-    T = run_cfg.get("T")
+    T = doc.run.get("T")
     if not (isinstance(T, (int, float)) and 0.0 < T < math.inf):
         raise ScenarioSemanticError(f"run: T={T} must be a finite number > 0")
     T = float(T)
-    mode = _setting("run", run_cfg, "demand_mode", "standard", DemandMode)
-    network = scn.build_network(doc, target_h=target_h)
+    mode = _setting("run", doc.run, "demand_mode", "standard", DemandMode)
+    network = scn.build_network(doc)
     initial = scn.build_initial(doc)
-    run_cfg.update(T=T, demand_mode=mode.value)
-    if target_h is not None:
-        run_cfg["h"] = target_h
-    if "destination" not in car_cfg:
-        return RunResult(network, simulate(network, initial, T, mode=mode),
+    run_cfg = dict(doc.run, T=T, demand_mode=mode.value)
+    if "destination" not in doc.car:
+        return RunResult(simulate(network, initial, T, mode=mode),
                          replace(doc, run=run_cfg))
+    car_cfg = dict(doc.car)
     kind = _setting("car", car_cfg, "tracker", "complex", TrackerKind)
     policy = _setting("car", car_cfg, "policy", "shortest", RoutePolicy)
     w_rho = _setting("car", car_cfg, "w_rho", 0.5, _number())
@@ -121,5 +110,5 @@ def execute(doc, target_h=None, overrides=None) -> RunResult:
         chooser = routing.online_chooser(log, destination, w_rho, w_r)
     car_log = track_car(log, start_edge, start_x, start_time, destination,
                         kind=kind, choose_next=chooser)
-    return RunResult(network, log, replace(doc, run=run_cfg, car=car_cfg),
-                     policy, car_log.path, predicted, car_log)
+    return RunResult(log, replace(doc, run=run_cfg, car=car_cfg), predicted,
+                     car_log)

@@ -1,4 +1,4 @@
-"""Scenario document parsing, serialization and result writing.
+"""Scenario document parsing, network building and result writing.
 
 The format is line-oriented and sectioned; see docs/scenario-format.md for
 the grammar.  Example:
@@ -183,20 +183,18 @@ def _node_from_attrs(nid, attrs):
                         priority=priority, inflow=inflow)
 
 
-def build_network(doc, target_h=None) -> RoadNetwork:
+def build_network(doc) -> RoadNetwork:
     """Materialize and validate the road graph from a parsed document.
 
-    `target_h` (CLI override or [run] h) sets cell counts for edges that do
-    not carry an explicit `cells` attribute.  The initial buffer loads are
-    checked against the nodes here too, so bad numbers never reach the
-    solver.
+    The [run] cell width `h` sets cell counts for edges that do not carry
+    an explicit `cells` attribute.  The initial buffer loads are checked
+    against the nodes here too, so bad numbers never reach the solver.
     """
-    if target_h is None:
-        target_h = doc.run.get("h")
-    if target_h is not None and not (isinstance(target_h, (int, float))
-                                     and 0.0 < target_h < math.inf):
+    h = doc.run.get("h")
+    if h is not None and not (isinstance(h, (int, float))
+                              and 0.0 < h < math.inf):
         raise ScenarioSemanticError(
-            f"cell width h={target_h} must be a finite number > 0")
+            f"cell width h={h} must be a finite number > 0")
     nodes = []
     for nid, attrs in doc.nodes:
         try:
@@ -215,8 +213,8 @@ def build_network(doc, target_h=None) -> RoadNetwork:
             raise ScenarioSemanticError(f"edge {eid}: {exc}")
         if not math.isfinite(length):
             raise NonFiniteValue(f"edge {eid}: length {length}")
-        if cells is None and target_h:
-            cells = cells_for_target_h(length, float(target_h))
+        if cells is None and h:
+            cells = cells_for_target_h(length, float(h))
         elif cells is None:
             raise ScenarioSemanticError(
                 f"edge {eid}: no cell count and no target h")
@@ -234,29 +232,6 @@ def build_network(doc, target_h=None) -> RoadNetwork:
 def build_initial(doc) -> InitialData:
     return InitialData(densities={k: list(v) for k, v in doc.densities.items()},
                        buffers=dict(doc.buffers))
-
-
-def serialize_scenario(doc: ScenarioDoc) -> str:
-    """Canonical text form; parse(serialize(doc)) == doc."""
-    lines = ["[network]"]
-    for nid, attrs in doc.nodes:
-        lines.append("node " + nid + "".join(f" {k}={v}" for k, v in attrs.items()))
-    for eid, attrs in doc.edges:
-        lines.append("edge " + eid + "".join(f" {k}={v}" for k, v in attrs.items()))
-    lines.append("[initial]")
-    for eid, pieces in doc.densities.items():
-        if len(pieces) == 1 and pieces[0][0] == 0.0:
-            lines.append(f"density {eid} {pieces[0][1]!r}")
-        else:
-            lines.append("density " + eid + " " +
-                         ",".join(f"{x!r}:{v!r}" for x, v in pieces))
-    for nid, r0 in doc.buffers.items():
-        lines.append(f"buffer {nid} {r0!r}")
-    for name, mapping in (("run", doc.run), ("car", doc.car)):
-        lines.append(f"[{name}]")
-        for k, v in mapping.items():
-            lines.append(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

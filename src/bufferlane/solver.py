@@ -131,9 +131,7 @@ def advance_step(table, lam, rho, r, inflow, tau, mode, t):
             f"(range [{lo[k]:.3e}, {hi[k]:.3e}])")
     if lo < 0.0 or hi > 1.0:
         np.clip(nu, 0.0, 1.0, out=nu)
-    new_r, events = junctions.buffer_step(
-        table, r, *flows[table.edge_flows:].reshape(2, -1), tau, mode, t,
-        ahead)
+    new_r, events = junctions.buffer_step(table, ahead, mode, t)
     return nu, new_r, flows, hit, events
 
 

@@ -115,9 +115,9 @@ def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
     in, 1 out): pooled loads may go negative only there."""
     table = one_node_table(JunctionSpec(id=node, kind=NodeKind.TWO_TO_ONE,
                                         r_max=r_max), 2, 1)
-    new_r, events = buffer_step(table, np.array([float(r)]),
-                                np.array([float(inflow)]),
-                                np.array([float(outflow)]), tau, mode, time)
+    ahead = np.array([float(r)]) + tau * (np.array([float(inflow)])
+                                          - np.array([float(outflow)]))
+    new_r, events = buffer_step(table, ahead, mode, time)
     return float(new_r[0]), (events[0] if events else None)
 
 

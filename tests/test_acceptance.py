@@ -4,6 +4,8 @@ Each test prints one ``criterion N: PASS/FAIL`` line summarizing what was
 verified, then asserts.  Tolerances are pinned in the assertions.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,8 +124,8 @@ def test_criterion_4_error_ladder():
         doc = scn.parse_scenario(bundled_scenario(name))
         errs = []
         for n in (0, 2, 4, 6):
-            res = execute(doc, target_h=0.1 * 2.0 ** -n,
-                          overrides={"tracker": tr})
+            res = execute(replace(doc, run={**doc.run, "h": 0.1 * 2.0 ** -n},
+                                  car={**doc.car, "tracker": tr}))
             errs.append(oracle.truncation_error(
                 res.car_log.grid_t, res.car_log.grid_pos,
                 oracle.rarefaction_exact, oracle.RAREFACTION_T_END))
@@ -143,7 +145,7 @@ def test_criterion_4_error_ladder():
 def test_criterion_5_two_route_network():
     """Two-route network: policy decisions and the congested-route wait."""
     doc = scn.parse_scenario(bundled_scenario("small_network"))
-    net = scn.build_network(doc, target_h=0.01)
+    net = scn.build_network(replace(doc, run={**doc.run, "h": 0.01}))
     log = simulate(net, scn.build_initial(doc), 15.0)
     p1 = ["e1", "e2", "e4", "e7"]
     p2 = ["e1", "e3", "e5", "e7"]
@@ -180,7 +182,7 @@ def test_criterion_5_two_route_network():
 def test_criterion_6_block_network():
     """Sixteen-junction block network: route lengths, arrivals and waits."""
     doc = scn.parse_scenario(bundled_scenario("block"))
-    net = scn.build_network(doc, target_h=0.01)
+    net = scn.build_network(replace(doc, run={**doc.run, "h": 0.01}))
     log = simulate(net, scn.build_initial(doc), 40.0)
 
     def run_fixed(route):

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from bufferlane import bundled_scenario
 from bufferlane.cli import main
+from bufferlane.run import execute
+from bufferlane.scenario import (
+    ScenarioDoc,
+    write_buffer_csv,
+    write_density_csv,
+    write_route_summary,
+    write_trajectory_csv,
+)
 
 LINEAR = bundled_scenario("linear").splitlines()
 # (line, start, end) of every value: the right side of key=value and the
@@ -241,6 +250,37 @@ def test_policy_override(tmp_path, capsys):
     assert code == 0
     route = json.loads((tmp_path / "o" / "route.json").read_text())
     assert route["policy"] == "shortest"
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("linear", ["--tracker", "naive", "--h", "0.05"]),
+    ("small_network", ["--policy", "fastest", "--h", "0.05"]),
+    ("rarefaction_buffer", ["--policy", "online", "--demand-mode", "pooled"]),
+    ("merge_pooled", ["--h", "0.05"]),
+])
+def test_manifest_re_executes_run(tmp_path, name, flags):
+    # the manifest's scenario is the run's only record: executing it again
+    # gives the same settings and, through the same writers, the same files
+    path = tmp_path / f"{name}.scn"
+    path.write_text(bundled_scenario(name))
+    out, again = tmp_path / "o", tmp_path / "again"
+    assert main(["run", str(path), "--out", str(out), *flags]) == 0
+    scenario = json.loads((out / "manifest.json").read_text())["scenario"]
+    result = execute(ScenarioDoc(**scenario))
+    assert asdict(result.doc) == scenario
+    again.mkdir()
+    write_density_csv(result.log, again / "density.csv")
+    write_buffer_csv(result.log, again / "buffers.csv")
+    car, car_log = result.doc.car, result.car_log
+    if car_log is not None:
+        write_trajectory_csv(car_log, again / "trajectory.csv")
+        write_route_summary(again / "route.json", car["policy"], car_log.path,
+                            car["start_time"], car_log)
+    names = sorted(f.name for f in again.iterdir())
+    assert names == sorted(f.name for f in out.iterdir()
+                           if f.name != "manifest.json")
+    for f in names:
+        assert (again / f).read_bytes() == (out / f).read_bytes(), f
 
 
 def test_verify_subcommand(capsys):

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +103,8 @@ def record_car(case):
 
     run.plan_route = planning
     try:
-        result = run.execute(doc, overrides={"policy": policy,
-                                             "tracker": kind})
+        result = run.execute(replace(
+            doc, car={**doc.car, "policy": policy, "tracker": kind}))
     except BufferlaneError as exc:
         return {"error": type(exc).__name__}
     finally:
@@ -111,7 +112,7 @@ def record_car(case):
     car = result.car_log
     out = [car.samples, car.grid_t, car.grid_pos, car.travel_times,
            car.waiting_times, car.path, car.arrival_time, car.status.value,
-           planned, result.route, result.predicted_arrival]
+           planned, car.path, result.predicted_arrival]
     return {"car": _sha([json.dumps(out).encode()])}
 
 

@@ -236,9 +236,9 @@ class TestBufferStep:
     def test_pooled_underflow_raises_off_merges(self):
         # pooled loads may go negative only at merges
         table = one_node_table(pass_spec(r_max=1.0), 1, 1)
+        euler = np.array([0.0 + 0.05 * (0.19 - 0.2)])
         with pytest.raises(BufferUnderflow, match="node j: buffer"):
-            junctions.buffer_step(table, np.array([0.0]), np.array([0.19]),
-                                  np.array([0.2]), 0.05, DemandMode.POOLED)
+            junctions.buffer_step(table, euler, DemandMode.POOLED)
 
     def test_unbounded_capacity(self):
         r, _ = buffer_step(1.0, 0.25, 0.0, 0.05, r_max=math.inf)

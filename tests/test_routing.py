@@ -1,5 +1,7 @@
 """Route selection policies and their weight constructions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from bufferlane.tracker import TrackerKind, track_car
 def small_log():
     """The two-route network simulated once at a coarse grid."""
     doc = scn.parse_scenario(bundled_scenario("small_network"))
-    net = scn.build_network(doc, target_h=0.05)
+    net = scn.build_network(replace(doc, run={**doc.run, "h": 0.05}))
     return simulate(net, scn.build_initial(doc), 15.0,
                     mode=DemandMode.STANDARD)
 

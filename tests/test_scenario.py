@@ -1,4 +1,4 @@
-"""Scenario parsing, serialization round-trips and result writers."""
+"""Scenario parsing, network building and result writers."""
 
 import json
 import math
@@ -20,7 +20,6 @@ from bufferlane.scenario import (
     build_initial,
     build_network,
     parse_scenario,
-    serialize_scenario,
     write_buffer_csv,
     write_density_csv,
     write_manifest,
@@ -104,19 +103,19 @@ class TestParsing:
 class TestBuildNetwork:
     def test_cells_from_target_h(self):
         doc = parse_scenario(MINIMAL)
-        net = build_network(doc, target_h=0.1)
+        net = build_network(doc)
         assert net.edges["e1"].cells == 10
         assert net.edges["e2"].cells == 15
 
     def test_explicit_cells_win(self):
         doc = parse_scenario(MINIMAL.replace("length=1\n", "length=1 cells=4\n"))
-        net = build_network(doc, target_h=0.1)
+        net = build_network(doc)
         assert net.edges["e1"].cells == 4
 
     def test_missing_h_rejected(self):
         doc = parse_scenario(MINIMAL.replace("h=0.1\n", ""))
         with pytest.raises(ScenarioSemanticError):
-            build_network(doc, target_h=None)
+            build_network(doc)
 
     def test_priority_parsing(self):
         doc = parse_scenario(bundled_scenario("merge_pooled"))
@@ -151,26 +150,6 @@ class TestBuildNetwork:
         assert init.buffers["mid"] == 0.1
 
 
-class TestRoundTrip:
-    def test_parse_serialize_parse(self):
-        doc = parse_scenario(MINIMAL)
-        text = serialize_scenario(doc)
-        doc2 = parse_scenario(text)
-        assert doc2.nodes == doc.nodes
-        assert doc2.edges == doc.edges
-        assert doc2.densities == doc.densities
-        assert doc2.buffers == doc.buffers
-        assert doc2.car == doc.car
-
-    def test_bundled_scenarios_round_trip(self):
-        for name in ("linear", "merge_pooled", "rarefaction_single",
-                     "rarefaction_buffer", "small_network", "block"):
-            doc = parse_scenario(bundled_scenario(name))
-            doc2 = parse_scenario(serialize_scenario(doc))
-            assert doc2.densities == doc.densities
-            assert doc2.nodes == doc.nodes
-
-
 @pytest.fixture(scope="module")
 def result():
     return execute(parse_scenario(MINIMAL))
@@ -182,7 +161,7 @@ class TestWriters:
         write_density_csv(result.log, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,edge_id,cell_index,rho"
-        cells = sum(e.cells for e in result.network.edges.values())
+        cells = sum(e.cells for e in result.log.network.edges.values())
         assert len(lines) == 1 + (result.log.steps + 1) * cells
         t, eid, idx, rho = lines[1].split(",")
         assert eid == "e1" and idx == "0"

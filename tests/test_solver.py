@@ -285,6 +285,34 @@ class TestStepErrors:
                 f"(range [{lo}, 1.045e+00])")):
             simulate(net, init, 1.0, tau=0.2)
 
+    @staticmethod
+    def overshoot(eps, lam=1.0001):
+        """One `advance_step` on an empty line with `eps` in one inner cell
+        of e1.  lam > 1 on every cell is past the CFL bound on purpose: the
+        cell sends eps (1 - eps) and falls to eps (1 - lam) + lam eps^2."""
+        net, init = line_network(densities=(0.0, 0.0, 0.0), inflow=0.0)
+        table = JunctionTable.for_network(net)
+        rho = np.zeros(sum(table.widths))
+        rho[3] = eps
+        tau = lam * net.edges["e1"].h
+        r = np.zeros(len(net.nodes))
+        nu, *_ = advance_step(table, np.full(rho.size, lam), rho, r,
+                              table.inflow_table(tau, 1)[0], tau,
+                              DemandMode.STANDARD, 0.0)
+        return nu
+
+    def test_round_off_clipped_to_zero(self):
+        # raw -9.9e-11 is within the clip tolerance 1e-10: exactly 0.0
+        nu = self.overshoot(1e-6)
+        assert nu[3] == 0.0
+        assert nu.min() == 0.0 and nu.max() <= 1.0
+
+    def test_overshoot_beyond_round_off_raises(self):
+        # raw -9.0e-10 is past the clip tolerance: a CFL violation on e1
+        with pytest.raises(CFLViolation, match=r"edge e1: density left "
+                           r"\[0,1\] at t=0 \(range \[-9\.000e-10, "):
+            self.overshoot(1e-5)
+
     def test_buffer_out_of_range_names_node(self):
         # an over-full and a NaN pass-through load, a negative source load,
         # and a negative load at a pooled merge, which may go negative only
