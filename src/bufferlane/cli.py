@@ -82,7 +82,7 @@ def _cmd_run(args):
     code = 0
     if car_log is not None:
         write_trajectory_csv(car_log, out / "trajectory.csv")
-        write_route_summary(out / "route.json", car["policy"], car_log.path,
+        write_route_summary(out / "route.json", car["policy"],
                             car["start_time"], car_log)
         if car_log.status is CarStatus.ARRIVED:
             print(f"policy={car['policy']} path={'-'.join(car_log.path)} "

@@ -156,46 +156,40 @@ class JunctionTable:
         return ds, w.take(self.scatter)
 
 
-def limit_buffer_crossings(table, r, flows, tau, mode):
-    """Rescale node fluxes in place so no buffer crosses 0 or r_max.
+def buffer_step(table, r, flows, tau, mode=DemandMode.STANDARD, time=0.0):
+    """The buffer loads after one step, r + tau (f_in - f_out), limited,
+    checked and clamped; returns (new loads, hit, events).
 
     The coupling branches on the buffer state at t^n, so a buffer that
     empties (or fills) in mid-step would overshoot the bound by up to one
     step's flow before the fluxes switch.  Scaling the node's outgoing
-    (resp. incoming) fluxes to stop exactly at the bound keeps the loads
-    admissible and the scheme conservative.  In Pooled mode negative loads
-    at merges are left in place: the known defect of that demand choice
-    must stay observable.  Every other node keeps the limiter in both modes.
-    Returns the (2, nodes) mask of the nodes rescaled at 0 and at r_max,
-    and the Euler loads r + tau (f_in - f_out) of the limited fluxes.
-    """
-    f = flows[table.edge_flows:].reshape(2, -1)  # f_in, f_out
-    ahead = r + tau * (f[0] - f[1])
-    hit = np.array([(ahead < 0.0) & table.floored[mode], ahead > table.r_max])
-    if not hit.any():
-        return hit, ahead
-    # the room to each bound, r above 0 and r_max - r below r_max, scales
-    # f_out (and the q_in it feeds), resp. f_in (and the q_out)
-    room = np.array([r, table.r_max - r])
-    scale = np.divide(room / tau + f, f[::-1], out=np.ones(f.shape), where=hit)
-    f[::-1] *= scale
-    flows[:table.edge_flows] *= scale.take(table.edge_nodes)
-    # a scale of 1 is exact: every other node's load keeps its bits
-    return hit, r + tau * (f[0] - f[1])
-
-
-def buffer_step(table, new_r, mode=DemandMode.STANDARD, time=0.0):
-    """Check and clamp the Euler loads r + tau (f_in - f_out) of every
-    buffer, as `limit_buffer_crossings` returns them; returns (new loads,
-    events).
+    (resp. incoming) fluxes in `flows`, in place, to stop exactly at the
+    bound keeps the loads admissible and the scheme conservative; `hit` is
+    the (2, nodes) mask of the nodes so rescaled at 0 and at r_max.  In
+    Pooled mode merges are not limited at 0: their negative loads, the
+    known defect of that demand choice, are kept and reported as events.
 
     Every load after the initial one (which `simulate` checks) is checked
-    here, and only here.  The fluxes are assumed admissible for the load
-    (crossings of 0 / r_max already limited), so violations beyond
-    round-off signal a coupling bug and raise.  Only merges in Pooled mode
-    report negative loads as events instead of raising, so the known
-    defect of that demand choice is observable.
+    here, and only here.  After the limiter only a coupling bug can put a
+    load off [0, r_max] beyond round-off; that raises BufferOverflow or
+    BufferUnderflow.  With no node hit and no load below 0, every load
+    lies in [0, r_max] already and is returned unchecked.
     """
+    f = flows[table.edge_flows:].reshape(2, -1)  # f_in, f_out
+    new_r = r + tau * (f[0] - f[1])
+    hit = np.array([(new_r < 0.0) & table.floored[mode], new_r > table.r_max])
+    if hit.any():
+        # the room to each bound, r above 0 and r_max - r below r_max,
+        # scales f_out (and the q_in it feeds), resp. f_in (and the q_out)
+        room = np.array([r, table.r_max - r])
+        scale = np.divide(room / tau + f, f[::-1], out=np.ones(f.shape),
+                          where=hit)
+        f[::-1] *= scale
+        flows[:table.edge_flows] *= scale.take(table.edge_nodes)
+        # a scale of 1 is exact: every other node's load keeps its bits
+        new_r = r + tau * (f[0] - f[1])
+    elif new_r.min() >= 0.0:
+        return new_r, hit, []
     over = new_r > table.r_max + _TOL
     under = new_r < -_TOL
     fatal = over | (under & table.floored[mode])
@@ -209,4 +203,4 @@ def buffer_step(table, new_r, mode=DemandMode.STANDARD, time=0.0):
     events = [NegativityEvent(table.ids[k], time, float(new_r[k]))
               for k in under.nonzero()[0]]
     clamped = np.minimum(np.maximum(new_r, 0.0), table.r_max)
-    return np.where(under, new_r, clamped), events
+    return np.where(under, new_r, clamped), hit, events

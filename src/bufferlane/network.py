@@ -72,6 +72,9 @@ class JunctionSpec:
     inflow: tuple = ((0.0, 0.0),)
 
     def inflow_at(self, t: float) -> float:
+        """The inflow at time t.  `simulate` samples every step at once
+        through `JunctionTable.inflow_table`; this scalar form is kept as
+        the reference that table is tested against."""
         value = self.inflow[0][1]
         for t_k, v_k in self.inflow:
             if t >= t_k - 1e-15:

@@ -10,8 +10,7 @@ import math
 from enum import Enum
 
 from .errors import HorizonExceeded, UnreachableDestination
-from .tracker import (TrackerKind, check_timestep, enter_edge, node_waiting,
-                      traverse_edge)
+from .tracker import TrackerKind, enter_edge, node_waiting, traverse_edge
 
 
 class RoutePolicy(Enum):
@@ -97,7 +96,6 @@ def fastest_path(log, start_node, arrival_event, destination,
     charged when leaving it; nothing is charged at the destination.
     Returns (edge ids, arrival time).
     """
-    check_timestep(log)
     tau = log.tau
     n0, f0 = arrival_event
     best = {}

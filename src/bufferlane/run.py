@@ -70,10 +70,11 @@ def _number(hi=math.inf, tau=None):
 def execute(doc) -> RunResult:
     """Simulate (and optionally track a routed car for) one scenario.
 
-    Every [run] and [car] setting is checked before the simulation starts.
-    The result's `doc` is the scenario as run: `doc` with the checked value
-    of every [run] and [car] setting read (defaults included), so that
-    `execute(result.doc)` runs it again.
+    Every [run] and [car] setting is checked before the simulation starts;
+    without a destination the car's start is not read, but its tracker,
+    policy and weights are.  The result's `doc` is the scenario as run:
+    `doc` with the checked value of every [run] and [car] setting read
+    (defaults included), so that `execute(result.doc)` runs it again.
     """
     T = doc.run.get("T")
     if not (isinstance(T, (int, float)) and 0.0 < T < math.inf):
@@ -83,14 +84,16 @@ def execute(doc) -> RunResult:
     network = scn.build_network(doc)
     initial = scn.build_initial(doc)
     run_cfg = dict(doc.run, T=T, demand_mode=mode.value)
-    if "destination" not in doc.car:
-        return RunResult(simulate(network, initial, T, mode=mode),
-                         replace(doc, run=run_cfg))
     car_cfg = dict(doc.car)
     kind = _setting("car", car_cfg, "tracker", "complex", TrackerKind)
     policy = _setting("car", car_cfg, "policy", "shortest", RoutePolicy)
     w_rho = _setting("car", car_cfg, "w_rho", 0.5, _number())
     w_r = _setting("car", car_cfg, "w_r", 0.5, _number())
+    car_cfg.update(tracker=kind.value, policy=policy.value, w_rho=w_rho,
+                   w_r=w_r)
+    if "destination" not in doc.car:
+        return RunResult(simulate(network, initial, T, mode=mode),
+                         replace(doc, run=run_cfg, car=car_cfg))
     start_edge = car_cfg.get("start_edge")
     if start_edge not in network.edges:
         raise ScenarioSemanticError(f"car: start_edge={start_edge} is not an edge")
@@ -99,8 +102,7 @@ def execute(doc) -> RunResult:
     start_time = _setting("car", car_cfg, "start_time", 0.0,
                           _number(tau=cfl_timestep(network, T)))
     destination = car_cfg["destination"]
-    car_cfg.update(tracker=kind.value, policy=policy.value, w_rho=w_rho,
-                   w_r=w_r, start_x=start_x, start_time=start_time)
+    car_cfg.update(start_x=start_x, start_time=start_time)
     log = simulate(network, initial, T, mode=mode)
     route, predicted = plan_route(log, policy, start_edge, start_x, start_time,
                                   destination, kind, w_rho, w_r)

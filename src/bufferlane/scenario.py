@@ -284,12 +284,12 @@ def _finite_or_null(x):
     return None if math.isnan(x) else x
 
 
-def write_route_summary(path, policy, route, departure, car_log):
+def write_route_summary(path, policy, departure, car_log):
     """route.json: strict JSON, with null for the arrival and waits that the
     horizon cut short."""
     payload = {
         "policy": policy,
-        "path": list(route),
+        "path": list(car_log.path),
         "departure": departure,
         "arrival": _finite_or_null(car_log.arrival_time),
         "status": car_log.status.value,

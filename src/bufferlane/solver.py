@@ -45,11 +45,9 @@ def project_cells(edge, pieces):
     return acc / edge.h
 
 
-def cfl_timestep(network: RoadNetwork, T=None):
+def cfl_timestep(network: RoadNetwork, T):
     """Half the smallest cell width, shrunk so the horizon divides evenly."""
     tau = 0.5 * min(e.h for e in network.edges.values())
-    if T is None:
-        return tau
     return T / int(np.ceil(T / tau - 1e-9))
 
 
@@ -104,11 +102,13 @@ def advance_step(table, lam, rho, r, inflow, tau, mode, t):
     the sources' `inflow`; returns the new state, the flow vector used
     (see `JunctionTable`), the limiter's mask and the step's events.
 
-    The new state is `table.state`, overwritten by the next call; it may
-    be passed back as `rho`.
+    The new loads come from one `junctions.buffer_step` call, which limits
+    the node fluxes in `flows` before the cells read q_in and q_out.  The
+    new state is `table.state`, overwritten by the next call; it may be
+    passed back as `rho`.
     """
     ds, flows = table.fluxes(rho, r, inflow, mode)
-    hit, ahead = junctions.limit_buffer_crossings(table, r, flows, tau, mode)
+    new_r, hit, events = junctions.buffer_step(table, r, flows, tau, mode, t)
     F = godunov_flux(ds[0, :-1], ds[1, 1:])
     # demand and supply are spent: their rows take each cell's right and
     # left flux, the interior interfaces' F and the roads' q_out and q_in
@@ -131,25 +131,25 @@ def advance_step(table, lam, rho, r, inflow, tau, mode, t):
             f"(range [{lo[k]:.3e}, {hi[k]:.3e}])")
     if lo < 0.0 or hi > 1.0:
         np.clip(nu, 0.0, 1.0, out=nu)
-    new_r, events = junctions.buffer_step(table, ahead, mode, t)
     return nu, new_r, flows, hit, events
 
 
-def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
+def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     """Run the coupled scheme over [0, T] and record every step.
 
+    The step is always `cfl_timestep(network, T)`, so every log has
+    tau <= h/2 on every road: the bound the complex tracker assumes.
     The state is one flat density vector, road after road, and one load
     per node; a JunctionTable gives all boundary fluxes of a step in one
     array pass, from inflows sampled for every step up front.  The initial
     state is checked here, once: a density off [0, 1] or a load off
     [0, r_max] beyond round-off, or not finite, raises
     DensityOutOfRange naming the edge or BufferOutOfRange naming the node;
-    round-off densities are clipped.  Each later state is checked by the
-    step that makes it (`advance_step`, `junctions.buffer_step`), so the
-    flux law and the junction table read every value unchecked.
+    round-off is clipped.  Each later state is checked by the step that
+    makes it (`advance_step`, `junctions.buffer_step`), so the flux law
+    and the junction table read every value unchecked.
     """
-    if tau is None:
-        tau = cfl_timestep(network, T)
+    tau = cfl_timestep(network, T)
     M = int(round(T / tau))
     table = junctions.JunctionTable.for_network(network)
     lam = np.repeat([tau / e.h for e in table.edges], table.widths)
@@ -168,6 +168,7 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD, tau=None) -> SimLog:
         k = np.argmax(bad)
         raise BufferOutOfRange(f"node {table.ids[k]}: buffer load "
                                f"{float(r[k])} outside [0, {table.r_max[k]}]")
+    np.clip(r, 0.0, table.r_max, out=r)
     inflows = table.inflow_table(tau, M)
     history = np.zeros((M + 1) * len(rho))
     # road k's (M+1, cells) block of the edge-major history, and its cells

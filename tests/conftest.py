@@ -108,16 +108,24 @@ def node_fluxes(spec, rho_in, rho_out, r, mode=DemandMode.STANDARD):
             + tuple(float(q) for q in q_in[len(rho_in):]))
 
 
+def node_flows(table, inflow, outflow):
+    """A flow vector of a one-node table: zero road fluxes and the node's
+    buffer `inflow` and `outflow`."""
+    flows = np.zeros(table.edge_flows + 2)
+    flows[table.edge_flows:] = inflow, outflow
+    return flows
+
+
 def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
                      mode=DemandMode.STANDARD, node="", time=0.0):
-    """Euler update of one buffer through a one-node table; returns the new
-    load and the negativity event or None.  The node is a merge (2 roads
-    in, 1 out): pooled loads may go negative only there."""
+    """One buffer step through a one-node table; returns the new load and
+    the negativity event or None.  The node is a merge (2 roads in, 1
+    out): pooled loads may go negative only there."""
     table = one_node_table(JunctionSpec(id=node, kind=NodeKind.TWO_TO_ONE,
                                         r_max=r_max), 2, 1)
-    ahead = np.array([float(r)]) + tau * (np.array([float(inflow)])
-                                          - np.array([float(outflow)]))
-    new_r, events = buffer_step(table, ahead, mode, time)
+    new_r, _, events = buffer_step(table, np.array([float(r)]),
+                                   node_flows(table, inflow, outflow), tau,
+                                   mode, time)
     return float(new_r[0]), (events[0] if events else None)
 
 

@@ -287,19 +287,24 @@ def test_criterion_9_wave_geometry_oracle():
             x0[k], x_i[k], rho_minus[k], rho_plus[k])
     lam = 1.0 - rho_minus - rho_plus          # shock speed
     step = dt * (1.0 - rho_minus)             # car advance per dt behind the front
-    # every car moves on after its hit; only the first hit is recorded
+    # every car moves on after its hit; only the first hit is recorded.
+    # The steps advance 4096 at a time: add.accumulate down the time axis
+    # adds dt and step one after another, as a loop of += would
     t = np.zeros(m)
     x = x0.copy()
     num_t = np.full(m, np.nan)
     num_x = np.full(m, np.nan)
     pending = np.ones(m, dtype=bool)
+    dts, steps = np.full((4096, m), dt), np.broadcast_to(step, (4096, m))
     while pending.any():
-        t += dt
-        x += step
-        hit = pending & (x >= x_i + lam * t)
-        if hit.any():
-            num_t[hit], num_x[hit] = t[hit], x[hit]
-            pending &= ~hit
+        ts = np.add.accumulate(np.vstack((t, dts)))[1:]
+        xs = np.add.accumulate(np.vstack((x, steps)))[1:]
+        hit = pending & (xs >= x_i + lam * ts)
+        cars = hit.any(0).nonzero()[0]
+        first = hit[:, cars].argmax(0)
+        num_t[cars], num_x[cars] = ts[first, cars], xs[first, cars]
+        pending[cars] = False
+        t, x = ts[-1], xs[-1]
     shock_err = max(np.max(np.abs(num_t - ref_t)),
                     np.max(np.abs(num_x - ref_x)))
 

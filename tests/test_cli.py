@@ -152,6 +152,22 @@ def test_manifest_records_settings_as_run(linear_file, tmp_path):
     assert manifest["cells"] == {"e1": 20, "e2": 20, "e3": 20}
 
 
+def test_car_settings_checked_without_a_car(tmp_path, capsys):
+    # a run with no destination still checks the car settings it is given
+    # and records their checked values, defaults included
+    path = tmp_path / "merge.scn"
+    path.write_text(bundled_scenario("merge_pooled"))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out), "--wrho", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: car: w_rho=-1.0: must be a finite number in [0, inf]\n")
+    assert not out.exists()
+    assert main(["run", str(path), "--out", str(out), "--wr", "0.7"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario"]["car"] == {
+        "w_r": 0.7, "tracker": "complex", "policy": "shortest", "w_rho": 0.5}
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(st.one_of(
     st.integers(0, len(LINEAR) - 1),
@@ -274,7 +290,7 @@ def test_manifest_re_executes_run(tmp_path, name, flags):
     car, car_log = result.doc.car, result.car_log
     if car_log is not None:
         write_trajectory_csv(car_log, again / "trajectory.csv")
-        write_route_summary(again / "route.json", car["policy"], car_log.path,
+        write_route_summary(again / "route.json", car["policy"],
                             car["start_time"], car_log)
     names = sorted(f.name for f in again.iterdir())
     assert names == sorted(f.name for f in out.iterdir()

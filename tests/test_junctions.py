@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from bufferlane import junctions
-from bufferlane.errors import BufferUnderflow
 from bufferlane.junctions import DemandMode, JunctionTable
 from bufferlane.network import JunctionSpec, NodeKind
 from conftest import node_buffer_step as buffer_step
-from conftest import every_row_network, node_fluxes, one_node_table
+from conftest import (every_row_network, node_fluxes, node_flows,
+                      one_node_table)
 
 
 def split_spec(alpha=(0.5, 0.5), mu=0.25, r_max=0.3):
@@ -228,17 +228,48 @@ class TestBufferStep:
         assert ev is not None and ev.node == "v"
         assert ev.load == pytest.approx(-0.0005)
 
-    def test_standard_underflow_raises(self):
-        with pytest.raises(BufferUnderflow):
-            buffer_step(0.0, 0.19, 0.2, 0.05, r_max=1.0,
-                        mode=DemandMode.STANDARD)
+    def test_standard_underflow_limited_to_zero(self):
+        # the Euler load -0.0005 is limited before it is checked: the
+        # outflow is scaled to stop the buffer at exactly 0.0
+        table = one_node_table(merge_spec(r_max=1.0), 2, 1)
+        flows = node_flows(table, 0.19, 0.2)
+        r, hit, events = junctions.buffer_step(table, np.zeros(1), flows,
+                                               0.05)
+        assert r[0] == 0.0 and events == []
+        assert hit.tolist() == [[True], [False]]
+        assert flows[-1] == pytest.approx(0.19)
 
-    def test_pooled_underflow_raises_off_merges(self):
+    def test_pooled_underflow_limited_off_merges(self):
         # pooled loads may go negative only at merges
         table = one_node_table(pass_spec(r_max=1.0), 1, 1)
-        euler = np.array([0.0 + 0.05 * (0.19 - 0.2)])
-        with pytest.raises(BufferUnderflow, match="node j: buffer"):
-            junctions.buffer_step(table, euler, DemandMode.POOLED)
+        r, hit, events = junctions.buffer_step(
+            table, np.zeros(1), node_flows(table, 0.19, 0.2), 0.05,
+            DemandMode.POOLED)
+        assert r[0] == 0.0 and events == []
+        assert hit.tolist() == [[True], [False]]
+
+    def test_branches_without_a_hit(self):
+        # in range: the Euler loads as computed, flows untouched
+        table = one_node_table(merge_spec(r_max=0.3), 2, 1)
+        for r, f_in, f_out in ((0.1, 0.2, 0.25), (0.0, 0.2, 0.2),
+                               (0.3, 0.0, 0.1), (0.1, 0.21, 0.13)):
+            flows = node_flows(table, f_in, f_out)
+            before = flows.copy()
+            new_r, hit, events = junctions.buffer_step(
+                table, np.array([r]), flows, 0.05)
+            assert new_r.tobytes() == np.array(
+                [r + 0.05 * (f_in - f_out)]).tobytes()
+            assert not hit.any() and events == []
+            assert flows.tobytes() == before.tobytes()
+        # a pooled merge below 0: round-off is clamped to exactly 0.0, a
+        # real negative load is kept and reported
+        for load, kept in ((-5e-13, 0.0), (-5e-4, -5e-4)):
+            new_r, hit, events = junctions.buffer_step(
+                table, np.zeros(1), node_flows(table, 0.0, -load), 1.0,
+                DemandMode.POOLED, time=2.0)
+            assert new_r[0] == kept and not hit.any()
+            assert events == ([] if kept == 0.0 else
+                              [junctions.NegativityEvent("j", 2.0, kept)])
 
     def test_unbounded_capacity(self):
         r, _ = buffer_step(1.0, 0.25, 0.0, 0.05, r_max=math.inf)

@@ -207,8 +207,7 @@ class TestWriters:
 
     def test_route_summary(self, result, tmp_path):
         path = tmp_path / "route.json"
-        write_route_summary(path, "shortest", result.car_log.path, 0.0,
-                            result.car_log)
+        write_route_summary(path, "shortest", 0.0, result.car_log)
         payload = json.loads(path.read_text())
         assert payload["policy"] == "shortest"
         assert payload["path"] == ["e1", "e2"]

@@ -57,7 +57,7 @@ class TestProjectCells:
 class TestCflTimestep:
     def test_half_min_h(self):
         net, _ = line_network(h=0.1)
-        assert cfl_timestep(net) == pytest.approx(0.05)
+        assert cfl_timestep(net, T=1.0) == pytest.approx(0.05)
 
     def test_shrinks_to_divide_horizon(self):
         net, _ = line_network(h=0.1)
@@ -72,7 +72,7 @@ class TestCflTimestep:
         edges["e2"] = Edge(id="e2", source="n1", target="n2", length=1.0,
                            cells=20)
         net.edges = edges
-        assert cfl_timestep(net) == pytest.approx(0.025)
+        assert cfl_timestep(net, T=1.0) == pytest.approx(0.025)
 
 
 class TestSimulate:
@@ -203,9 +203,9 @@ class TestRecording:
         K = _chunk_rows(sum(e.cells for e in net.edges.values()))
         assert K > 2
         for steps in (1, K - 1, K, K + 1, 2 * K + 1):
-            log = simulate(net, init, steps * tau, mode, tau=tau)
+            log = simulate(net, init, steps * tau, mode)
             table, states, loads, flows, events, fired = stepped(
-                net, init, steps, tau, mode)
+                net, init, steps, log.tau, mode)
             assert log.steps == steps
             for k, eid in enumerate(net.edges):
                 cells = slice(table.first[k], table.last[k] + 1)
@@ -231,10 +231,10 @@ class TestRecording:
         # copy of one road's 65-step history would add 32.5 more
         net, init = line_network(densities=(0.3, 0.6), h=1 / 16384)
         cells = sum(e.cells for e in net.edges.values())
-        tau = cfl_timestep(net)
+        tau = cfl_timestep(net, T=1.0)
         tracemalloc.start()
         try:
-            log = simulate(net, init, 64 * tau, tau=tau)
+            log = simulate(net, init, 64 * tau)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -267,10 +267,10 @@ class TestStepErrors:
         # tau = 2h on a queue in front of a jam: the 0.95 cell overfills
         net, init = line_network()
         init.densities["e2"] = [(0.0, 0.5), (0.5, 0.95), (0.6, 1.0)]
-        simulate(net, init, 1.0, tau=0.05)
+        stepped(net, init, 20, 0.05, DemandMode.STANDARD)
         with pytest.raises(CFLViolation, match=r"edge e2: density left "
                            r"\[0,1\] at t=0 \(range \[4.200e-01, 1.045e\+00\]\)"):
-            simulate(net, init, 1.0, tau=0.2)
+            stepped(net, init, 5, 0.2, DemandMode.STANDARD)
 
     @pytest.mark.parametrize("edge, lo", [("e1", "4.200e-01"),
                                           ("e3", "5.000e-01")])
@@ -279,11 +279,11 @@ class TestStepErrors:
         # vector: the per-road segments must not shift the edge or range
         net, init = line_network()
         init.densities[edge] = [(0.0, 0.5), (0.5, 0.95), (0.6, 1.0)]
-        simulate(net, init, 1.0, tau=0.05)
+        stepped(net, init, 20, 0.05, DemandMode.STANDARD)
         with pytest.raises(CFLViolation, match=re.escape(
                 f"edge {edge}: density left [0,1] at t=0 "
                 f"(range [{lo}, 1.045e+00])")):
-            simulate(net, init, 1.0, tau=0.2)
+            stepped(net, init, 5, 0.2, DemandMode.STANDARD)
 
     @staticmethod
     def overshoot(eps, lam=1.0001):
@@ -357,3 +357,15 @@ class TestInitialState:
         init.densities["e2"] = [(0.0, 1.0 + 1e-14)]
         log = simulate(net, init, 1.0)
         assert np.all(log.rho["e2"][0] == 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_buffer_roundoff_is_clamped(self):
+        # a load of -5e-13 with no flow through the node must not reach
+        # the limiter, which would divide by the zero outflow
+        net, init = line_network(densities=(0.0, 0.0, 0.0), inflow=0.0)
+        init.buffers["n1"] = -5e-13
+        log = simulate(net, init, 1.0)
+        assert log.buffers["n1"][0] == 0.0
+        for table in (log.rho, log.buffers, log.q_in, log.q_out,
+                      log.node_inflow, log.node_outflow):
+            assert all(np.isfinite(a).all() for a in table.values())
