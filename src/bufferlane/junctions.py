@@ -103,10 +103,10 @@ class JunctionTable:
                                (1.0, 0.0) for n in nodes]).T
         self.alpha_mu = self.alpha * self.mu
         self.full = self.r_max - _TOL
-        # nodes whose load is held at >= 0, per demand mode: pooled loads
+        # the bound each load is held above, per demand mode: pooled loads
         # may go negative at merges, the known defect of that demand
-        self.floored = {DemandMode.STANDARD: np.ones(N, dtype=bool),
-                        DemandMode.POOLED: ~merge}
+        self.lower = {DemandMode.STANDARD: np.zeros(N),
+                      DemandMode.POOLED: np.where(merge, -np.inf, 0.0)}
 
     @classmethod
     def for_network(cls, network):
@@ -177,13 +177,20 @@ def buffer_step(table, r, flows, tau, mode=DemandMode.STANDARD, time=0.0):
     """
     f = flows[table.edge_flows:].reshape(2, -1)  # f_in, f_out
     new_r = r + tau * (f[0] - f[1])
-    hit = np.array([(new_r < 0.0) & table.floored[mode], new_r > table.r_max])
+    lower = table.lower[mode]
+    hit = np.empty(f.shape, dtype=bool)
+    np.less(new_r, lower, out=hit[0])
+    np.greater(new_r, table.r_max, out=hit[1])
     if hit.any():
         # the room to each bound, r above 0 and r_max - r below r_max,
         # scales f_out (and the q_in it feeds), resp. f_in (and the q_out)
-        room = np.array([r, table.r_max - r])
-        scale = np.divide(room / tau + f, f[::-1], out=np.ones(f.shape),
-                          where=hit)
+        scale = np.empty_like(f)
+        scale[0] = r
+        np.subtract(table.r_max, r, out=scale[1])
+        scale /= tau
+        scale += f
+        np.divide(scale, f[::-1], out=scale, where=hit)
+        scale[~hit] = 1.0
         f[::-1] *= scale
         flows[:table.edge_flows] *= scale.take(table.edge_nodes)
         # a scale of 1 is exact: every other node's load keeps its bits
@@ -192,7 +199,7 @@ def buffer_step(table, r, flows, tau, mode=DemandMode.STANDARD, time=0.0):
         return new_r, hit, []
     over = new_r > table.r_max + _TOL
     under = new_r < -_TOL
-    fatal = over | (under & table.floored[mode])
+    fatal = over | (new_r < lower - _TOL)
     if fatal.any():
         k = int(np.argmax(fatal))
         node, load = table.ids[k], float(new_r[k])

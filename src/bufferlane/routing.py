@@ -10,7 +10,8 @@ import math
 from enum import Enum
 
 from .errors import HorizonExceeded, UnreachableDestination
-from .tracker import TrackerKind, enter_edge, node_waiting, traverse_edge
+from .tracker import (TrackerKind, enter_edge, log_totals, node_waiting,
+                      traverse_edge)
 
 
 class RoutePolicy(Enum):
@@ -59,11 +60,11 @@ def aggregated_weights(log, w_rho, w_r):
     max_len, r_max = _scales(net)
     T = log.T
     tau = log.tau
+    mass, load = log_totals(log)
     weights = {}
     for eid, e in net.edges.items():
-        mass = float(log.rho[eid].sum())
-        lam_rho = tau * e.h / (T * max_len) * mass
-        lam_r = tau / (T * r_max) * float(log.buffers[e.source].sum())
+        lam_rho = tau * e.h / (T * max_len) * mass[eid]
+        lam_r = tau / (T * r_max) * load[e.source]
         weights[eid] = w_rho * lam_rho + w_r * lam_r
     return weights
 

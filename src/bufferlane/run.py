@@ -71,8 +71,9 @@ def execute(doc) -> RunResult:
     """Simulate (and optionally track a routed car for) one scenario.
 
     Every [run] and [car] setting is checked before the simulation starts;
-    without a destination the car's start is not read, but its tracker,
-    policy and weights are.  The result's `doc` is the scenario as run:
+    without a destination the car's start is read only when one of
+    `start_edge`, `start_x` and `start_time` is given, but its tracker,
+    policy and weights always are.  The result's `doc` is the scenario as run:
     `doc` with the checked value of every [run] and [car] setting read
     (defaults included), so that `execute(result.doc)` runs it again.
     """
@@ -91,19 +92,21 @@ def execute(doc) -> RunResult:
     w_r = _setting("car", car_cfg, "w_r", 0.5, _number())
     car_cfg.update(tracker=kind.value, policy=policy.value, w_rho=w_rho,
                    w_r=w_r)
-    if "destination" not in doc.car:
-        return RunResult(simulate(network, initial, T, mode=mode),
-                         replace(doc, run=run_cfg, car=car_cfg))
-    start_edge = car_cfg.get("start_edge")
-    if start_edge not in network.edges:
-        raise ScenarioSemanticError(f"car: start_edge={start_edge} is not an edge")
-    start_x = _setting("car", car_cfg, "start_x", 0.0,
-                       _number(network.edges[start_edge].length))
-    start_time = _setting("car", car_cfg, "start_time", 0.0,
-                          _number(tau=cfl_timestep(network, T)))
-    destination = car_cfg["destination"]
-    car_cfg.update(start_x=start_x, start_time=start_time)
+    has_car = "destination" in doc.car
+    if has_car or doc.car.keys() & {"start_edge", "start_x", "start_time"}:
+        start_edge = car_cfg.get("start_edge")
+        if start_edge not in network.edges:
+            raise ScenarioSemanticError(
+                f"car: start_edge={start_edge} is not an edge")
+        start_x = _setting("car", car_cfg, "start_x", 0.0,
+                           _number(network.edges[start_edge].length))
+        start_time = _setting("car", car_cfg, "start_time", 0.0,
+                              _number(tau=cfl_timestep(network, T)))
+        car_cfg.update(start_x=start_x, start_time=start_time)
     log = simulate(network, initial, T, mode=mode)
+    if not has_car:
+        return RunResult(log, replace(doc, run=run_cfg, car=car_cfg))
+    destination = car_cfg["destination"]
     route, predicted = plan_route(log, policy, start_edge, start_x, start_time,
                                   destination, kind, w_rho, w_r)
     if route is not None:

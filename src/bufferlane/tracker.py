@@ -7,11 +7,12 @@ immutable SimLog; the car never feeds back into the field.
 
 A road leg depends only on its entry event, so `traverse_edge` drives
 each (edge, step, position, tracker) leg once per log and replays it
-afterwards: route planning and tracking against one simulation share
-their legs.  The memo lives as long as the log and holds at most one
-stored value (a position, or a leg) per density value of the log.  A
-SimLog must therefore not be mutated once a car has been tracked or a
-route planned on it.
+afterwards; `node_waiting` does the same for waits, and `log_totals` sums
+the history once.  Queries on one simulation share them, and read the
+log as Python floats.  The memo lives as long as the log and holds at
+most one stored value (a position, a leg or a wait) per density value of
+the log.  A SimLog must therefore not be mutated once a car has been
+tracked or a route planned on it.
 """
 
 import math
@@ -87,11 +88,16 @@ def naive_step(x, cells, h, tau):
 
 
 def shock_intersection(x, x_i, rho_minus, rho_plus):
-    """Hit point (tau_bar, x_bar) of the car with a shock starting at x_i."""
+    """Hit point (tau_bar, x_bar) of the car with a shock starting at x_i,
+    or None when the car's speed and the shock's round to the same value
+    (rho_plus tiny): the car then never reaches the shock."""
     if rho_minus >= rho_plus:
         raise NotAShock(f"{rho_minus} >= {rho_plus}")
     lam = (flux(rho_plus) - flux(rho_minus)) / (rho_plus - rho_minus)
-    tau_bar = (x_i - x) / (velocity(rho_minus) - lam)
+    closing = velocity(rho_minus) - lam
+    if closing == 0.0:
+        return None
+    tau_bar = (x_i - x) / closing
     return tau_bar, x + velocity(rho_minus) * tau_bar
 
 
@@ -106,12 +112,14 @@ def fan_coefficient(tau_bar, x_bar, x_i):
 def rarefaction_exit(coeff, x_i, rho_plus):
     """Exit point (tau2, x2) of the in-fan path with coefficient `coeff`.
 
-    Returns None when rho_plus = 0: the downstream front then moves at the
-    free-flow speed and the car can never overtake it.
+    Returns None when 1 - f'(rho_plus) = 2 rho_plus rounds to 0: the
+    downstream front then moves at the free-flow speed and the car can
+    never overtake it.
     """
-    if rho_plus == 0.0:
+    gap = 1.0 - flux_derivative(rho_plus)
+    if gap == 0.0:
         return None
-    tau2 = (coeff / (1.0 - flux_derivative(rho_plus))) ** 2
+    tau2 = (coeff / gap) ** 2
     return tau2, x_i + flux_derivative(rho_plus) * tau2
 
 
@@ -121,7 +129,8 @@ def complex_step(x, cells, h, tau):
     The car at x lies in a shifted cell; only the wave starting at the
     grid point ahead of it (behind the half-cell split) can reach the car
     within tau <= h/2, the step every `simulate` log has, so the step
-    resolves that single Riemann fan or shock.
+    resolves that single Riemann fan or shock.  A wave whose closing speed
+    on the car rounds to 0 never reaches it within the step.
     """
     n_cells = len(cells)
     i = int(math.floor(x / h + 0.5))
@@ -136,9 +145,11 @@ def complex_step(x, cells, h, tau):
     if rm == rp:
         return x + tau * velocity(rm)
     if rm < rp:  # shock
-        tau_bar, x_bar = shock_intersection(x, origin, rm, rp)
+        hit = shock_intersection(x, origin, rm, rp)
+        tau_bar, x_bar = (math.inf, None) if hit is None else hit
     else:  # rarefaction: left front moves at f'(rm)
-        tau_bar = (origin - x) / (velocity(rm) - flux_derivative(rm))
+        closing = velocity(rm) - flux_derivative(rm)
+        tau_bar = (origin - x) / closing if closing != 0.0 else math.inf
     if tau_bar >= tau:  # the wave does not reach the car within the step
         return x + tau * velocity(rm)
     if rm < rp:
@@ -165,18 +176,34 @@ def node_waiting(log, node, n_hat, tau_hat):
     Returns (wt, m, frac): the car enters the next road during step m, at
     time t^m + frac.  The buffer load at arrival is linearly interpolated;
     the load ahead of the car is then drained by the recorded per-step
-    node outflows.
+    node outflows.  A wait already computed on this log is replayed.
     """
+    memo = _memo(log)
+    key = (node, n_hat, tau_hat)
+    wait = memo.get(key)
+    if wait is None:
+        try:
+            wait = _wait(log, node, n_hat, tau_hat), None
+        except HorizonExceeded as exc:  # stored without its traceback
+            wait = None, (type(exc), str(exc))
+        memo.put(key, wait, 1)
+    result, error = wait
+    if error is not None:
+        raise error[0](error[1])
+    return result
+
+
+def _wait(log, node, n_hat, tau_hat):
     tau = log.tau
-    f_in = log.node_inflow[node][n_hat]
-    f_out = log.node_outflow[node][n_hat]
-    need = log.buffers[node][n_hat] + tau_hat * (f_in - f_out)  # load ahead
-    if need <= _WAIT_TOL:
+    out = log.node_outflow[node]
+    f_in = log.node_inflow[node].item(n_hat)
+    need = log.buffers[node].item(n_hat) + tau_hat * (f_in - out.item(n_hat))
+    if need <= _WAIT_TOL:  # no load ahead of the car
         return 0.0, n_hat, tau_hat
     n = n_hat
     offset = tau_hat
     while True:
-        fo = log.node_outflow[node][n]
+        fo = out.item(n)
         avail = (tau - offset) * fo
         if need < avail - _WAIT_TOL:
             frac = offset + need / fo
@@ -213,41 +240,69 @@ def enter_edge(log, edge_id, m, frac):
     """Position at t^{m+1} of a car entering road `edge_id` at t^m + frac."""
     if m >= log.steps:
         raise HorizonExceeded(f"car enters edge {edge_id} at the time horizon")
-    return (log.tau - frac) * velocity(log.rho[edge_id][m][0])
+    return (log.tau - frac) * velocity(log.rho[edge_id].item(m, 0))
 
 
-# SimLog -> _Legs; an entry dies with its log
-_LEGS = weakref.WeakKeyDictionary()
+def log_totals(log):
+    """Each road's density sum and each node's buffer-load sum over the
+    whole history, as floats by edge and node id.  Summed once per log;
+    every caller gets the same two dicts, which it must not change."""
+    memo = _memo(log)
+    if memo.totals is None:
+        memo.totals = ({e: float(a.sum()) for e, a in log.rho.items()},
+                       {v: float(a.sum()) for v, a in log.buffers.items()})
+    return memo.totals
 
 
-class _Legs(dict):
+# SimLog -> _Memo; an entry dies with its log
+_MEMO = weakref.WeakKeyDictionary()
+
+
+class _Memo(dict):
     """Legs driven on one log: (edge id, n, x, kind) -> (n_hat, tau_hat,
-    positions at t^{n+1}, t^{n+2}, ..., error class and message or None).
-
-    `stored` counts each leg's positions plus one for the leg itself; it
-    never exceeds `budget`, the number of density values the log holds."""
+    positions at t^{n+1}, t^{n+2}, ..., error class and message or None);
+    waits: (node, n_hat, tau_hat) -> ((wt, m, frac) or None, error or None).
+    `stored` counts a leg's positions plus one, and one per wait; it never
+    exceeds `budget`, the number of density values the log holds."""
 
     def __init__(self, log):
         super().__init__()
         self.budget = sum(a.size for a in log.rho.values())
         self.stored = 0
+        self.totals = None
+
+    def put(self, key, value, size):
+        """Store `value`, first emptying the memo if it would pass budget."""
+        if self.stored + size > self.budget:
+            self.clear()
+            self.stored = 0
+        self[key] = value
+        self.stored += size
+
+
+def _memo(log):
+    memo = _MEMO.get(log)
+    if memo is None:
+        memo = _MEMO[log] = _Memo(log)
+    return memo
 
 
 def _drive(log, edge, n, x, kind):
-    """Drive one leg step by step; returns its memo entry."""
+    """Drive one leg on float views of its cells; returns its memo entry."""
     step = naive_step if kind is TrackerKind.NAIVE else complex_step
-    tau = log.tau
-    rho_hist = log.rho[edge.id]
+    tau, h, steps, C = log.tau, edge.h, log.steps, edge.cells
+    flat = memoryview(log.rho[edge.id]).cast("B").cast("d")
     b = edge.length
+    end = b - _ARRIVAL_TOL
     xs = array("d")
     try:
-        while x < b - _ARRIVAL_TOL:
-            if n >= log.steps:
+        while x < end:
+            if n >= steps:
                 raise HorizonExceeded(
                     f"car still on edge {edge.id} at the time horizon")
-            cells = rho_hist[n]
-            x_new = step(x, cells, edge.h, tau)
-            if x_new >= b - _ARRIVAL_TOL:
+            cells = flat[n * C:(n + 1) * C]
+            x_new = step(x, cells, h, tau)
+            if x_new >= end:
                 return n, min(end_of_road_time(x, cells[-1], b), tau), xs, None
             n += 1
             x = x_new
@@ -266,19 +321,12 @@ def traverse_edge(log, edge, n, x, kind, car=None, cum=0.0):
     replayed from its stored positions, with the same samples and errors.
     """
     kind = TrackerKind(kind)
-    legs = _LEGS.get(log)
-    if legs is None:
-        legs = _LEGS[log] = _Legs(log)
+    memo = _memo(log)
     key = (edge.id, n, x, kind)
-    leg = legs.get(key)
+    leg = memo.get(key)
     if leg is None:
         leg = _drive(log, edge, n, x, kind)
-        size = len(leg[2]) + 1
-        if legs.stored + size > legs.budget:
-            legs.clear()
-            legs.stored = 0
-        legs[key] = leg
-        legs.stored += size
+        memo.put(key, leg, len(leg[2]) + 1)
     n_hat, tau_hat, xs, error = leg
     if car is not None:
         car.grid_samples([k * log.tau for k in range(n + 1, n + 1 + len(xs))],
@@ -325,6 +373,9 @@ def track_car(log, start_edge, start_x, start_time, destination,
                     f"car reached sink {node}, destination {destination}")
             if len(outs) == 1:
                 next_id = outs[0]
+            elif choose_next is None:
+                raise ValueError(f"node {node} has {len(outs)} exits and "
+                                 "no choose_next was given")
             else:
                 next_id = choose_next(node, n_hat, tau_hat)
             try:

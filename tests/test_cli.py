@@ -168,6 +168,30 @@ def test_car_settings_checked_without_a_car(tmp_path, capsys):
         "w_r": 0.7, "tracker": "complex", "policy": "shortest", "w_rho": 0.5}
 
 
+@pytest.mark.parametrize("car, error", [
+    ("start_x=abc\nstart_edge=e9\nstart_time=-3",
+     "car: start_edge=e9 is not an edge"),
+    ("start_edge=e1\nstart_x=abc", "car: start_x=abc: could not convert"),
+    ("start_edge=e1\nstart_time=-3", "car: start_time=-3: must be"),
+    ("start_x=0.5", "car: start_edge=None is not an edge"),
+])
+def test_car_start_checked_without_a_car(tmp_path, capsys, car, error):
+    # a start given to a run with no destination is checked as for a car
+    path = tmp_path / "merge.scn"
+    path.write_text(bundled_scenario("merge_pooled") + "[car]\n" + car + "\n")
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: " + error)
+    assert not out.exists()
+    path.write_text(bundled_scenario("merge_pooled")
+                    + "[car]\nstart_edge=e2\nstart_x=0.25\n")
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["scenario"]["car"] == {
+        "start_edge": "e2", "start_x": 0.25, "start_time": 0.0,
+        "tracker": "complex", "policy": "shortest", "w_rho": 0.5, "w_r": 0.5}
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(st.one_of(
     st.integers(0, len(LINEAR) - 1),

@@ -1,12 +1,16 @@
 """Car trajectory integration: wave geometry, steps, waits and tracking."""
 
+import gc
 import json
 import math
+import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bufferlane import tracker
+from bufferlane import bundled_scenario, scenario as scn, tracker
 from bufferlane.errors import (
     HorizonExceeded,
     NotARarefaction,
@@ -15,6 +19,7 @@ from bufferlane.errors import (
     ZeroSpeedAtBoundary,
 )
 from bufferlane.junctions import DemandMode
+from bufferlane.routing import aggregated_weights, fixed_path_chooser
 from bufferlane.run import plan_route
 from bufferlane.solver import simulate
 from bufferlane.tracker import (
@@ -99,11 +104,33 @@ class TestSteps:
             assert complex_step(x, cells, 0.1, 0.05) == pytest.approx(
                 naive_step(x, cells, 0.1, 0.05))
 
+    # a density tiny but not zero rounds a closing speed to 0: the wave
+    # never reaches the car, or the car never leaves the fan, in the step
+    @pytest.mark.parametrize("x, cells, expect", [
+        (0.12, [0.3, 1e-20, 0.0, 0.0], 0.16999999999999998),  # fan front
+        (0.12, [0.3, 0.0, 1e-17, 0.2], 0.16999999999999998),  # shock
+        (0.195, [0.6, 0.6, 1e-20, 1e-20], 0.22550510257216821),  # fan exit
+        (0.199, [0.6, 0.6, 1e-20, 1e-20], 0.23904554884989668),
+    ])
+    @pytest.mark.parametrize("as_cells", [list, np.array])
+    def test_complex_step_zero_closing_speed(self, x, cells, expect,
+                                             as_cells):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert complex_step(x, as_cells(cells), 0.1, 0.05) == expect
+
     def test_end_of_road_time(self):
         assert end_of_road_time(0.9, 0.5, 1.0) == pytest.approx(0.2)
         assert end_of_road_time(1.0, 0.3, 1.0) == 0.0
         with pytest.raises(ZeroSpeedAtBoundary):
             end_of_road_time(0.9, 1.0, 1.0)
+
+
+def undrained_log():
+    # a full buffer at n1 that does not drain before T
+    net, init = line_network(densities=(0.3, 0.5))
+    init.buffers["n1"] = 0.25
+    return simulate(net, init, 0.2)
 
 
 class TestNodeWaiting:
@@ -124,11 +151,8 @@ class TestNodeWaiting:
         assert m * log.tau + frac == pytest.approx(10.0 / 7.0 + 6.0 / 35.0)
 
     def test_horizon_exceeded(self):
-        net, init = line_network(densities=(0.3, 0.5))
-        init.buffers["n1"] = 0.25
-        log = simulate(net, init, 0.2)
         with pytest.raises(HorizonExceeded):
-            node_waiting(log, "n1", 0, 0.0)
+            node_waiting(undrained_log(), "n1", 0, 0.0)
 
 
 class TestTracking:
@@ -182,6 +206,10 @@ class TestTracking:
         # road used to get a prediction (5.70 for start_x=5)
         with pytest.raises(ValueError, match=r"start_x .* outside \[0, 1.0\]"):
             plan_route(linear_log, policy, "e1", start_x, 0.0, "n3", "naive")
+
+    def test_dispersing_junction_needs_a_chooser(self):
+        with pytest.raises(ValueError, match="node n2 has 2 exits"):
+            track_car(small_network_log(), "e1", 0.5, 0.0, "n6")
 
     def test_samples_monotone(self, linear_log):
         car = track_car(linear_log, "e1", 0.0, 0.0, "n3")
@@ -316,3 +344,77 @@ class TestLegMemo:
         assert [car_record(c) for c in cars] == [
             car_record(track_car(fresh, "e1", 0.0, n * log.tau, "n2"))
             for n in departures]
+
+
+def small_network_log():
+    # two routes through dispersing junctions, with a full buffer at n4
+    doc = scn.parse_scenario(bundled_scenario("small_network"))
+    net = scn.build_network(replace(doc, run={**doc.run, "h": 0.1}))
+    return simulate(net, scn.build_initial(doc), 15.0)
+
+
+def routed_cars(log):
+    """A fastest route and a car on each of two routes, both trackers."""
+    out = []
+    for kind in TrackerKind:
+        route, arrival = plan_route(log, "fastest", "e1", 0.5, 0.0, "n6", kind)
+        out.append((route, arrival))
+        for path in (route, ["e1", "e3", "e5", "e7"]):
+            out.append(car_record(track_car(
+                log, "e1", 0.5, 0.0, "n6", kind,
+                fixed_path_chooser(log.network, path))))
+    return out
+
+
+class TestQueryMemo:
+    def test_second_query_equals_fresh_log(self):
+        log = small_network_log()
+        first = routed_cars(log)
+        assert routed_cars(log) == first == routed_cars(small_network_log())
+
+    def test_aggregated_weights_after_queries(self):
+        log = small_network_log()
+        routed_cars(log)
+        weights = aggregated_weights(log, 0.5, 0.5)
+        assert weights == aggregated_weights(small_network_log(), 0.5, 0.5)
+        assert aggregated_weights(log, 0.5, 0.5) == weights
+
+    def test_wait_replayed_from_memo(self, linear_log):
+        n_hat = int(10.0 / 7.0 / linear_log.tau)
+        tau_hat = 10.0 / 7.0 - n_hat * linear_log.tau
+        waits = [node_waiting(log, "n1", n_hat, tau_hat)
+                 for log in (linear_log, linear_log, linear_8_log())]
+        assert waits[0][0] > 0.0 and waits[0] == waits[1] == waits[2]
+
+    def test_wait_cut_by_horizon_replayed(self):
+        caught = []
+        log = undrained_log()
+        for log in (log, log, undrained_log()):
+            with pytest.raises(HorizonExceeded) as info:
+                node_waiting(log, "n1", 0, 0.0)
+            caught.append(info.value)
+        assert caught[0] is not caught[1]
+        assert len({str(e) for e in caught}) == 1
+
+    def test_stored_wait_error_keeps_no_log_alive(self):
+        log = undrained_log()
+        with pytest.raises(HorizonExceeded):
+            node_waiting(log, "n1", 0, 0.0)
+        ref = weakref.ref(log)
+        del log
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("make_log, destination", [
+        (linear_8_log, "n3"), (horizon_in_wait_log, "n2")])
+    @pytest.mark.parametrize("kind", list(TrackerKind))
+    def test_car_log_holds_python_floats(self, make_log, destination, kind):
+        log = make_log()
+        for _ in range(2):  # driven, then replayed
+            car = track_car(log, "e1", 0.0, 0.0, destination, kind)
+            numbers = [v for t, _, x, d, _ in car.samples for v in (t, x, d)]
+            numbers += car.grid_t + car.grid_pos + [car.arrival_time]
+            numbers += [v for _, t, w in car.waiting_times for v in (t, w)]
+            numbers += [v for _, t, tt in car.travel_times for v in (t, tt)]
+            assert car.waiting_times
+            assert {type(v) for v in numbers} == {float}
