@@ -39,7 +39,11 @@ class NegativityEvent:
 
 
 class JunctionTable:
-    """A network's nodes as rows over one work vector.
+    """A network's nodes as rows over one work vector, built for one run:
+    it owns the step `tau`, the per-cell `lam` = tau / h, the (steps,
+    sources) `inflows` at t = n tau (`JunctionSpec.inflow_at` bit for bit)
+    and the demand mode, as the flag `pooled` and the bound `lower` each
+    load is held above.  A step reads only the state and its index n.
 
     Road k owns cells `first[k]` to `last[k]` of the flat cell vector;
     `ins[k]` / `outs[k]` list the edges at node k in the order that pairs
@@ -53,11 +57,13 @@ class JunctionTable:
     the row `solver.advance_step` writes each new cell state to.
     """
 
-    def __init__(self, nodes, ins, outs, edges):
+    def __init__(self, nodes, ins, outs, edges, tau, steps, mode):
         self.ids = [n.id for n in nodes]
         self.edges = edges
+        self.tau = tau
         E, N = len(edges), len(nodes)
         self.widths = np.array([e.cells for e in edges], dtype=np.intp)
+        self.lam = np.repeat([tau / e.h for e in edges], self.widths)
         self.last = np.cumsum(self.widths) - 1
         self.first = self.last + 1 - self.widths
         cells = int(self.widths.sum())
@@ -65,10 +71,17 @@ class JunctionTable:
         self.r_max = np.array([n.r_max for n in nodes], dtype=float)
         self.mu = np.array([n.mu for n in nodes], dtype=float)
         self.edge_flows = 2 * E
-        self.inflows = [n for n in nodes if n.kind is NodeKind.SOURCE]
+        sources = [n for n in nodes if n.kind is NodeKind.SOURCE]
+        t = np.arange(steps)[:, None] * tau
+        self.inflows = np.empty((steps, len(sources)))
+        for j, node in enumerate(sources):
+            times, values = np.array(node.inflow, dtype=float).T
+            # inflow_at keeps the last of the leading breakpoints reached
+            reached = np.cumprod(t >= times - 1e-15, axis=1).sum(1)
+            self.inflows[:, j] = values[np.maximum(reached - 1, 0)]
         sinks = [k for k, n in enumerate(nodes) if n.kind is NodeKind.SINK]
         zero, fed = 2 * cells, 2 * cells + 1
-        base = fed + len(self.inflows)
+        base = fed + len(sources)
         self.work = np.zeros(base + 6 * N + len(sinks))
         self.fed = self.work[fed:base]
         self.slots = self.work[base:base + 4 * N].reshape(2, 2, N)
@@ -103,41 +116,30 @@ class JunctionTable:
                                (1.0, 0.0) for n in nodes]).T
         self.alpha_mu = self.alpha * self.mu
         self.full = self.r_max - _TOL
-        # the bound each load is held above, per demand mode: pooled loads
-        # may go negative at merges, the known defect of that demand
-        self.lower = {DemandMode.STANDARD: np.zeros(N),
-                      DemandMode.POOLED: np.where(merge, -np.inf, 0.0)}
+        # the bound each load is held above: pooled loads may go negative
+        # at merges, the known defect of that demand
+        self.pooled = mode is DemandMode.POOLED
+        self.lower = np.where(merge & self.pooled, -np.inf, 0.0)
 
     @classmethod
-    def for_network(cls, network):
+    def for_network(cls, network, tau, steps, mode):
         index = {eid: k for k, eid in enumerate(network.edges)}
         return cls(list(network.nodes.values()),
                    [[index[e] for e in network.in_edges[v]] for v in network.nodes],
                    [[index[e] for e in network.out_edges[v]] for v in network.nodes],
-                   list(network.edges.values()))
+                   list(network.edges.values()), tau, steps, mode)
 
-    def inflow_table(self, tau, steps):
-        """Every source's inflow at t = n tau for n < steps, as a (steps,
-        sources) array equal to `JunctionSpec.inflow_at` bit for bit."""
-        t = np.arange(steps)[:, None] * tau
-        table = np.empty((steps, len(self.inflows)))
-        for j, node in enumerate(self.inflows):
-            times, values = np.array(node.inflow, dtype=float).T
-            # inflow_at keeps the last of the leading breakpoints reached
-            reached = np.cumprod(t >= times - 1e-15, axis=1).sum(1)
-            table[:, j] = values[np.maximum(reached - 1, 0)]
-        return table
+    def fluxes(self, rho, r, n):
+        """Boundary fluxes of every road and node at step n.
 
-    def fluxes(self, rho, r, inflow, mode=DemandMode.STANDARD):
-        """Boundary fluxes of every road and node at one instant.
-
-        `rho` is the flat cell vector, `r` the buffer loads and `inflow` the
-        sources' inflows.  Returns the (2, cells) demand and supply, a view
-        of the work vector valid until the next call, and the flow vector.
+        `rho` is the flat cell vector and `r` the buffer loads at t = n tau;
+        the sources feed `inflows[n]`.  Returns the (2, cells) demand and
+        supply, a view of the work vector valid until the next call, and
+        the flow vector.
         """
         w, N, mu = self.work, len(self.ids), self.mu
         ds = fluxes.demand_supply(rho, w[:2 * len(rho)].reshape(2, -1))
-        self.fed[:] = inflow
+        self.fed[:] = self.inflows[n]
         g = w.take(self.gather)
         (d, s), ends = g[:4 * N].reshape(2, 2, N), g[4 * N:].reshape(2, -1)
         total = d[0] + d[1]
@@ -147,8 +149,8 @@ class JunctionTable:
         m = np.minimum(s, self.alpha_mu)
         s_b = np.where(r < self.full, mu, m[0] + m[1])
         m = np.minimum(d, c * mu)
-        d_b = np.where(r > _TOL, mu, m[0] + m[1] if mode is DemandMode.STANDARD
-                       else np.minimum(total, mu))
+        d_b = np.where(r > _TOL, mu, np.minimum(total, mu) if self.pooled
+                       else m[0] + m[1])
         np.minimum(c * s_b, d, out=self.slots[0])
         np.minimum(self.alpha * d_b, s, out=self.slots[1])
         np.add(self.slots[:, 0], self.slots[:, 1], out=self.node_flows)
@@ -156,9 +158,10 @@ class JunctionTable:
         return ds, w.take(self.scatter)
 
 
-def buffer_step(table, r, flows, tau, mode=DemandMode.STANDARD, time=0.0):
-    """The buffer loads after one step, r + tau (f_in - f_out), limited,
-    checked and clamped; returns (new loads, hit, events).
+def buffer_step(table, r, flows, n):
+    """The buffer loads after step n, r + tau (f_in - f_out) with the
+    table's tau, limited, checked and clamped; returns (new loads, hit,
+    events), each event at t = n tau.
 
     The coupling branches on the buffer state at t^n, so a buffer that
     empties (or fills) in mid-step would overshoot the bound by up to one
@@ -176,8 +179,8 @@ def buffer_step(table, r, flows, tau, mode=DemandMode.STANDARD, time=0.0):
     lies in [0, r_max] already and is returned unchecked.
     """
     f = flows[table.edge_flows:].reshape(2, -1)  # f_in, f_out
+    tau, lower = table.tau, table.lower
     new_r = r + tau * (f[0] - f[1])
-    lower = table.lower[mode]
     hit = np.empty(f.shape, dtype=bool)
     np.less(new_r, lower, out=hit[0])
     np.greater(new_r, table.r_max, out=hit[1])
@@ -207,7 +210,7 @@ def buffer_step(table, r, flows, tau, mode=DemandMode.STANDARD, time=0.0):
             raise BufferOverflow(
                 f"node {node}: buffer {load} > r_max {table.r_max[k]}")
         raise BufferUnderflow(f"node {node}: buffer {load} < 0")
-    events = [NegativityEvent(table.ids[k], time, float(new_r[k]))
+    events = [NegativityEvent(table.ids[k], n * tau, float(new_r[k]))
               for k in under.nonzero()[0]]
     clamped = np.minimum(np.maximum(new_r, 0.0), table.r_max)
     return np.where(under, new_r, clamped), hit, events

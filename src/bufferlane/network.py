@@ -73,8 +73,8 @@ class JunctionSpec:
 
     def inflow_at(self, t: float) -> float:
         """The inflow at time t.  `simulate` samples every step at once
-        through `JunctionTable.inflow_table`; this scalar form is kept as
-        the reference that table is tested against."""
+        into `JunctionTable.inflows`; this scalar form is kept as the
+        reference that table is tested against."""
         value = self.inflow[0][1]
         for t_k, v_k in self.inflow:
             if t >= t_k - 1e-15:
@@ -82,6 +82,15 @@ class JunctionSpec:
             else:
                 break
         return value
+
+
+def _check_pair(node, name, pair):
+    """A split or fixed right-of-way pair is exactly two positive numbers
+    that sum to 1 within round-off."""
+    if not (pair is not None and len(pair) == 2 and pair[0] > 0
+            and pair[1] > 0 and abs(pair[0] + pair[1] - 1.0) <= _SUM_TOL):
+        raise RateSumViolation(f"node {node.id}: {name} {pair} must be two "
+                               f"positive numbers that sum to 1")
 
 
 class RoadNetwork:
@@ -129,21 +138,9 @@ class RoadNetwork:
                     f"node {node.id} ({node.kind.value}): degree "
                     f"({din},{dout}), expected {want}")
             if node.kind is NodeKind.ONE_TO_TWO:
-                if node.alpha is None or len(node.alpha) != 2:
-                    raise RateSumViolation(f"node {node.id}: missing alpha pair")
-                a1, a2 = node.alpha
-                if not (a1 > 0 and a2 > 0
-                        and abs(a1 + a2 - 1.0) <= _SUM_TOL):
-                    raise RateSumViolation(
-                        f"node {node.id}: alpha {node.alpha} must be positive "
-                        f"and sum to 1")
+                _check_pair(node, "alpha", node.alpha)
             if node.kind is NodeKind.TWO_TO_ONE and node.priority != DEMAND_PROPORTIONAL:
-                c1, c2 = node.priority
-                if not (c1 > 0 and c2 > 0
-                        and abs(c1 + c2 - 1.0) <= _SUM_TOL):
-                    raise RateSumViolation(
-                        f"node {node.id}: priorities {node.priority} must be "
-                        f"positive and sum to 1")
+                _check_pair(node, "priorities", node.priority)
             if node.kind is NodeKind.SOURCE:
                 self._check_inflow(node)
             if (node.kind in (NodeKind.SOURCE, NodeKind.SINK)

@@ -98,6 +98,10 @@ def execute(doc) -> RunResult:
         if start_edge not in network.edges:
             raise ScenarioSemanticError(
                 f"car: start_edge={start_edge} is not an edge")
+        destination = car_cfg.get("destination")
+        if has_car and destination not in network.nodes:
+            raise ScenarioSemanticError(
+                f"car: destination={destination} is not a node")
         start_x = _setting("car", car_cfg, "start_x", 0.0,
                            _number(network.edges[start_edge].length))
         start_time = _setting("car", car_cfg, "start_time", 0.0,
@@ -106,7 +110,6 @@ def execute(doc) -> RunResult:
     log = simulate(network, initial, T, mode=mode)
     if not has_car:
         return RunResult(log, replace(doc, run=run_cfg, car=car_cfg))
-    destination = car_cfg["destination"]
     route, predicted = plan_route(log, policy, start_edge, start_x, start_time,
                                   destination, kind, w_rho, w_r)
     if route is not None:

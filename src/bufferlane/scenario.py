@@ -25,6 +25,7 @@ from operator import add
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     BufferOutOfRange,
     NonFiniteValue,
@@ -73,18 +74,31 @@ def _parse_pairs(text, line):
     return out
 
 
-def _parse_attrs(tokens, line):
-    attrs = {}
+def _put(table, key, value, what, line):
+    """`table[key] = value`; a key given before is a syntax error."""
+    if key in table:
+        raise ScenarioSyntaxError(f"{what} {key!r} given twice", line)
+    table[key] = value
+
+
+def _parse_attrs(tokens, line, attrs=None, convert=str):
+    """`key=value` tokens into `attrs` (a new dict if None), each value
+    through `convert`."""
+    attrs = {} if attrs is None else attrs
     for tok in tokens:
         if "=" not in tok:
             raise ScenarioSyntaxError(f"expected key=value, got {tok!r}", line)
         key, value = tok.split("=", 1)
-        attrs[key] = value
+        _put(attrs, key, convert(value), "key", line)
     return attrs
 
 
 def parse_scenario(text) -> ScenarioDoc:
+    """Parse a scenario document; see docs/scenario-format.md.  A node or
+    edge id, a density or buffer entry, or a key of one line, of [run] or
+    of [car] given twice is a ScenarioSyntaxError naming the line."""
     doc = ScenarioDoc()
+    declared = {"node": {}, "edge": {}}
     section = None
     seen_any = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -101,13 +115,11 @@ def parse_scenario(text) -> ScenarioDoc:
             raise ScenarioSyntaxError("content before first section", lineno)
         tokens = line.split()
         if section == "network":
-            if tokens[0] == "node" and len(tokens) >= 2:
-                doc.nodes.append((tokens[1], _parse_attrs(tokens[2:], lineno)))
-            elif tokens[0] == "edge" and len(tokens) >= 2:
-                doc.edges.append((tokens[1], _parse_attrs(tokens[2:], lineno)))
-            else:
+            if tokens[0] not in declared or len(tokens) < 2:
                 raise ScenarioSyntaxError(f"expected node/edge, got {tokens[0]!r}",
                                           lineno)
+            _put(declared[tokens[0]], tokens[1],
+                 _parse_attrs(tokens[2:], lineno), tokens[0], lineno)
         elif section == "initial":
             if len(tokens) != 3:
                 raise ScenarioSyntaxError("expected `density|buffer <id> <value>`",
@@ -117,21 +129,22 @@ def parse_scenario(text) -> ScenarioDoc:
                 raise ScenarioSyntaxError(f"unknown initial entry {kind!r}", lineno)
             try:
                 if kind == "buffer":
-                    doc.buffers[ident] = float(value)
+                    entry = float(value)
                 elif ":" in value:
-                    doc.densities[ident] = _parse_pairs(value, lineno)
+                    entry = _parse_pairs(value, lineno)
                 else:
-                    doc.densities[ident] = [(0.0, float(value))]
+                    entry = [(0.0, float(value))]
             except ValueError:
                 raise ScenarioSyntaxError(f"expected a number, got {value!r}",
                                           lineno) from None
+            _put(doc.buffers if kind == "buffer" else doc.densities, ident,
+                 entry, kind, lineno)
         else:
-            attrs = _parse_attrs(tokens, lineno)
-            target = doc.run if section == "run" else doc.car
-            for k, v in attrs.items():
-                target[k] = _parse_value(v)
+            _parse_attrs(tokens, lineno, doc.run if section == "run"
+                         else doc.car, _parse_value)
     if not seen_any:
         raise ScenarioSyntaxError("empty scenario document", 1)
+    doc.nodes, doc.edges = (list(declared[k].items()) for k in declared)
     if not doc.edges:
         raise ScenarioSemanticError("scenario defines no edges")
     _check_semantics(doc)
@@ -317,7 +330,7 @@ def write_manifest(path, doc, log, extra):
             {"node": ev.node, "time": ev.time, "load": ev.load}
             for ev in log.events],
         "limiter_fired": log.limiter_fired,
-        "tool_version": "0.1.0",
+        "tool_version": __version__,
     }
     payload.update(extra)
     with open(path, "w") as fh:

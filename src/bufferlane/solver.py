@@ -56,30 +56,30 @@ class SimLog:
 
     Flux entries at index n are the constants used on [t^n, t^{n+1}), so
     flux arrays have M entries while state arrays have M+1.  Each table is
-    a dict of views into one edge-major buffer: `rho[eid]` is a C-contiguous
-    (M+1, cells) block and every node or edge series a contiguous row.
-    `simulate` fills the blocks from a small time-major chunk of recent
-    steps, one block copy per road whenever the chunk is full.  A
-    time-major (M+1) x C history would make each road's history strided,
-    and readers that need it contiguous (hashing, binary dumps) would copy
-    the largest road's history, raising peak RSS by that copy.
+    a dict of views into the arrays `simulate` filled: `rho[eid]` is a
+    C-contiguous (M+1, cells) block of one edge-major buffer and every
+    node or edge series a contiguous row.  `simulate` fills the blocks
+    from a small time-major chunk of recent steps, one block copy per road
+    whenever the chunk is full.  A time-major (M+1) x C history would make
+    each road's history strided, and readers that need it contiguous
+    (hashing, binary dumps) would copy the largest road's history, raising
+    peak RSS by that copy.
     """
 
-    def __init__(self, network, tau, T, mode, history, loads, series,
+    def __init__(self, network, tau, T, mode, blocks, loads, series,
                  events, fired):
-        """`history` holds road after road each (M+1, cells) block, `loads`
-        the (nodes, M+1) buffer loads, `series` the (2 edges + 2 nodes,
-        M) rows of q_in, q_out, node_inflow and node_outflow, and `fired`
-        per node the number of steps whose fluxes the limiter rescaled."""
+        """`blocks` holds each road's (M+1, cells) history in edge order,
+        `loads` the (nodes, M+1) buffer loads, `series` the (2 edges + 2
+        nodes, M) rows of q_in, q_out, node_inflow and node_outflow, and
+        `fired` per node the number of steps whose fluxes the limiter
+        rescaled.  The step count M is read from `loads`."""
         self.network = network
         self.tau = tau
         self.T = T
         self.mode = mode
-        self.steps = M = int(round(T / tau))
+        self.steps = M = loads.shape[1] - 1
         self.t = np.arange(M + 1) * tau
-        ends = (M + 1) * np.cumsum([e.cells for e in network.edges.values()])
-        self.rho = {e.id: block.reshape(M + 1, e.cells) for e, block in
-                    zip(network.edges.values(), np.split(history, ends[:-1]))}
+        self.rho = dict(zip(network.edges, blocks))
         self.buffers = dict(zip(network.nodes, loads))
         E, N = len(network.edges), len(network.nodes)
         q_in, q_out, f_in, f_out = np.split(series, [E, 2 * E, 2 * E + N])
@@ -97,18 +97,18 @@ def _chunk_rows(cells):
     return max(1, min(64, 2**17 // cells))
 
 
-def advance_step(table, lam, rho, r, inflow, tau, mode, t):
-    """One explicit step on the flat state (`lam` = tau / h per cell) with
-    the sources' `inflow`; returns the new state, the flow vector used
-    (see `JunctionTable`), the limiter's mask and the step's events.
+def advance_step(table, rho, r, n):
+    """Step n of the table's run on the flat state (`table.lam` = tau / h
+    per cell); returns the new state, the flow vector used (see
+    `JunctionTable`), the limiter's mask and the step's events.
 
     The new loads come from one `junctions.buffer_step` call, which limits
     the node fluxes in `flows` before the cells read q_in and q_out.  The
     new state is `table.state`, overwritten by the next call; it may be
     passed back as `rho`.
     """
-    ds, flows = table.fluxes(rho, r, inflow, mode)
-    new_r, hit, events = junctions.buffer_step(table, r, flows, tau, mode, t)
+    ds, flows = table.fluxes(rho, r, n)
+    new_r, hit, events = junctions.buffer_step(table, r, flows, n)
     F = godunov_flux(ds[0, :-1], ds[1, 1:])
     # demand and supply are spent: their rows take each cell's right and
     # left flux, the interior interfaces' F and the roads' q_out and q_in
@@ -120,15 +120,15 @@ def advance_step(table, lam, rho, r, inflow, tau, mode, t):
     left[table.first] = q_in
     nu = table.state
     np.subtract(right, left, out=right)
-    right *= lam
+    right *= table.lam
     np.subtract(rho, right, out=nu)
     lo, hi = nu.min(), nu.max()
     if lo < -_CLIP_TOL or hi > 1.0 + _CLIP_TOL:
         lo, hi = (f.reduceat(nu, table.first) for f in (np.minimum, np.maximum))
         k = np.argmax((lo < -_CLIP_TOL) | (hi > 1.0 + _CLIP_TOL))
         raise CFLViolation(
-            f"edge {table.edges[k].id}: density left [0,1] at t={t:.6g} "
-            f"(range [{lo[k]:.3e}, {hi[k]:.3e}])")
+            f"edge {table.edges[k].id}: density left [0,1] at "
+            f"t={n * table.tau:.6g} (range [{lo[k]:.3e}, {hi[k]:.3e}])")
     if lo < 0.0 or hi > 1.0:
         np.clip(nu, 0.0, 1.0, out=nu)
     return nu, new_r, flows, hit, events
@@ -140,10 +140,10 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     The step is always `cfl_timestep(network, T)`, so every log has
     tau <= h/2 on every road: the bound the complex tracker assumes.
     The state is one flat density vector, road after road, and one load
-    per node; a JunctionTable gives all boundary fluxes of a step in one
-    array pass, from inflows sampled for every step up front.  The initial
-    state is checked here, once: a density off [0, 1] or a load off
-    [0, r_max] beyond round-off, or not finite, raises
+    per node; a JunctionTable built for the run's tau, step count and
+    demand mode gives all boundary fluxes of a step in one array pass.
+    The initial state is checked here, once: a density off [0, 1] or a
+    load off [0, r_max] beyond round-off, or not finite, raises
     DensityOutOfRange naming the edge or BufferOutOfRange naming the node;
     round-off is clipped.  Each later state is checked by the step that
     makes it (`advance_step`, `junctions.buffer_step`), so the flux law
@@ -151,8 +151,7 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     """
     tau = cfl_timestep(network, T)
     M = int(round(T / tau))
-    table = junctions.JunctionTable.for_network(network)
-    lam = np.repeat([tau / e.h for e in table.edges], table.widths)
+    table = junctions.JunctionTable.for_network(network, tau, M, mode)
     rho = np.concatenate([project_cells(e, initial.densities.get(
         e.id, [(0.0, 0.0)])) for e in table.edges])
     r = np.array([float(initial.buffers.get(v, 0.0)) for v in network.nodes])
@@ -169,7 +168,6 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
         raise BufferOutOfRange(f"node {table.ids[k]}: buffer load "
                                f"{float(r[k])} outside [0, {table.r_max[k]}]")
     np.clip(r, 0.0, table.r_max, out=r)
-    inflows = table.inflow_table(tau, M)
     history = np.zeros((M + 1) * len(rho))
     # road k's (M+1, cells) block of the edge-major history, and its cells
     roads = [(history[(M + 1) * a:(M + 1) * (b + 1)].reshape(M + 1, -1),
@@ -185,8 +183,7 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
         block[0] = rho[cells]
     loads[:, 0], events = r, []
     for n in range(M):
-        rho, r, series[:, n], hit, step_events = advance_step(
-            table, lam, rho, r, inflows[n], tau, mode, n * tau)
+        rho, r, series[:, n], hit, step_events = advance_step(table, rho, r, n)
         fired += hit
         j = n % K
         chunk[j], loads[:, n + 1] = rho, r
@@ -194,5 +191,5 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
         if j == K - 1 or n == M - 1:
             for block, cells in roads:
                 block[n + 1 - j:n + 2] = chunk[:j + 1, cells]
-    return SimLog(network, tau, T, mode, history, loads, series, events,
-                  fired)
+    return SimLog(network, tau, T, mode, [block for block, _ in roads],
+                  loads, series, events, fired)

@@ -86,23 +86,24 @@ def every_row_network():
     return net, init
 
 
-def one_node_table(spec, n_in, n_out):
+def one_node_table(spec, n_in, n_out, tau=1.0, steps=1,
+                   mode=DemandMode.STANDARD):
     """JunctionTable of the single node `spec`, whose roads 0..n_in-1 enter
-    and n_in..n_in+n_out-1 leave it, one cell each."""
+    and n_in..n_in+n_out-1 leave it, one cell each, for a run of `steps`
+    steps of `tau` in demand `mode`."""
     n = n_in + n_out
     edges = [Edge(id=f"e{k}", source="", target="", length=1.0, cells=1)
              for k in range(n)]
     return JunctionTable([spec], [list(range(n_in))], [list(range(n_in, n))],
-                         edges)
+                         edges, tau, steps, mode)
 
 
 def node_fluxes(spec, rho_in, rho_out, r, mode=DemandMode.STANDARD):
     """Boundary fluxes of one junction through a one-node table: the
     outflows of its incoming roads, then the inflows of its outgoing roads."""
-    table = one_node_table(spec, len(rho_in), len(rho_out))
+    table = one_node_table(spec, len(rho_in), len(rho_out), mode=mode)
     _, flows = table.fluxes(np.array([*rho_in, *rho_out], dtype=float),
-                            np.array([float(r)]), table.inflow_table(1.0, 1)[0],
-                            mode)
+                            np.array([float(r)]), 0)
     q_in, q_out = flows[:table.edge_flows].reshape(2, -1)
     return (tuple(float(q) for q in q_out[:len(rho_in)])
             + tuple(float(q) for q in q_in[len(rho_in):]))
@@ -117,15 +118,14 @@ def node_flows(table, inflow, outflow):
 
 
 def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
-                     mode=DemandMode.STANDARD, node="", time=0.0):
-    """One buffer step through a one-node table; returns the new load and
+                     mode=DemandMode.STANDARD, node="", n=0):
+    """Buffer step n through a one-node table; returns the new load and
     the negativity event or None.  The node is a merge (2 roads in, 1
     out): pooled loads may go negative only there."""
     table = one_node_table(JunctionSpec(id=node, kind=NodeKind.TWO_TO_ONE,
-                                        r_max=r_max), 2, 1)
+                                        r_max=r_max), 2, 1, tau, n + 1, mode)
     new_r, _, events = buffer_step(table, np.array([float(r)]),
-                                   node_flows(table, inflow, outflow), tau,
-                                   mode, time)
+                                   node_flows(table, inflow, outflow), n)
     return float(new_r[0]), (events[0] if events else None)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bufferlane import bundled_scenario
+from bufferlane import __version__, bundled_scenario
 from bufferlane.cli import main
 from bufferlane.run import execute
 from bufferlane.scenario import (
@@ -52,6 +52,7 @@ def test_run_writes_outputs(linear_file, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["truncation_error"] < 1e-12
     assert manifest["demand_mode"] == "standard"
+    assert manifest["tool_version"] == __version__
 
 
 def test_manifest_records_limiter_counts(linear_file, tmp_path):
@@ -94,6 +95,18 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def assert_error_line(tmp_path, capsys, text, name, code=None):
+    """`bufferlane run` on `text` fails (with `code` if given) before it
+    writes anything, printing one line that starts `error: {name}`."""
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    got = main(["run", str(path), "--out", str(tmp_path / "o")])
+    assert got != 0 if code is None else got == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("old, new, name", [
     ("inflow=0.21", "inflow=nan", "node n1"),
     ("inflow=0.21", "inflow=0:0.21,4:-0.1", "node n1"),
@@ -120,14 +133,53 @@ def test_parse_error_exit_2(tmp_path, capsys):
     ("start_time=0", "start_time=-0.5", "car: start_time=-0.5"),
     ("start_edge=e1", "start_edge=e9", "car: start_edge=e9"),
     ("start_edge=e1\n", "", "car: start_edge=None"),
+    ("destination=n4", "destination=zz", "car: destination=zz is not a node"),
 ])
 def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
-    path = tmp_path / "bad.scn"
-    path.write_text(bundled_scenario("linear").replace(old, new))
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) != 0
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {name}") and err.count("\n") == 1
-    assert not (tmp_path / "o").exists()
+    assert_error_line(tmp_path, capsys,
+                      bundled_scenario("linear").replace(old, new), name)
+
+
+@pytest.mark.parametrize("old, new, name", [
+    ("priority=demand_proportional", "priority=fixed:0.3,0.3,0.4",
+     "node n5: priorities (0.3, 0.3, 0.4) must be two positive numbers"),
+    ("priority=demand_proportional", "priority=fixed:1",
+     "node n5: priorities (1.0,) must be two positive numbers"),
+    ("alpha=0.6,0.4", "alpha=0.3,0.3,0.4", "node n2: alpha (0.3, 0.3, 0.4)"),
+    ("alpha=0.6,0.4", "alpha=1", "node n2: alpha (1.0,)"),
+])
+def test_bad_pair_exits_with_error_line(tmp_path, capsys, old, new, name):
+    # a split or fixed right-of-way pair is two positive numbers summing to 1
+    assert_error_line(tmp_path, capsys,
+                      bundled_scenario("small_network").replace(old, new),
+                      name, code=1)
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("node n4 kind=sink", "node n4 kind=sink\nnode n4 kind=sink",
+     "line 8: node 'n4' given twice"),
+    ("edge e3 from=n3 to=n4 length=1",
+     "edge e3 from=n3 to=n4 length=1\nedge e3 from=n3 to=n4 length=1",
+     "line 11: edge 'e3' given twice"),
+    ("density e3 0.7", "density e3 0.7\ndensity e3 0.2",
+     "line 15: density 'e3' given twice"),
+    ("buffer n2 0.1", "buffer n2 0.1\nbuffer n2 0.2",
+     "line 16: buffer 'n2' given twice"),
+    ("T=8", "T=8\nT=4", "line 18: key 'T' given twice"),
+    ("T=8", "T=8 T=4", "line 17: key 'T' given twice"),
+    ("tracker=complex", "tracker=complex\ntracker=naive",
+     "line 25: key 'tracker' given twice"),
+    ("r_max=0.3 mu=0.25", "r_max=0.3 mu=0.1 mu=0.2",
+     "line 5: key 'mu' given twice"),
+    ("length=1\nedge e3", "length=1 length=2\nedge e3",
+     "line 9: key 'length' given twice"),
+])
+def test_repeated_entry_exits_2(tmp_path, capsys, old, new, error):
+    # the last entry would silently win: a repeat is a parse error
+    text = bundled_scenario("linear")
+    assert old in text
+    assert_error_line(tmp_path, capsys, text.replace(old, new, 1), error,
+                      code=2)
 
 
 @pytest.mark.parametrize("stride", ["0", "-3"])

@@ -58,7 +58,7 @@ class TestInflowTable:
     TAU = 0.05
 
     def check(self, table, specs, steps=120):
-        got = table.inflow_table(self.TAU, steps)
+        got = table.inflows
         assert got.shape == (steps, len(specs))
         for col, spec in zip(got.T, specs):
             want = np.array([spec.inflow_at(n * self.TAU)
@@ -74,16 +74,18 @@ class TestInflowTable:
                    (3.0 - 9e-16, 0.2), (3.5 + 2e-15, 0.05), (4.01, 0.15),
                    (4.0, 0.25))
         spec = JunctionSpec(id="s", kind=NodeKind.SOURCE, inflow=profile)
-        self.check(one_node_table(spec, 0, 1), [spec])
+        self.check(one_node_table(spec, 0, 1, self.TAU, 120), [spec])
 
     def test_first_breakpoint_after_start(self):
         spec = JunctionSpec(id="s", kind=NodeKind.SOURCE,
                             inflow=((1.0, 0.2), (2.0, 0.1)))
-        self.check(one_node_table(spec, 0, 1), [spec])
+        self.check(one_node_table(spec, 0, 1, self.TAU, 120), [spec])
 
     def test_one_column_per_source_in_node_order(self):
         net, _ = every_row_network()
-        self.check(JunctionTable.for_network(net), net.sources(), steps=80)
+        self.check(JunctionTable.for_network(net, self.TAU, 80,
+                                             DemandMode.STANDARD),
+                   net.sources(), steps=80)
 
 
 class TestDynamicPriorities:
@@ -223,7 +225,7 @@ class TestBufferStep:
 
     def test_pooled_negativity_reported(self):
         r, ev = buffer_step(0.0, 0.19, 0.2, 0.05, r_max=1.0,
-                            mode=DemandMode.POOLED, node="v", time=0.0)
+                            mode=DemandMode.POOLED, node="v", n=0)
         assert r == pytest.approx(-0.0005)
         assert ev is not None and ev.node == "v"
         assert ev.load == pytest.approx(-0.0005)
@@ -231,42 +233,42 @@ class TestBufferStep:
     def test_standard_underflow_limited_to_zero(self):
         # the Euler load -0.0005 is limited before it is checked: the
         # outflow is scaled to stop the buffer at exactly 0.0
-        table = one_node_table(merge_spec(r_max=1.0), 2, 1)
+        table = one_node_table(merge_spec(r_max=1.0), 2, 1, tau=0.05)
         flows = node_flows(table, 0.19, 0.2)
-        r, hit, events = junctions.buffer_step(table, np.zeros(1), flows,
-                                               0.05)
+        r, hit, events = junctions.buffer_step(table, np.zeros(1), flows, 0)
         assert r[0] == 0.0 and events == []
         assert hit.tolist() == [[True], [False]]
         assert flows[-1] == pytest.approx(0.19)
 
     def test_pooled_underflow_limited_off_merges(self):
         # pooled loads may go negative only at merges
-        table = one_node_table(pass_spec(r_max=1.0), 1, 1)
+        table = one_node_table(pass_spec(r_max=1.0), 1, 1, tau=0.05,
+                               mode=DemandMode.POOLED)
         r, hit, events = junctions.buffer_step(
-            table, np.zeros(1), node_flows(table, 0.19, 0.2), 0.05,
-            DemandMode.POOLED)
+            table, np.zeros(1), node_flows(table, 0.19, 0.2), 0)
         assert r[0] == 0.0 and events == []
         assert hit.tolist() == [[True], [False]]
 
     def test_branches_without_a_hit(self):
         # in range: the Euler loads as computed, flows untouched
-        table = one_node_table(merge_spec(r_max=0.3), 2, 1)
+        table = one_node_table(merge_spec(r_max=0.3), 2, 1, tau=0.05)
         for r, f_in, f_out in ((0.1, 0.2, 0.25), (0.0, 0.2, 0.2),
                                (0.3, 0.0, 0.1), (0.1, 0.21, 0.13)):
             flows = node_flows(table, f_in, f_out)
             before = flows.copy()
             new_r, hit, events = junctions.buffer_step(
-                table, np.array([r]), flows, 0.05)
+                table, np.array([r]), flows, 0)
             assert new_r.tobytes() == np.array(
                 [r + 0.05 * (f_in - f_out)]).tobytes()
             assert not hit.any() and events == []
             assert flows.tobytes() == before.tobytes()
         # a pooled merge below 0: round-off is clamped to exactly 0.0, a
         # real negative load is kept and reported
+        table = one_node_table(merge_spec(r_max=0.3), 2, 1, tau=1.0, steps=3,
+                               mode=DemandMode.POOLED)
         for load, kept in ((-5e-13, 0.0), (-5e-4, -5e-4)):
             new_r, hit, events = junctions.buffer_step(
-                table, np.zeros(1), node_flows(table, 0.0, -load), 1.0,
-                DemandMode.POOLED, time=2.0)
+                table, np.zeros(1), node_flows(table, 0.0, -load), 2)
             assert new_r[0] == kept and not hit.any()
             assert events == ([] if kept == 0.0 else
                               [junctions.NegativityEvent("j", 2.0, kept)])

@@ -71,7 +71,8 @@ def test_unknown_node_reference():
 
 
 def test_alpha_must_sum_to_one():
-    for alpha in ((0.6, 0.5), (math.nan, math.nan)):
+    for alpha in ((0.6, 0.5), (math.nan, math.nan), (1.0,), (0.3, 0.3, 0.4),
+                  None):
         nodes = [JunctionSpec(id="s", kind=NodeKind.SOURCE),
                  JunctionSpec(id="j", kind=NodeKind.ONE_TO_TWO, r_max=0.3,
                               alpha=alpha),
@@ -84,15 +85,17 @@ def test_alpha_must_sum_to_one():
 
 
 def test_fixed_priority_must_sum_to_one():
-    nodes = [JunctionSpec(id="s1", kind=NodeKind.SOURCE),
-             JunctionSpec(id="s2", kind=NodeKind.SOURCE),
-             JunctionSpec(id="j", kind=NodeKind.TWO_TO_ONE, r_max=0.3,
-                          priority=(0.7, 0.4)),
-             JunctionSpec(id="t", kind=NodeKind.SINK)]
-    edges = [make_edge("e0", "s1", "j"), make_edge("e1", "s2", "j"),
-             make_edge("e2", "j", "t")]
-    with pytest.raises(RateSumViolation):
-        RoadNetwork(nodes, edges).validate()
+    # one rule for every pair: exactly two positive numbers summing to 1
+    for priority in ((0.7, 0.4), (0.3, 0.3, 0.4), (1.0,)):
+        nodes = [JunctionSpec(id="s1", kind=NodeKind.SOURCE),
+                 JunctionSpec(id="s2", kind=NodeKind.SOURCE),
+                 JunctionSpec(id="j", kind=NodeKind.TWO_TO_ONE, r_max=0.3,
+                              priority=priority),
+                 JunctionSpec(id="t", kind=NodeKind.SINK)]
+        edges = [make_edge("e0", "s1", "j"), make_edge("e1", "s2", "j"),
+                 make_edge("e2", "j", "t")]
+        with pytest.raises(RateSumViolation, match="node j: priorities"):
+            RoadNetwork(nodes, edges).validate()
 
 
 def test_mu_bound_scales_with_degree():

@@ -14,7 +14,8 @@ from bufferlane.network import DEMAND_PROPORTIONAL, JunctionSpec, NodeKind
 from bufferlane.routing import fixed_path_chooser
 from bufferlane.run import plan_route
 from bufferlane.solver import simulate
-from bufferlane.tracker import CarStatus, TrackerKind, track_car
+from bufferlane.tracker import (CarStatus, TrackerKind, complex_step,
+                                naive_step, track_car)
 from conftest import (
     buffer_bound_defect,
     mass_balance_defect,
@@ -197,3 +198,58 @@ class TestFastestIsFastest:
                         assert predicted == min(arrivals, default=None), (
                             seed, start, sink, n)
         assert choices > 0
+
+
+def exact_density(x, t, cells, h):
+    """The exact density at (x, t <= h/2) of piecewise-constant cell data
+    (one row of `cells` per case): the waves of neighbouring interfaces
+    have not met, so the Riemann problem at the interface nearest x
+    decides, a shock at speed 1 - rho_l - rho_r or a fan between
+    1 - 2 rho_l and 1 - 2 rho_r with rho = (1 - xi) / 2 inside it."""
+    j = np.rint(x / h).astype(int)
+    rows = np.arange(len(x))
+    rho_l, rho_r = cells[rows, j - 1], cells[rows, j]
+    xi = (x - j * h) / np.maximum(t, 1e-300)
+    shock = np.where(xi < 1.0 - rho_l - rho_r, rho_l, rho_r)
+    fan = np.minimum(np.maximum((1.0 - xi) / 2.0, rho_r), rho_l)
+    return np.where(rho_l < rho_r, shock, fan)
+
+
+class TestComplexStepOracle:
+    H, CELLS, CASES, SUBSTEPS = 0.1, 6, 3000, 4000
+
+    def cases(self):
+        """Seeded cars at x in [h/2, (cells - 1) h], so every point the
+        car reaches within tau <= h/2 has an interior interface nearest;
+        40 % of the cell values are drawn from the edge cases."""
+        rng = np.random.default_rng(20)
+        h, shape = self.H, (self.CASES, self.CELLS)
+        cells = np.where(rng.random(shape) < 0.4,
+                         rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 1.0], shape),
+                         rng.random(shape))
+        tau = rng.uniform(0.1 * h, 0.5 * h, self.CASES)
+        x = rng.uniform(0.5 * h, (self.CELLS - 1) * h, self.CASES)
+        return x, cells, tau
+
+    def reference(self, x, cells, tau):
+        """dx/dt = 1 - rho(x, t) through the exact density, by the
+        midpoint rule over SUBSTEPS substeps of each case's step."""
+        dt = tau / self.SUBSTEPS
+        for k in range(self.SUBSTEPS):
+            t = k * dt
+            v = 1.0 - exact_density(x, t, cells, self.H)
+            x = x + dt * (1.0 - exact_density(x + 0.5 * dt * v, t + 0.5 * dt,
+                                              cells, self.H))
+        return x
+
+    def test_within_one_substep_of_the_exact_path(self):
+        x, cells, tau = self.cases()
+        want = self.reference(x, cells, tau)
+        substep = tau / self.SUBSTEPS
+        got, naive = (np.array([step(a, c.tolist(), self.H, b)
+                                for a, c, b in zip(x, cells, tau)])
+                      for step in (complex_step, naive_step))
+        miss = np.abs(got - want) / substep
+        assert miss.max() <= 1.0, int(np.argmax(miss))
+        # the bound tells the steps apart: an Euler step misses it often
+        assert np.mean(np.abs(naive - want) > substep) > 0.1

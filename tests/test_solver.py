@@ -173,17 +173,14 @@ def stepped(net, init, steps, tau, mode):
     """`steps` plain `advance_step` calls from the initial state, recorded
     step by step: the states, loads, flow vectors, events and the number
     of steps the limiter rescaled each node at 0 and at r_max."""
-    table = JunctionTable.for_network(net)
-    lam = np.repeat([tau / e.h for e in table.edges], table.widths)
+    table = JunctionTable.for_network(net, tau, steps, mode)
     rho = np.concatenate([project_cells(e, init.densities[e.id])
                           for e in table.edges])
     r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
-    inflows = table.inflow_table(tau, steps)
     states, loads, flows, events = [rho], [r], [], []
     fired = 0
     for n in range(steps):
-        rho, r, f, hit, step_events = advance_step(
-            table, lam, rho, r, inflows[n], tau, mode, n * tau)
+        rho, r, f, hit, step_events = advance_step(table, rho, r, n)
         states.append(rho.copy())  # the next call overwrites rho
         loads.append(r)
         flows.append(f)
@@ -291,14 +288,12 @@ class TestStepErrors:
         of e1.  lam > 1 on every cell is past the CFL bound on purpose: the
         cell sends eps (1 - eps) and falls to eps (1 - lam) + lam eps^2."""
         net, init = line_network(densities=(0.0, 0.0, 0.0), inflow=0.0)
-        table = JunctionTable.for_network(net)
+        tau = lam * net.edges["e1"].h
+        table = JunctionTable.for_network(net, tau, 1, DemandMode.STANDARD)
         rho = np.zeros(sum(table.widths))
         rho[3] = eps
-        tau = lam * net.edges["e1"].h
         r = np.zeros(len(net.nodes))
-        nu, *_ = advance_step(table, np.full(rho.size, lam), rho, r,
-                              table.inflow_table(tau, 1)[0], tau,
-                              DemandMode.STANDARD, 0.0)
+        nu, *_ = advance_step(table, rho, r, 0)
         return nu
 
     def test_round_off_clipped_to_zero(self):
