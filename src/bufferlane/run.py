@@ -8,6 +8,7 @@ from . import routing, scenario as scn
 from .errors import ScenarioSemanticError
 from .junctions import DemandMode
 from .routing import RoutePolicy
+from .scenario import _positive, _setting
 from .solver import SimLog, cfl_timestep, simulate
 from .tracker import (CarLog, TrackerKind, start_position, start_step,
                       track_car, traverse_edge)
@@ -45,16 +46,6 @@ def plan_route(log, policy, start_edge, start_x, start_time, destination,
     return [start_edge] + path, arrival
 
 
-def _setting(section, cfg, key, default, convert):
-    """`convert(cfg[key])` (or of the default); a value it rejects raises
-    ScenarioSemanticError naming the section and the setting."""
-    value = cfg.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioSemanticError(f"{section}: {key}={value}: {exc}") from None
-
-
 def _number(hi=math.inf, tau=None):
     """Converter to a finite float in [0, hi], on the time grid if tau."""
     def convert(value):
@@ -77,14 +68,13 @@ def execute(doc) -> RunResult:
     `doc` with the checked value of every [run] and [car] setting read
     (defaults included), so that `execute(result.doc)` runs it again.
     """
-    T = doc.run.get("T")
-    if not (isinstance(T, (int, float)) and 0.0 < T < math.inf):
-        raise ScenarioSemanticError(f"run: T={T} must be a finite number > 0")
-    T = float(T)
+    T = _setting("run", doc.run, "T", None, _positive)
     mode = _setting("run", doc.run, "demand_mode", "standard", DemandMode)
+    run_cfg = dict(doc.run, T=T, demand_mode=mode.value)
+    if "h" in doc.run:
+        run_cfg["h"] = _setting("run", doc.run, "h", None, _positive)
     network = scn.build_network(doc)
     initial = scn.build_initial(doc)
-    run_cfg = dict(doc.run, T=T, demand_mode=mode.value)
     car_cfg = dict(doc.car)
     kind = _setting("car", car_cfg, "tracker", "complex", TrackerKind)
     policy = _setting("car", car_cfg, "policy", "shortest", RoutePolicy)

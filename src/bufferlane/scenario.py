@@ -36,39 +36,37 @@ from .network import DEMAND_PROPORTIONAL, Edge, JunctionSpec, NodeKind, RoadNetw
 from .solver import InitialData
 
 _SECTIONS = ("network", "initial", "run", "car")
+# the keys a node or edge line, [run] and [car] may give
+_KEYS = {
+    "node": ("kind", "r_max", "mu", "alpha", "priority", "inflow"),
+    "edge": ("from", "to", "length", "cells"),
+    "run": ("T", "h", "demand_mode"),
+    "car": ("start_edge", "start_x", "start_time", "destination", "tracker",
+            "policy", "w_rho", "w_r", "oracle"),
+}
 
 
 @dataclass
 class ScenarioDoc:
     """Parsed scenario: network, initial data, run and car settings."""
 
-    nodes: list = field(default_factory=list)   # (id, {key: value}) in order
-    edges: list = field(default_factory=list)   # (id, {key: value}) in order
+    nodes: list = field(default_factory=list)   # (id, {key: text}) in order
+    edges: list = field(default_factory=list)   # (id, {key: text}) in order
     densities: dict = field(default_factory=dict)  # edge -> [(x, rho), ...]
     buffers: dict = field(default_factory=dict)    # node -> r0
-    run: dict = field(default_factory=dict)
-    car: dict = field(default_factory=dict)
+    run: dict = field(default_factory=dict)     # key -> text (or a number)
+    car: dict = field(default_factory=dict)     # key -> text (or a number)
 
 
-def _parse_value(text):
-    if text == "inf":
-        return math.inf
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _parse_pairs(text, line):
-    """Comma-separated `a:b` pairs -> list of float tuples."""
+def _parse_profile(text):
+    """A constant `v` -> [(0.0, v)]; comma-separated `x:v` pairs -> a list
+    of float tuples; anything else raises ValueError."""
+    if ":" not in text:
+        return [(0.0, float(text))]
     out = []
     for part in text.split(","):
         if ":" not in part:
-            raise ScenarioSyntaxError(f"expected x:value pair, got {part!r}", line)
+            raise ValueError(f"expected x:value pair, got {part!r}")
         a, b = part.split(":", 1)
         out.append((float(a), float(b)))
     return out
@@ -81,22 +79,27 @@ def _put(table, key, value, what, line):
     table[key] = value
 
 
-def _parse_attrs(tokens, line, attrs=None, convert=str):
-    """`key=value` tokens into `attrs` (a new dict if None), each value
-    through `convert`."""
+def _parse_attrs(tokens, line, what, attrs=None):
+    """`key=value` tokens of a `what` line (node, edge, run or car) into
+    `attrs` (a new dict if None), each value kept as the text written."""
     attrs = {} if attrs is None else attrs
     for tok in tokens:
         if "=" not in tok:
             raise ScenarioSyntaxError(f"expected key=value, got {tok!r}", line)
         key, value = tok.split("=", 1)
-        _put(attrs, key, convert(value), "key", line)
+        if key not in _KEYS[what]:
+            raise ScenarioSyntaxError(f"unknown {what} key {key!r}", line)
+        _put(attrs, key, value, "key", line)
     return attrs
 
 
 def parse_scenario(text) -> ScenarioDoc:
-    """Parse a scenario document; see docs/scenario-format.md.  A node or
-    edge id, a density or buffer entry, or a key of one line, of [run] or
-    of [car] given twice is a ScenarioSyntaxError naming the line."""
+    """Parse a scenario document; see docs/scenario-format.md.
+
+    Node, edge, [run] and [car] values stay the text written: each is
+    converted where it is read.  A key not in `_KEYS`, or a node or edge
+    id, a density or buffer entry, or a key of one line, of [run] or of
+    [car] given twice is a ScenarioSyntaxError naming the line."""
     doc = ScenarioDoc()
     declared = {"node": {}, "edge": {}}
     section = None
@@ -119,7 +122,8 @@ def parse_scenario(text) -> ScenarioDoc:
                 raise ScenarioSyntaxError(f"expected node/edge, got {tokens[0]!r}",
                                           lineno)
             _put(declared[tokens[0]], tokens[1],
-                 _parse_attrs(tokens[2:], lineno), tokens[0], lineno)
+                 _parse_attrs(tokens[2:], lineno, tokens[0]), tokens[0],
+                 lineno)
         elif section == "initial":
             if len(tokens) != 3:
                 raise ScenarioSyntaxError("expected `density|buffer <id> <value>`",
@@ -128,20 +132,15 @@ def parse_scenario(text) -> ScenarioDoc:
             if kind not in ("density", "buffer"):
                 raise ScenarioSyntaxError(f"unknown initial entry {kind!r}", lineno)
             try:
-                if kind == "buffer":
-                    entry = float(value)
-                elif ":" in value:
-                    entry = _parse_pairs(value, lineno)
-                else:
-                    entry = [(0.0, float(value))]
+                entry = (float(value) if kind == "buffer"
+                         else _parse_profile(value))
             except ValueError:
                 raise ScenarioSyntaxError(f"expected a number, got {value!r}",
                                           lineno) from None
             _put(doc.buffers if kind == "buffer" else doc.densities, ident,
                  entry, kind, lineno)
         else:
-            _parse_attrs(tokens, lineno, doc.run if section == "run"
-                         else doc.car, _parse_value)
+            _parse_attrs(tokens, lineno, section, getattr(doc, section))
     if not seen_any:
         raise ScenarioSyntaxError("empty scenario document", 1)
     doc.nodes, doc.edges = (list(declared[k].items()) for k in declared)
@@ -172,7 +171,7 @@ def _check_semantics(doc):
 
 def _node_from_attrs(nid, attrs):
     kind = NodeKind(attrs.get("kind", "one_to_one"))
-    r_max = float(_parse_value(attrs["r_max"])) if "r_max" in attrs else math.inf
+    r_max = float(attrs.get("r_max", math.inf))
     mu = float(attrs.get("mu", 0.25))
     alpha = None
     if "alpha" in attrs:
@@ -185,29 +184,41 @@ def _node_from_attrs(nid, attrs):
             if not p.startswith("fixed:"):
                 raise ScenarioSemanticError(f"node {nid}: bad priority {p!r}")
             priority = tuple(float(c) for c in p[len("fixed:"):].split(","))
-    inflow = ((0.0, 0.0),)
-    if "inflow" in attrs:
-        v = attrs["inflow"]
-        if ":" in v:
-            inflow = tuple(_parse_pairs(v, None))
-        else:
-            inflow = ((0.0, float(v)),)
+    inflow = tuple(_parse_profile(attrs.get("inflow", "0")))
+    if any(b <= a for (a, _), (b, _) in zip(inflow, inflow[1:])):
+        raise ValueError("inflow breakpoints must be strictly increasing")
     return JunctionSpec(id=nid, kind=kind, r_max=r_max, mu=mu, alpha=alpha,
                         priority=priority, inflow=inflow)
+
+
+def _setting(section, cfg, key, default, convert):
+    """`convert(cfg[key])` (or of the default), where the value is the text
+    written or a number alike; a value `convert` rejects raises
+    ScenarioSemanticError naming the section and the setting."""
+    value = cfg.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioSemanticError(f"{section}: {key}={value}: {exc}") from None
+
+
+def _positive(value):
+    """Converter to a finite float > 0 (`T` and `h`)."""
+    x = math.nan if value is None else float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError("must be a finite number > 0")
+    return x
 
 
 def build_network(doc) -> RoadNetwork:
     """Materialize and validate the road graph from a parsed document.
 
-    The [run] cell width `h` sets cell counts for edges that do not carry
-    an explicit `cells` attribute.  The initial buffer loads are checked
-    against the nodes here too, so bad numbers never reach the solver.
+    The [run] cell width `h`, read by `_setting` as a finite number > 0,
+    sets cell counts for edges that do not carry an explicit `cells`
+    attribute.  The initial buffer loads are checked against the nodes
+    here too, so bad numbers never reach the solver.
     """
-    h = doc.run.get("h")
-    if h is not None and not (isinstance(h, (int, float))
-                              and 0.0 < h < math.inf):
-        raise ScenarioSemanticError(
-            f"cell width h={h} must be a finite number > 0")
+    h = _setting("run", doc.run, "h", None, _positive) if "h" in doc.run else None
     nodes = []
     for nid, attrs in doc.nodes:
         try:
@@ -227,7 +238,7 @@ def build_network(doc) -> RoadNetwork:
         if not math.isfinite(length):
             raise NonFiniteValue(f"edge {eid}: length {length}")
         if cells is None and h:
-            cells = cells_for_target_h(length, float(h))
+            cells = cells_for_target_h(length, h)
         elif cells is None:
             raise ScenarioSemanticError(
                 f"edge {eid}: no cell count and no target h")

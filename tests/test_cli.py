@@ -110,6 +110,10 @@ def assert_error_line(tmp_path, capsys, text, name, code=None):
 @pytest.mark.parametrize("old, new, name", [
     ("inflow=0.21", "inflow=nan", "node n1"),
     ("inflow=0.21", "inflow=0:0.21,4:-0.1", "node n1"),
+    ("inflow=0.21", "inflow=0:0.1,abc",
+     "node n1: expected x:value pair, got 'abc'"),
+    ("inflow=0.21", "inflow=4:0.21,0:0.05",
+     "node n1: inflow breakpoints must be strictly increasing"),
     ("buffer n2 0.1", "buffer n2 nan", "node n2"),
     ("buffer n2 0.1", "buffer n2 0.4", "node n2"),
     ("edge e1 from=n1 to=n2 length=1", "edge e1 from=n1 to=n2 length=nan",
@@ -119,7 +123,7 @@ def assert_error_line(tmp_path, capsys, text, name, code=None):
     ("T=8", "T=abc", "run: T=abc"),
     ("T=8", "T=nan", "run: T=nan"),
     ("T=8\n", "", "run: T=None"),
-    ("h=0.1", "h=nan", "cell width h=nan"),
+    ("h=0.1", "h=nan", "run: h=nan"),
     ("T=8", "T=8\ndemand_mode=bogus", "run: demand_mode=bogus"),
     ("tracker=complex", "tracker=bogus", "car: tracker=bogus"),
     ("tracker=complex", "tracker=complex\npolicy=bogus", "car: policy=bogus"),
@@ -180,6 +184,32 @@ def test_repeated_entry_exits_2(tmp_path, capsys, old, new, error):
     assert old in text
     assert_error_line(tmp_path, capsys, text.replace(old, new, 1), error,
                       code=2)
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("r_max=0.3 mu=0.25", "r_mx=0.3 mu=0.25", "line 5: unknown node key 'r_mx'"),
+    ("length=1\nedge e3", "lenght=1\nedge e3",
+     "line 9: unknown edge key 'lenght'"),
+    ("h=0.1", "hh=0.1", "line 18: unknown run key 'hh'"),
+    ("tracker=complex", "polcy=fastest", "line 24: unknown car key 'polcy'"),
+])
+def test_unknown_key_exits_2(tmp_path, capsys, old, new, error):
+    # a misspelt key would silently fall back to its default
+    text = bundled_scenario("linear")
+    assert old in text
+    assert_error_line(tmp_path, capsys, text.replace(old, new, 1), error,
+                      code=2)
+
+
+def test_numeric_ids_run(tmp_path, capsys):
+    # ids are tokens: `start_edge=1` and `destination=4` name the road and
+    # the node, not numbers
+    text = re.sub(r"\be1\b", "1", bundled_scenario("linear"))
+    path = tmp_path / "numeric.scn"
+    path.write_text(re.sub(r"\bn4\b", "4", text))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "policy=shortest path=1-e2-e3 arrival=7.61905 waiting=0.857143\n")
 
 
 @pytest.mark.parametrize("stride", ["0", "-3"])

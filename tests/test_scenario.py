@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -55,13 +56,13 @@ class TestParsing:
         assert [nid for nid, _ in doc.nodes] == ["in", "mid", "out"]
         assert doc.densities["e2"] == [(0.0, 0.4), (0.75, 0.2)]
         assert doc.buffers == {"mid": 0.1}
-        assert doc.run == {"T": 6, "h": 0.1}
+        assert doc.run == {"T": "6", "h": "0.1"}
         assert doc.car["destination"] == "out"
 
     def test_comments_and_blank_lines_ignored(self):
         doc = parse_scenario("# leading comment\n" +
                              MINIMAL.replace("T=6", "T=6  # horizon"))
-        assert doc.run["T"] == 6
+        assert doc.run["T"] == "6"
 
     def test_inf_r_max(self):
         doc = parse_scenario(MINIMAL.replace("r_max=0.3", "r_max=inf"))
@@ -148,6 +149,33 @@ class TestBuildNetwork:
         init = build_initial(doc)
         assert init.densities["e2"] == [(0.0, 0.4), (0.75, 0.2)]
         assert init.buffers["mid"] == 0.1
+
+
+def write_outputs(result, out):
+    """Every result file of `result` in the new directory `out`."""
+    out.mkdir()
+    write_density_csv(result.log, out / "density.csv")
+    write_buffer_csv(result.log, out / "buffers.csv")
+    write_trajectory_csv(result.car_log, out / "trajectory.csv")
+    write_route_summary(out / "route.json", result.doc.car["policy"],
+                        result.doc.car["start_time"], result.car_log)
+    write_manifest(out / "manifest.json", result.doc, result.log, {})
+
+
+def test_typed_settings_run_as_text(tmp_path):
+    # a parsed document holds text; one holding numbers, as a library
+    # caller may build it, is read by the same converters to the same files
+    doc = parse_scenario(bundled_scenario("linear"))
+    assert doc.run == {"T": "8", "h": "0.1"} and doc.car["start_x"] == "0"
+    typed = replace(doc, run={"T": 8, "h": 0.1},
+                    car={**doc.car, "start_x": 0, "start_time": 0})
+    write_outputs(execute(doc), tmp_path / "text")
+    write_outputs(execute(typed), tmp_path / "typed")
+    names = sorted(f.name for f in (tmp_path / "text").iterdir())
+    assert len(names) == 5
+    for name in names:
+        assert ((tmp_path / "text" / name).read_bytes()
+                == (tmp_path / "typed" / name).read_bytes()), name
 
 
 @pytest.fixture(scope="module")
