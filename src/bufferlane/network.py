@@ -13,6 +13,7 @@ from .errors import (
     NonFiniteValue,
     NonPositiveLength,
     RateSumViolation,
+    ScenarioSemanticError,
 )
 
 _SUM_TOL = 1e-12
@@ -141,8 +142,7 @@ class RoadNetwork:
                 _check_pair(node, "alpha", node.alpha)
             if node.kind is NodeKind.TWO_TO_ONE and node.priority != DEMAND_PROPORTIONAL:
                 _check_pair(node, "priorities", node.priority)
-            if node.kind is NodeKind.SOURCE:
-                self._check_inflow(node)
+            self._check_inflow(node)
             if (node.kind in (NodeKind.SOURCE, NodeKind.SINK)
                     and math.isfinite(node.r_max)):
                 raise RateSumViolation(
@@ -158,6 +158,12 @@ class RoadNetwork:
 
     @staticmethod
     def _check_inflow(node):
+        """Every node's profile, read or not: increasing, finite times and
+        finite values >= 0."""
+        times = [t_k for t_k, _ in node.inflow]
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ScenarioSemanticError(
+                f"node {node.id}: inflow breakpoints must be strictly increasing")
         for t_k, v_k in node.inflow:
             if not (math.isfinite(t_k) and math.isfinite(v_k)):
                 raise NonFiniteValue(

@@ -49,6 +49,14 @@ def rarefaction_exact(t):
     return t - _FAN_COEFF * math.sqrt(t) + 0.5
 
 
+# the trajectories a scenario's `oracle` setting may name, each with the
+# end of its domain
+ORACLES = {
+    "linear": (linear_network_exact, LINEAR_T_END),
+    "rarefaction": (rarefaction_exact, RAREFACTION_T_END),
+}
+
+
 def truncation_error(times, positions, exact, t_end=None):
     """Sup-norm error of sampled positions against a reference trajectory.
 

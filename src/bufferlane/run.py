@@ -4,11 +4,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import routing, scenario as scn
+from . import oracle, routing, scenario as scn
 from .errors import ScenarioSemanticError
 from .junctions import DemandMode
 from .routing import RoutePolicy
-from .scenario import _positive, _setting
+from .scenario import _KEYS, _positive, _setting
 from .solver import SimLog, cfl_timestep, simulate
 from .tracker import (CarLog, TrackerKind, start_position, start_step,
                       track_car, traverse_edge)
@@ -58,16 +58,28 @@ def _number(hi=math.inf, tau=None):
     return convert
 
 
+def _oracle(name):
+    """Converter of the `oracle` setting to a name in `oracle.ORACLES`."""
+    if name not in oracle.ORACLES:
+        raise ValueError(f"must be one of {', '.join(oracle.ORACLES)}")
+    return name
+
+
 def execute(doc) -> RunResult:
     """Simulate (and optionally track a routed car for) one scenario.
 
-    Every [run] and [car] setting is checked before the simulation starts;
+    Every [run] and [car] setting is checked before the simulation starts,
+    and a key the parser's `_KEYS` table does not list is rejected;
     without a destination the car's start is read only when one of
     `start_edge`, `start_x` and `start_time` is given, but its tracker,
     policy and weights always are.  The result's `doc` is the scenario as run:
     `doc` with the checked value of every [run] and [car] setting read
     (defaults included), so that `execute(result.doc)` runs it again.
     """
+    for section in ("run", "car"):
+        unknown = sorted(getattr(doc, section).keys() - _KEYS[section])
+        if unknown:
+            raise ScenarioSemanticError(f"{section}: unknown key {unknown[0]!r}")
     T = _setting("run", doc.run, "T", None, _positive)
     mode = _setting("run", doc.run, "demand_mode", "standard", DemandMode)
     run_cfg = dict(doc.run, T=T, demand_mode=mode.value)
@@ -82,6 +94,8 @@ def execute(doc) -> RunResult:
     w_r = _setting("car", car_cfg, "w_r", 0.5, _number())
     car_cfg.update(tracker=kind.value, policy=policy.value, w_rho=w_rho,
                    w_r=w_r)
+    if "oracle" in car_cfg:
+        car_cfg["oracle"] = _setting("car", car_cfg, "oracle", None, _oracle)
     has_car = "destination" in doc.car
     if has_car or doc.car.keys() & {"start_edge", "start_x", "start_time"}:
         start_edge = car_cfg.get("start_edge")

@@ -26,12 +26,7 @@ from operator import add
 import numpy as np
 
 from . import __version__
-from .errors import (
-    BufferOutOfRange,
-    NonFiniteValue,
-    ScenarioSemanticError,
-    ScenarioSyntaxError,
-)
+from .errors import NonFiniteValue, ScenarioSemanticError, ScenarioSyntaxError
 from .network import DEMAND_PROPORTIONAL, Edge, JunctionSpec, NodeKind, RoadNetwork, cells_for_target_h
 from .solver import InitialData
 
@@ -146,27 +141,7 @@ def parse_scenario(text) -> ScenarioDoc:
     doc.nodes, doc.edges = (list(declared[k].items()) for k in declared)
     if not doc.edges:
         raise ScenarioSemanticError("scenario defines no edges")
-    _check_semantics(doc)
     return doc
-
-
-def _check_semantics(doc):
-    edge_ids = {eid for eid, _ in doc.edges}
-    node_ids = {nid for nid, _ in doc.nodes}
-    for eid, pieces in doc.densities.items():
-        if eid not in edge_ids:
-            raise ScenarioSemanticError(f"density for unknown edge {eid!r}")
-        xs = [x for x, _ in pieces]
-        if (not all(map(math.isfinite, xs)) or xs != sorted(xs)
-                or len(set(xs)) != len(xs)):
-            raise ScenarioSemanticError(
-                f"edge {eid}: breakpoints must be strictly increasing")
-        for _, rho in pieces:
-            if not 0.0 <= rho <= 1.0:
-                raise ScenarioSemanticError(f"edge {eid}: density {rho} not in [0,1]")
-    for nid in doc.buffers:
-        if nid not in node_ids:
-            raise ScenarioSemanticError(f"buffer for unknown node {nid!r}")
 
 
 def _node_from_attrs(nid, attrs):
@@ -185,8 +160,6 @@ def _node_from_attrs(nid, attrs):
                 raise ScenarioSemanticError(f"node {nid}: bad priority {p!r}")
             priority = tuple(float(c) for c in p[len("fixed:"):].split(","))
     inflow = tuple(_parse_profile(attrs.get("inflow", "0")))
-    if any(b <= a for (a, _), (b, _) in zip(inflow, inflow[1:])):
-        raise ValueError("inflow breakpoints must be strictly increasing")
     return JunctionSpec(id=nid, kind=kind, r_max=r_max, mu=mu, alpha=alpha,
                         priority=priority, inflow=inflow)
 
@@ -215,8 +188,7 @@ def build_network(doc) -> RoadNetwork:
 
     The [run] cell width `h`, read by `_setting` as a finite number > 0,
     sets cell counts for edges that do not carry an explicit `cells`
-    attribute.  The initial buffer loads are checked against the nodes
-    here too, so bad numbers never reach the solver.
+    attribute.  The initial data is not read here: `simulate` checks it.
     """
     h = _setting("run", doc.run, "h", None, _positive) if "h" in doc.run else None
     nodes = []
@@ -244,13 +216,7 @@ def build_network(doc) -> RoadNetwork:
                 f"edge {eid}: no cell count and no target h")
         edges.append(Edge(id=eid, source=src, target=dst, length=length,
                           cells=cells))
-    network = RoadNetwork(nodes, edges).validate()
-    for nid, r0 in doc.buffers.items():
-        r_max = network.nodes[nid].r_max
-        if not (math.isfinite(r0) and 0.0 <= r0 <= r_max):
-            raise BufferOutOfRange(
-                f"node {nid}: initial buffer {r0} outside [0, {r_max}]")
-    return network
+    return RoadNetwork(nodes, edges).validate()
 
 
 def build_initial(doc) -> InitialData:

@@ -5,7 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import junctions
-from .errors import BufferOutOfRange, CFLViolation, DensityOutOfRange
+from .errors import (BufferOutOfRange, CFLViolation, DensityOutOfRange,
+                     ScenarioSemanticError)
 from .fluxes import godunov_flux
 from .junctions import DemandMode
 from .network import RoadNetwork
@@ -20,7 +21,8 @@ class InitialData:
 
     `densities[edge] = [(x_0, rho_0), (x_1, rho_1), ...]` means density
     rho_k on [x_k, x_{k+1}) with breakpoints relative to the edge start.
-    Missing edges/nodes default to zero.
+    Missing edges/nodes default to zero.  Nothing is checked here:
+    `simulate` rejects unknown ids and loads, `project_cells` profiles.
     """
 
     densities: dict = field(default_factory=dict)
@@ -30,12 +32,18 @@ class InitialData:
 def project_cells(edge, pieces):
     """Exact cell averages of a piecewise-constant profile.
 
-    A non-finite piece value raises DensityOutOfRange naming the edge
-    before it meets the zero overlap of the cells outside its piece."""
+    Breakpoints that are not finite or not strictly increasing raise
+    ScenarioSemanticError, and a piece value off [0, 1] beyond round-off,
+    or not finite, raises DensityOutOfRange, both naming the edge."""
+    xs = [x for x, _ in pieces]
+    if not (all(map(np.isfinite, xs))
+            and all(a < b for a, b in zip(xs, xs[1:]))):
+        raise ScenarioSemanticError(
+            f"edge {edge.id}: breakpoints must be strictly increasing")
     for _, v in pieces:
-        if not np.isfinite(v):
+        if not -_ENTRY_TOL <= v <= 1.0 + _ENTRY_TOL:
             raise DensityOutOfRange(
-                f"edge {edge.id}: initial density {v} outside [0, 1]")
+                f"edge {edge.id}: initial density {float(v)} outside [0, 1]")
     lo = np.arange(edge.cells) * edge.h
     hi = np.arange(1, edge.cells + 1) * edge.h
     ends = [x for x, _ in pieces[1:]] + [edge.length]
@@ -142,25 +150,26 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     The state is one flat density vector, road after road, and one load
     per node; a JunctionTable built for the run's tau, step count and
     demand mode gives all boundary fluxes of a step in one array pass.
-    The initial state is checked here, once: a density off [0, 1] or a
-    load off [0, r_max] beyond round-off, or not finite, raises
-    DensityOutOfRange naming the edge or BufferOutOfRange naming the node;
-    round-off is clipped.  Each later state is checked by the step that
-    makes it (`advance_step`, `junctions.buffer_step`), so the flux law
-    and the junction table read every value unchecked.
+    The initial data is checked here, once: an id not in the network
+    raises ScenarioSemanticError (the first in sorted order), a load off
+    [0, r_max] beyond round-off, or not finite, BufferOutOfRange naming
+    the node, and `project_cells` checks each profile; round-off is
+    clipped.  Each later state is checked by the step that makes it
+    (`advance_step`, `junctions.buffer_step`), so the flux law and the
+    junction table read every value unchecked.
     """
+    for given, known, what in (
+            (initial.densities, network.edges, "density for unknown edge"),
+            (initial.buffers, network.nodes, "buffer for unknown node")):
+        unknown = sorted(given.keys() - known.keys())
+        if unknown:
+            raise ScenarioSemanticError(f"{what} {unknown[0]!r}")
     tau = cfl_timestep(network, T)
     M = int(round(T / tau))
     table = junctions.JunctionTable.for_network(network, tau, M, mode)
     rho = np.concatenate([project_cells(e, initial.densities.get(
         e.id, [(0.0, 0.0)])) for e in table.edges])
     r = np.array([float(initial.buffers.get(v, 0.0)) for v in network.nodes])
-    bad = ~((rho >= -_ENTRY_TOL) & (rho <= 1.0 + _ENTRY_TOL))
-    if bad.any():
-        i = np.argmax(bad)
-        raise DensityOutOfRange(
-            f"edge {table.edges[np.searchsorted(table.last, i)].id}: initial "
-            f"density {float(rho[i])} outside [0, 1]")
     np.clip(rho, 0.0, 1.0, out=rho)
     bad = ~(np.isfinite(r) & (r >= -_ENTRY_TOL) & (r <= table.r_max + _ENTRY_TOL))
     if bad.any():

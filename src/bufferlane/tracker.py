@@ -342,7 +342,8 @@ def track_car(log, start_edge, start_x, start_time, destination,
     """Run a car from (edge, x, t) until `destination` or the horizon.
 
     `choose_next(node_id, n_hat, tau_hat) -> edge_id` resolves the exit
-    at dispersing junctions; junctions with a single outgoing road never
+    at dispersing junctions, and an edge that does not leave the node
+    raises ValueError; junctions with a single outgoing road never
     consult it.  `start_x` must lie in [0, length] of the start road.
     """
     net = log.network
@@ -378,6 +379,9 @@ def track_car(log, start_edge, start_x, start_time, destination,
                                  "no choose_next was given")
             else:
                 next_id = choose_next(node, n_hat, tau_hat)
+                if next_id not in outs:
+                    raise ValueError(f"node {node}: choose_next gave edge "
+                                     f"{next_id}, which does not leave it")
             try:
                 wt, m, frac = node_waiting(log, node, n_hat, tau_hat)
             except HorizonExceeded:  # the car waits at the node until T

@@ -138,10 +138,29 @@ def assert_error_line(tmp_path, capsys, text, name, code=None):
     ("start_edge=e1", "start_edge=e9", "car: start_edge=e9"),
     ("start_edge=e1\n", "", "car: start_edge=None"),
     ("destination=n4", "destination=zz", "car: destination=zz is not a node"),
+    ("oracle=linear", "oracle=bogus", "car: oracle=bogus"),
 ])
 def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
     assert_error_line(tmp_path, capsys,
                       bundled_scenario("linear").replace(old, new), name)
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("density e1 0.3", "density e1 1.3",
+     "edge e1: initial density 1.3 outside [0, 1]"),
+    ("density e1 0.3", "density ghost 0.3", "density for unknown edge 'ghost'"),
+    ("density e1 0.3", "density e1 0.5:0.3,0:0.2",
+     "edge e1: breakpoints must be strictly increasing"),
+    ("buffer n2 0.1", "buffer zz 0.1", "buffer for unknown node 'zz'"),
+    ("buffer n2 0.1", "buffer n2 0.4",
+     "node n2: buffer load 0.4 outside [0, 0.3]"),
+])
+def test_bad_initial_data_exits_1(tmp_path, capsys, old, new, error):
+    # initial data parses as written and is checked by `simulate`: a bad
+    # value, not a parse error
+    assert_error_line(tmp_path, capsys,
+                      bundled_scenario("linear").replace(old, new), error,
+                      code=1)
 
 
 @pytest.mark.parametrize("old, new, name", [
@@ -403,6 +422,14 @@ def test_manifest_re_executes_run(tmp_path, name, flags):
                            if f.name != "manifest.json")
     for f in names:
         assert (again / f).read_bytes() == (out / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("h", ["nan", "0", "-1"])
+def test_verify_bad_h_exits_with_error_line(capsys, h):
+    assert main(["verify", "--h", h]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: run: h={float(h)}: must be a finite number > 0\n"
 
 
 def test_verify_subcommand(capsys):

@@ -11,6 +11,7 @@ from bufferlane.errors import (
     NonFiniteValue,
     NonPositiveLength,
     RateSumViolation,
+    ScenarioSemanticError,
 )
 from bufferlane.network import (
     Edge,
@@ -155,6 +156,24 @@ def test_negative_inflow_rejected():
 def test_nonfinite_inflow_rejected(inflow):
     with pytest.raises(NonFiniteValue, match="node s"):
         _source_network(inflow).validate()
+
+
+@pytest.mark.parametrize("inflow", [((4.0, 0.21), (0.0, 0.05)),
+                                    ((0.0, 0.21), (0.0, 0.05))])
+def test_inflow_times_must_increase(inflow):
+    # a reversed profile would feed 0.21 first and 0.05 from t=4
+    with pytest.raises(ScenarioSemanticError, match="node s: inflow "
+                       "breakpoints must be strictly increasing"):
+        _source_network(inflow).validate()
+
+
+def test_inflow_checked_on_every_node():
+    # no step reads a pass-through node's inflow, but its numbers are
+    # checked like a source's
+    net, _ = line_network()
+    net.nodes["n1"].inflow = ((0.0, -0.1),)
+    with pytest.raises(NegativeInflow, match="node n1"):
+        net.validate()
 
 
 def test_disconnected_graph():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from bufferlane import bundled_scenario
 from bufferlane.errors import (
     BufferOutOfRange,
+    DensityOutOfRange,
     NegativeInflow,
     NonFiniteValue,
     ScenarioSemanticError,
@@ -50,6 +52,15 @@ destination=out
 """
 
 
+def assert_rejected(doc, error, text):
+    """`execute(doc)`, and `simulate` on the doc's network and initial
+    data, both raise `error` with `text` before any step."""
+    with pytest.raises(error, match=re.escape(text)):
+        execute(doc)
+    with pytest.raises(error, match=re.escape(text)):
+        simulate(build_network(doc), build_initial(doc), 6.0)
+
+
 class TestParsing:
     def test_minimal_document(self):
         doc = parse_scenario(MINIMAL)
@@ -86,19 +97,24 @@ class TestParsing:
         with pytest.raises(ScenarioSyntaxError):
             parse_scenario("\n\n")
 
+    # the parser reads initial data as written; `simulate` checks it, on
+    # a parsed document and on a library caller's InitialData alike
+
     def test_density_for_unknown_edge(self):
-        with pytest.raises(ScenarioSemanticError):
-            parse_scenario(MINIMAL.replace("density e1", "density ghost"))
+        doc = parse_scenario(MINIMAL.replace("density e1", "density ghost"))
+        assert_rejected(doc, ScenarioSemanticError,
+                        "density for unknown edge 'ghost'")
 
     def test_density_out_of_range(self):
-        with pytest.raises(ScenarioSemanticError):
-            parse_scenario(MINIMAL.replace("density e1 0.3", "density e1 1.3"))
+        doc = parse_scenario(MINIMAL.replace("density e1 0.3", "density e1 1.3"))
+        assert_rejected(doc, DensityOutOfRange,
+                        "edge e1: initial density 1.3 outside [0, 1]")
 
     def test_breakpoints_must_increase(self):
         for pieces in ("0.75:0.4,0.0:0.2", "0.0:0.4,nan:0.2"):
-            bad = MINIMAL.replace("0.0:0.4,0.75:0.2", pieces)
-            with pytest.raises(ScenarioSemanticError):
-                parse_scenario(bad)
+            doc = parse_scenario(MINIMAL.replace("0.0:0.4,0.75:0.2", pieces))
+            assert_rejected(doc, ScenarioSemanticError,
+                            "edge e2: breakpoints must be strictly increasing")
 
 
 class TestBuildNetwork:
@@ -139,10 +155,11 @@ class TestBuildNetwork:
         ("mu=0.25\n", "mu=abc\n", ScenarioSemanticError, "node mid"),
     ])
     def test_bad_numbers_rejected(self, old, new, error, name):
-        # rejected when the network is built, before any simulation step
+        # rejected before any simulation step: node and edge values when
+        # the network is built, initial loads when `simulate` reads them
         doc = parse_scenario(MINIMAL.replace(old, new))
         with pytest.raises(error, match=name):
-            build_network(doc)
+            simulate(build_network(doc), build_initial(doc), 6.0)
 
     def test_initial_data(self):
         doc = parse_scenario(MINIMAL)
@@ -176,6 +193,17 @@ def test_typed_settings_run_as_text(tmp_path):
     for name in names:
         assert ((tmp_path / "text" / name).read_bytes()
                 == (tmp_path / "typed" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("section, key", [("run", "hh"), ("car", "polcy")])
+def test_unknown_setting_rejected_by_execute(section, key):
+    # a library document skips the parser's key check: a misspelt setting
+    # would run on the default and be recorded as given
+    doc = parse_scenario(bundled_scenario("linear"))
+    doc = replace(doc, **{section: {**getattr(doc, section), key: "x"}})
+    with pytest.raises(ScenarioSemanticError,
+                       match=f"^{section}: unknown key '{key}'$"):
+        execute(doc)
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from bufferlane import bundled_scenario, scenario as scn
-from bufferlane.errors import BufferOutOfRange, CFLViolation, DensityOutOfRange
+from bufferlane.errors import (
+    BufferOutOfRange,
+    CFLViolation,
+    DensityOutOfRange,
+    ScenarioSemanticError,
+)
 from bufferlane.junctions import DemandMode, JunctionTable
 from bufferlane.network import Edge
 from bufferlane.solver import (
@@ -328,6 +333,32 @@ class TestStepErrors:
 
 
 class TestInitialState:
+    @pytest.mark.parametrize("densities, buffers, text", [
+        ({"ghost": [(0.0, 0.5)], "e1": [(0.0, 0.3)]}, {"nope": 0.1},
+         "density for unknown edge 'ghost'"),
+        ({"zz": [(0.0, 0.5)], "ghost": [(0.0, 0.5)]}, {},
+         "density for unknown edge 'ghost'"),
+        ({}, {"zz": 0.1, "nope": 0.1}, "buffer for unknown node 'nope'"),
+    ])
+    def test_unknown_ids_rejected(self, densities, buffers, text):
+        # the first unknown id in sorted order, densities before loads;
+        # such entries used to be dropped without a word
+        net, _ = line_network()
+        with pytest.raises(ScenarioSemanticError, match=re.escape(text)):
+            simulate(net, InitialData(densities, buffers), 1.0)
+
+    def test_breakpoints_must_increase(self):
+        # a reversed profile used to put its last value on every cell
+        net, _ = line_network()
+        for pieces in ([(0.5, 0.3), (0.0, 0.9)], [(0.0, 0.3), (0.0, 0.9)],
+                       [(0.0, 0.3), (float("nan"), 0.9)],
+                       [(0.0, 0.3), (float("inf"), 0.9)]):
+            with pytest.raises(ScenarioSemanticError, match="edge e1: "
+                               "breakpoints must be strictly increasing"):
+                simulate(net, InitialData({"e1": pieces}), 1.0)
+            with pytest.raises(ScenarioSemanticError):
+                project_cells(net.edges["e1"], pieces)
+
     def test_density_out_of_range_raises(self):
         for rho in (1.5, -0.01, float("nan"), float("inf")):
             net, init = line_network()

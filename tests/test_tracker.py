@@ -211,6 +211,13 @@ class TestTracking:
         with pytest.raises(ValueError, match="node n2 has 2 exits"):
             track_car(small_network_log(), "e1", 0.5, 0.0, "n6")
 
+    def test_chooser_edge_must_leave_the_node(self):
+        # e1 enters n2: following it would drive e1 again until the horizon
+        with pytest.raises(ValueError, match="node n2: choose_next gave "
+                           "edge e1, which does not leave it"):
+            track_car(small_network_log(), "e1", 0.5, 0.0, "n6",
+                      choose_next=lambda node, n_hat, tau_hat: "e1")
+
     def test_samples_monotone(self, linear_log):
         car = track_car(linear_log, "e1", 0.0, 0.0, "n3")
         ts = [s[0] for s in car.samples]
