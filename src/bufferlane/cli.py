@@ -58,15 +58,9 @@ def _cmd_run(args):
                           "w_rho": args.wrho, "w_r": args.wr})
     try:
         result = execute(doc)
-    except HorizonExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except UnreachableDestination as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except BufferlaneError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return {HorizonExceeded: 3, UnreachableDestination: 4}.get(type(exc), 1)
 
     out = Path(args.out or (Path(args.scenario).stem + "_out"))
     out.mkdir(parents=True, exist_ok=True)

@@ -61,7 +61,7 @@ class JunctionSpec:
     `alpha` orders the split fractions by the declaration order of the
     outgoing edges; fixed `priority` pairs follow the declaration order of
     the incoming edges.  `inflow` is a piecewise-constant profile given as
-    (time, value) breakpoints, only meaningful for sources.
+    (time, value) breakpoints; only a source may have a nonzero one.
     """
 
     id: str
@@ -95,7 +95,7 @@ def _check_pair(node, name, pair):
 
 
 class RoadNetwork:
-    """Validated directed road graph with per-node incidence lists.
+    """Directed road graph with per-node incidence lists, validated when made.
 
     `in_edges[v]` / `out_edges[v]` keep the scenario declaration order,
     which fixes the pairing of alpha and priority coefficients.
@@ -111,6 +111,7 @@ class RoadNetwork:
                 raise DegreeMismatch(f"edge {e.id} references unknown node")
             self.out_edges[e.source].append(e.id)
             self.in_edges[e.target].append(e.id)
+        self.validate()
 
     def sources(self):
         return [n for n in self.nodes.values() if n.kind is NodeKind.SOURCE]
@@ -158,8 +159,8 @@ class RoadNetwork:
 
     @staticmethod
     def _check_inflow(node):
-        """Every node's profile, read or not: increasing, finite times and
-        finite values >= 0."""
+        """Every node's profile: increasing, finite times and finite values
+        >= 0, all 0 unless the node is a source (the one kind that reads it)."""
         times = [t_k for t_k, _ in node.inflow]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioSemanticError(
@@ -171,6 +172,10 @@ class RoadNetwork:
             if v_k < 0.0:
                 raise NegativeInflow(
                     f"node {node.id}: inflow {v_k} < 0 from t={t_k}")
+        if node.kind is not NodeKind.SOURCE and any(v for _, v in node.inflow):
+            raise ScenarioSemanticError(
+                f"node {node.id}: inflow on a {node.kind.value} node; only "
+                f"a source reads inflow")
 
     def _check_connected(self):
         if not self.edges:
@@ -193,6 +198,10 @@ class RoadNetwork:
                 f"unreachable nodes: {sorted(set(self.nodes) - seen)}")
 
 
-def cells_for_target_h(length: float, target_h: float) -> int:
-    """Cell count so edges of different length share a grid scale."""
+def cells_for_target_h(length: float, target_h: float, edge_id=None) -> int:
+    """Cell count so edges of different length share a grid scale; a
+    count that is not finite raises NonFiniteValue naming the edge."""
+    if not math.isfinite(length / target_h):
+        raise NonFiniteValue(f"edge {edge_id}: length {length} at h="
+                             f"{target_h} gives no finite cell count")
     return max(2, round(length / target_h))

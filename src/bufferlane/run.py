@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from . import oracle, routing, scenario as scn
@@ -46,16 +47,18 @@ def plan_route(log, policy, start_edge, start_x, start_time, destination,
     return [start_edge] + path, arrival
 
 
-def _number(hi=math.inf, tau=None):
-    """Converter to a finite float in [0, hi], on the time grid if tau."""
-    def convert(value):
-        x = float(value)
-        if not (0.0 <= x <= hi and math.isfinite(x)):
-            raise ValueError(f"must be a finite number in [0, {hi}]")
-        if tau is not None:
-            start_step(tau, x)
-        return x
-    return convert
+def _number(value):
+    """Converter of a weight (`w_rho`, `w_r`) to a finite float >= 0."""
+    x = float(value)
+    if not 0.0 <= x < math.inf:
+        raise ValueError("must be a finite number in [0, inf]")
+    return x
+
+
+def _grid_time(tau, value):
+    """Converter of `start_time` to a float `start_step` accepts for tau."""
+    start_step(tau, float(value))
+    return float(value)
 
 
 def _oracle(name):
@@ -69,12 +72,11 @@ def execute(doc) -> RunResult:
     """Simulate (and optionally track a routed car for) one scenario.
 
     Every [run] and [car] setting is checked before the simulation starts,
-    and a key the parser's `_KEYS` table does not list is rejected;
-    without a destination the car's start is read only when one of
-    `start_edge`, `start_x` and `start_time` is given, but its tracker,
-    policy and weights always are.  The result's `doc` is the scenario as run:
-    `doc` with the checked value of every [run] and [car] setting read
-    (defaults included), so that `execute(result.doc)` runs it again.
+    and a key not in the parser's `_KEYS` is rejected; the car's start is
+    read only with a destination or one of `start_edge`, `start_x` and
+    `start_time`, its tracker, policy and weights always.  The result's
+    `doc` is `doc` with the checked value of every setting read (defaults
+    included), so that `execute(result.doc)` runs it again.
     """
     for section in ("run", "car"):
         unknown = sorted(getattr(doc, section).keys() - _KEYS[section])
@@ -90,8 +92,8 @@ def execute(doc) -> RunResult:
     car_cfg = dict(doc.car)
     kind = _setting("car", car_cfg, "tracker", "complex", TrackerKind)
     policy = _setting("car", car_cfg, "policy", "shortest", RoutePolicy)
-    w_rho = _setting("car", car_cfg, "w_rho", 0.5, _number())
-    w_r = _setting("car", car_cfg, "w_r", 0.5, _number())
+    w_rho = _setting("car", car_cfg, "w_rho", 0.5, _number)
+    w_r = _setting("car", car_cfg, "w_r", 0.5, _number)
     car_cfg.update(tracker=kind.value, policy=policy.value, w_rho=w_rho,
                    w_r=w_r)
     if "oracle" in car_cfg:
@@ -107,9 +109,9 @@ def execute(doc) -> RunResult:
             raise ScenarioSemanticError(
                 f"car: destination={destination} is not a node")
         start_x = _setting("car", car_cfg, "start_x", 0.0,
-                           _number(network.edges[start_edge].length))
+                           partial(start_position, network.edges[start_edge]))
         start_time = _setting("car", car_cfg, "start_time", 0.0,
-                              _number(tau=cfl_timestep(network, T)))
+                              partial(_grid_time, cfl_timestep(network, T)))
         car_cfg.update(start_x=start_x, start_time=start_time)
     log = simulate(network, initial, T, mode=mode)
     if not has_car:

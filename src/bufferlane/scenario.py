@@ -26,7 +26,7 @@ from operator import add
 import numpy as np
 
 from . import __version__
-from .errors import NonFiniteValue, ScenarioSemanticError, ScenarioSyntaxError
+from .errors import ScenarioSemanticError, ScenarioSyntaxError
 from .network import DEMAND_PROPORTIONAL, Edge, JunctionSpec, NodeKind, RoadNetwork, cells_for_target_h
 from .solver import InitialData
 
@@ -148,10 +148,8 @@ def _node_from_attrs(nid, attrs):
     kind = NodeKind(attrs.get("kind", "one_to_one"))
     r_max = float(attrs.get("r_max", math.inf))
     mu = float(attrs.get("mu", 0.25))
-    alpha = None
-    if "alpha" in attrs:
-        parts = [float(p) for p in attrs["alpha"].split(",")]
-        alpha = tuple(parts)
+    alpha = (tuple(float(p) for p in attrs["alpha"].split(","))
+             if "alpha" in attrs else None)
     priority = DEMAND_PROPORTIONAL
     if "priority" in attrs:
         p = attrs["priority"]
@@ -184,7 +182,7 @@ def _positive(value):
 
 
 def build_network(doc) -> RoadNetwork:
-    """Materialize and validate the road graph from a parsed document.
+    """The road graph of a parsed document (it validates itself).
 
     The [run] cell width `h`, read by `_setting` as a finite number > 0,
     sets cell counts for edges that do not carry an explicit `cells`
@@ -207,16 +205,14 @@ def build_network(doc) -> RoadNetwork:
             raise ScenarioSemanticError(f"edge {eid}: missing {exc}")
         except ValueError as exc:
             raise ScenarioSemanticError(f"edge {eid}: {exc}")
-        if not math.isfinite(length):
-            raise NonFiniteValue(f"edge {eid}: length {length}")
         if cells is None and h:
-            cells = cells_for_target_h(length, h)
+            cells = cells_for_target_h(length, h, eid)
         elif cells is None:
             raise ScenarioSemanticError(
                 f"edge {eid}: no cell count and no target h")
         edges.append(Edge(id=eid, source=src, target=dst, length=length,
                           cells=cells))
-    return RoadNetwork(nodes, edges).validate()
+    return RoadNetwork(nodes, edges)
 
 
 def build_initial(doc) -> InitialData:

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import junctions
 from .errors import (BufferOutOfRange, CFLViolation, DensityOutOfRange,
-                     ScenarioSemanticError)
+                     NonFiniteValue, ScenarioSemanticError)
 from .fluxes import godunov_flux
 from .junctions import DemandMode
 from .network import RoadNetwork
@@ -54,9 +54,12 @@ def project_cells(edge, pieces):
 
 
 def cfl_timestep(network: RoadNetwork, T):
-    """Half the smallest cell width, shrunk so the horizon divides evenly."""
+    """Half the smallest cell width, shrunk so the horizon divides evenly
+    into n >= 1 steps; T / tau outside (0, inf) raises NonFiniteValue."""
     tau = 0.5 * min(e.h for e in network.edges.values())
-    return T / int(np.ceil(T / tau - 1e-9))
+    if not 0.0 < T / tau < np.inf:
+        raise NonFiniteValue(f"T={T} at tau={tau} gives no finite step count")
+    return T / max(1, int(np.ceil(T / tau - 1e-9)))
 
 
 class SimLog:
@@ -65,13 +68,9 @@ class SimLog:
     Flux entries at index n are the constants used on [t^n, t^{n+1}), so
     flux arrays have M entries while state arrays have M+1.  Each table is
     a dict of views into the arrays `simulate` filled: `rho[eid]` is a
-    C-contiguous (M+1, cells) block of one edge-major buffer and every
-    node or edge series a contiguous row.  `simulate` fills the blocks
-    from a small time-major chunk of recent steps, one block copy per road
-    whenever the chunk is full.  A time-major (M+1) x C history would make
-    each road's history strided, and readers that need it contiguous
-    (hashing, binary dumps) would copy the largest road's history, raising
-    peak RSS by that copy.
+    C-contiguous (M+1, cells) block of one edge-major buffer, so no reader
+    copies a road's history, and every node or edge series a contiguous
+    row.  Every array is read-only: a log never changes once made.
     """
 
     def __init__(self, network, tau, T, mode, blocks, loads, series,
@@ -87,6 +86,8 @@ class SimLog:
         self.mode = mode
         self.steps = M = loads.shape[1] - 1
         self.t = np.arange(M + 1) * tau
+        for a in (self.t, loads, series, *blocks):
+            a.flags.writeable = False
         self.rho = dict(zip(network.edges, blocks))
         self.buffers = dict(zip(network.nodes, loads))
         E, N = len(network.edges), len(network.nodes)
@@ -145,18 +146,16 @@ def advance_step(table, rho, r, n):
 def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     """Run the coupled scheme over [0, T] and record every step.
 
-    The step is always `cfl_timestep(network, T)`, so every log has
-    tau <= h/2 on every road: the bound the complex tracker assumes.
-    The state is one flat density vector, road after road, and one load
-    per node; a JunctionTable built for the run's tau, step count and
-    demand mode gives all boundary fluxes of a step in one array pass.
-    The initial data is checked here, once: an id not in the network
-    raises ScenarioSemanticError (the first in sorted order), a load off
-    [0, r_max] beyond round-off, or not finite, BufferOutOfRange naming
-    the node, and `project_cells` checks each profile; round-off is
-    clipped.  Each later state is checked by the step that makes it
-    (`advance_step`, `junctions.buffer_step`), so the flux law and the
-    junction table read every value unchecked.
+    The step is always `cfl_timestep(network, T)`, so tau <= h/2 on every
+    road, the bound the complex tracker assumes.  The state is one flat
+    density vector and one load per node; a JunctionTable built for the
+    run gives all boundary fluxes of a step in one array pass.  The
+    network checked itself when made, and the initial data is checked
+    here, once: an id not in the network raises ScenarioSemanticError
+    (the first in sorted order), a load off [0, r_max] beyond round-off,
+    or not finite, BufferOutOfRange naming the node, and `project_cells`
+    checks each profile; round-off is clipped.  Each later state is
+    checked by the step that makes it (`advance_step`, `buffer_step`).
     """
     for given, known, what in (
             (initial.densities, network.edges, "density for unknown edge"),

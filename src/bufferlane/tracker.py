@@ -11,8 +11,8 @@ afterwards; `node_waiting` does the same for waits, and `log_totals` sums
 the history once.  Queries on one simulation share them, and read the
 log as Python floats.  The memo lives as long as the log and holds at
 most one stored value (a position, a leg or a wait) per density value of
-the log.  A SimLog must therefore not be mutated once a car has been
-tracked or a route planned on it.
+the log.  A SimLog's arrays are read-only, so a stored result never
+goes stale.
 """
 
 import math
@@ -221,7 +221,7 @@ def _wait(log, node, n_hat, tau_hat):
 
 def start_step(tau, start_time):
     """Step n of a departure at t^n = start_time (grid step tau)."""
-    n = int(round(start_time / tau)) if math.isfinite(start_time) else -1
+    n = round(start_time / tau) if math.isfinite(start_time / tau) else -1
     if n < 0 or abs(n * tau - start_time) > 1e-9:
         raise ValueError(f"start time {start_time} is not a grid time t^n >= 0")
     return n

@@ -146,6 +146,57 @@ def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
 
 
 @pytest.mark.parametrize("old, new, error", [
+    ("T=8", "T=1e308", "T=1e+308 at tau=0.05 gives no finite step count"),
+    ("start_time=0", "start_time=1e308",
+     "car: start_time=1e308: start time 1e+308 is not a grid time"),
+    ("to=n2 length=1", "to=n2 length=1e308",
+     "edge e1: length 1e+308 at h=0.1 gives no finite cell count"),
+    ("node n2 kind=one_to_one r_max=0.3 mu=0.25",
+     "node n2 kind=one_to_one r_max=0.3 mu=0.25 inflow=0.3",
+     "node n2: inflow on a one_to_one node; only a source reads inflow"),
+])
+def test_extreme_value_exits_1(tmp_path, capsys, old, new, error):
+    # a finite value whose step or cell count overflows, or an inflow no
+    # step would read, is a bad value with one error line, not a traceback
+    text = bundled_scenario("linear")
+    assert text.count(old) == 1
+    assert_error_line(tmp_path, capsys, text.replace(old, new), error, code=1)
+
+
+def test_subnormal_horizon_runs_one_step(tmp_path, capsys):
+    # T / tau rounds to less than one step: the run takes one step of T
+    path = tmp_path / "tiny.scn"
+    path.write_text(bundled_scenario("linear").replace("T=8", "T=1e-320"))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().out.startswith("car did not arrive")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["steps"] == 1 and manifest["tau"] == 1e-320
+
+
+def test_zero_inflow_on_pass_through_accepted(tmp_path, capsys):
+    # the default profile written out changes no output byte
+    path = tmp_path / "zero.scn"
+    path.write_text(bundled_scenario("linear").replace(
+        "node n2 kind=one_to_one r_max=0.3 mu=0.25",
+        "node n2 kind=one_to_one r_max=0.3 mu=0.25 inflow=0"))
+    assert main(["run", str(path), "--out", str(tmp_path / "zero")]) == 0
+    path.write_text(bundled_scenario("linear"))
+    assert main(["run", str(path), "--out", str(tmp_path / "plain")]) == 0
+    for name in ("density.csv", "buffers.csv", "trajectory.csv"):
+        assert ((tmp_path / "zero" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+
+
+def test_horizon_exceeded_in_execute_exits_3(tmp_path, capsys):
+    # fastest-path planning runs inside `execute`: no path to n4 ends
+    # within T=2, so the run stops before writing anything
+    text = bundled_scenario("linear").replace("T=8", "T=2").replace(
+        "tracker=complex", "tracker=complex\npolicy=fastest")
+    assert_error_line(tmp_path, capsys, text,
+                      "no path to n4 completes within the horizon", code=3)
+
+
+@pytest.mark.parametrize("old, new, error", [
     ("density e1 0.3", "density e1 1.3",
      "edge e1: initial density 1.3 outside [0, 1]"),
     ("density e1 0.3", "density ghost 0.3", "density for unknown edge 'ghost'"),
@@ -273,7 +324,8 @@ def test_car_settings_checked_without_a_car(tmp_path, capsys):
     ("start_x=abc\nstart_edge=e9\nstart_time=-3",
      "car: start_edge=e9 is not an edge"),
     ("start_edge=e1\nstart_x=abc", "car: start_x=abc: could not convert"),
-    ("start_edge=e1\nstart_time=-3", "car: start_time=-3: must be"),
+    ("start_edge=e1\nstart_time=-3",
+     "car: start_time=-3: start time -3.0 is not a grid time"),
     ("start_x=0.5", "car: start_edge=None is not an edge"),
 ])
 def test_car_start_checked_without_a_car(tmp_path, capsys, car, error):

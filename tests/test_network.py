@@ -1,6 +1,7 @@
 """Road graph model: validation rules, grids and inflow profiles."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -147,9 +148,8 @@ def _source_network(inflow):
 
 def test_negative_inflow_rejected():
     # the whole profile is checked, not only the value in force at t = 0
-    net = _source_network(((0.0, 0.1), (3.0, -0.1)))
     with pytest.raises(NegativeInflow, match="node s: inflow -0.1 < 0"):
-        net.validate()
+        _source_network(((0.0, 0.1), (3.0, -0.1)))
 
 
 @pytest.mark.parametrize("inflow", [((0.0, math.nan),), ((math.inf, 0.1),)])
@@ -174,6 +174,52 @@ def test_inflow_checked_on_every_node():
     net.nodes["n1"].inflow = ((0.0, -0.1),)
     with pytest.raises(NegativeInflow, match="node n1"):
         net.validate()
+
+
+@pytest.mark.parametrize("inflow, error", [
+    (((0.0, 0.0),), None), (((0.0, 0.0), (2.0, 0.0)), None),
+    (((0.0, 0.3),), "node n1: inflow on a one_to_one node"),
+    (((0.0, 0.0), (2.0, 0.1)), "node n1: inflow on a one_to_one node")])
+def test_inflow_only_on_sources(inflow, error):
+    # no step reads a pass-through node's inflow: a zero one is accepted,
+    # any other rejected rather than dropped
+    net, _ = line_network()
+    nodes = [replace(n, inflow=inflow) if n.id == "n1" else n
+             for n in net.nodes.values()]
+    if error is None:
+        RoadNetwork(nodes, list(net.edges.values()))
+        return
+    with pytest.raises(ScenarioSemanticError, match=error):
+        RoadNetwork(nodes, list(net.edges.values()))
+
+
+_S = JunctionSpec(id="s", kind=NodeKind.SOURCE)
+_T = JunctionSpec(id="t", kind=NodeKind.SINK)
+_T2 = JunctionSpec(id="t2", kind=NodeKind.SINK)
+_FORK = [make_edge("e0", "s", "j"), make_edge("e1", "j", "t"),
+         make_edge("e2", "j", "t2")]
+
+
+@pytest.mark.parametrize("nodes, edges, error", [
+    ([_S, JunctionSpec(id="j", kind=NodeKind.ONE_TO_ONE, r_max=0.3), _T, _T2],
+     _FORK, DegreeMismatch),
+    ([JunctionSpec(id="s", kind=NodeKind.SOURCE, mu=0.0), _T],
+     [make_edge("e0", "s", "t")], RateSumViolation),
+    ([_S, _T], [Edge(id="e0", source="s", target="t", length=1.0, cells=1)],
+     NonPositiveLength),
+    ([JunctionSpec(id="s", kind=NodeKind.SOURCE, inflow=((0.0, -0.1),)), _T],
+     [make_edge("e0", "s", "t")], NegativeInflow),
+    ([_S, _T], [Edge(id="e0", source="s", target="t", length=-1.0, cells=10)],
+     NonPositiveLength),
+    ([_S, JunctionSpec(id="j", kind=NodeKind.ONE_TO_TWO, r_max=0.3), _T, _T2],
+     _FORK, RateSumViolation),
+], ids=["one_to_one-two-exits", "mu-0", "one-cell", "negative-inflow",
+        "negative-length", "split-without-alpha"])
+def test_network_validated_when_made(nodes, edges, error):
+    # the constructor runs `validate`: no caller can simulate on a network
+    # that breaks one of its rules
+    with pytest.raises(error):
+        RoadNetwork(nodes, edges)
 
 
 def test_disconnected_graph():

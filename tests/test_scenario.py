@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,7 @@ from bufferlane.errors import (
     ScenarioSyntaxError,
 )
 from bufferlane.junctions import DemandMode
-from bufferlane.network import DEMAND_PROPORTIONAL, NodeKind
+from bufferlane.network import DEMAND_PROPORTIONAL, NodeKind, RoadNetwork
 from bufferlane.run import execute
 from bufferlane.scenario import (
     build_initial,
@@ -124,6 +125,15 @@ class TestBuildNetwork:
         assert net.edges["e1"].cells == 10
         assert net.edges["e2"].cells == 15
 
+    def test_network_validated_once(self, monkeypatch):
+        # the network validates itself when made; building adds no check
+        calls = []
+        validate = RoadNetwork.validate
+        monkeypatch.setattr(RoadNetwork, "validate",
+                            lambda net: calls.append(net) or validate(net))
+        net = build_network(parse_scenario(MINIMAL))
+        assert calls == [net]
+
     def test_explicit_cells_win(self):
         doc = parse_scenario(MINIMAL.replace("length=1\n", "length=1 cells=4\n"))
         net = build_network(doc)
@@ -228,7 +238,12 @@ class TestWriters:
         # -0.0 stays apart from 0.0, and the smallest subnormal keeps its
         # digits; the reference is the plain loop over every value
         net, init = line_network()
-        log = simulate(net, init, 1.0)
+        run = simulate(net, init, 1.0)
+        # the log is read-only: the values go into a writable copy of it
+        log = SimpleNamespace(
+            network=net, t=run.t,
+            rho={eid: a.copy() for eid, a in run.rho.items()},
+            buffers={nid: a.copy() for nid, a in run.buffers.items()})
         special = [-0.0, 0.0, 1.0, 5e-324]
         log.rho["e1"][0, :4] = special
         log.rho["e2"][3, -4:] = special[::-1]

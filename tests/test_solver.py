@@ -168,6 +168,19 @@ class TestSimulate:
             assert log.rho[eid].shape == (log.steps + 1, e.cells)
             assert log.q_in[eid].shape == (log.steps,)
 
+    @pytest.mark.parametrize("table, key", [
+        ("rho", "e2"), ("buffers", "n1"), ("q_in", "e1"), ("q_out", "e3"),
+        ("node_inflow", "n0"), ("node_outflow", "n2"), ("t", None)])
+    def test_log_is_read_only(self, table, key):
+        # the tracker's memo replays legs and waits of a log: no array of
+        # the log may change once it is made
+        values = getattr(simulate(*line_network(), 1.0), table)
+        values = values if key is None else values[key]
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            values += 0.0
+
     def test_total_mass_tracks_boundary_fluxes(self, linear_log):
         log = linear_log
         assert mass_balance_defect(log) < 1e-12
