@@ -61,6 +61,10 @@ class ZeroSpeedAtBoundary(BufferlaneError):
     pass
 
 
+class RunTooLarge(BufferlaneError):
+    """A run whose recorded history would exceed `solver.MAX_VALUES`."""
+
+
 class HorizonExceeded(BufferlaneError):
     pass
 

@@ -20,8 +20,8 @@ from . import fluxes
 from .errors import BufferOverflow, BufferUnderflow
 from .network import DEMAND_PROPORTIONAL, NodeKind
 
-# emptiness / fullness decided up to round-off
-_TOL = 1e-12
+# emptiness / fullness decided up to round-off (a numpy scalar: quicker in ufuncs)
+_TOL = np.float64(1e-12)
 
 
 class DemandMode(Enum):
@@ -48,19 +48,19 @@ class JunctionTable:
     Road k owns cells `first[k]` to `last[k]` of the flat cell vector;
     `ins[k]` / `outs[k]` list the edges at node k in the order that pairs
     them with priority and alpha.  The work vector holds every cell's
-    demand and supply, the phantoms' 0.0, the sources' inflows, then per
-    row the outflows of both incoming and the inflows of both outgoing
-    slots and the buffer's inflow and outflow (a sink's row goes unread),
-    then the sinks' fluxes.  One gather feeds the rows; one scatter reads
-    the flow vector: q_in and q_out per edge (the first `edge_flows`
-    entries), then f_in and f_out (buffer in/out) per node.  `state` is
-    the row `solver.advance_step` writes each new cell state to.
+    demand and supply, the phantoms' 0.0, the sources' inflows, per slot
+    j every row's outflow of incoming and inflow of outgoing road j, the
+    buffers' inflows and outflows (a sink's go unread) and the sinks'
+    fluxes.  One gather feeds the rows; one scatter fills `flows`: q_in
+    and q_out per edge (the first `edge_flows` entries), then f_in and
+    f_out per node.  Every array a step writes is the table's, rewritten
+    by the next step: the new cell state `state`, `flows` and `hit`.
     """
 
     def __init__(self, nodes, ins, outs, edges, tau, steps, mode):
         self.ids = [n.id for n in nodes]
         self.edges = edges
-        self.tau = tau
+        self.tau = np.float64(tau)
         E, N = len(edges), len(nodes)
         self.widths = np.array([e.cells for e in edges], dtype=np.intp)
         self.lam = np.repeat([tau / e.h for e in edges], self.widths)
@@ -84,6 +84,7 @@ class JunctionTable:
         base = fed + len(sources)
         self.work = np.zeros(base + 6 * N + len(sinks))
         self.fed = self.work[fed:base]
+        # slot j of a row: outflow of incoming and inflow of outgoing road j
         self.slots = self.work[base:base + 4 * N].reshape(2, 2, N)
         self.node_flows = self.work[base + 4 * N:base + 6 * N].reshape(2, N)
         self.sink_flows = self.work[base + 6 * N:]
@@ -92,34 +93,63 @@ class JunctionTable:
         nodal = base + 4 * N + np.arange(2 * N).reshape(2, N)
         for k in range(N):
             for j, e in enumerate(ins[k]):
-                gather[0, j, k], scatter[1, e] = self.last[e], base + j * N + k
+                gather[j, 0, k], scatter[1, e] = self.last[e], base + 2 * j * N + k
             for j, e in enumerate(outs[k]):
-                gather[1, j, k] = cells + self.first[e]
-                scatter[0, e] = base + (2 + j) * N + k
+                gather[j, 1, k] = cells + self.first[e]
+                scatter[0, e] = base + (2 * j + 1) * N + k
             if nodes[k].kind is NodeKind.SOURCE:
                 gather[0, 0, k] = nodal[0, k] = fed
                 fed += 1
-        # each edge's q_in (q_out) is scaled as its source (target) node's
-        # outflow (inflow): its index in the limiter's flat (2, nodes) scale
-        self.edge_nodes = ((scatter - base) % N + [[0], [N]]).ravel()
+        # each flow's entry in the limiter's (2, nodes) scale of f_out and
+        # f_in: q_in (q_out) goes with its source's f_out (target's f_in)
+        q_nodes = ((scatter - base) % N + [[0], [N]]).ravel()
+        self.flow_nodes = np.concatenate((q_nodes, N + np.arange(N), range(N)))
         for j, k in enumerate(sinks):
             nodal[:, k] = scatter[1, ins[k][0]] = base + 6 * N + j
         ends = self.last[[ins[k][0] for k in sinks]]
         self.gather = np.concatenate((gather.ravel(), ends, cells + ends))
         self.scatter = np.concatenate((scatter.ravel(), nodal.ravel()))
         merge = np.array([n.kind is NodeKind.TWO_TO_ONE for n in nodes])
-        self.dynamic = merge & [n.priority == DEMAND_PROPORTIONAL for n in nodes]
+        dynamic = merge & [n.priority == DEMAND_PROPORTIONAL for n in nodes]
         self.priority = np.array([(0.5, 0.5) if dyn else n.priority if m else
                                   (1.0, 0.0) for n, m, dyn in zip(
-                                      nodes, merge, self.dynamic)]).T
-        self.alpha = np.array([n.alpha if n.kind is NodeKind.ONE_TO_TWO else
-                               (1.0, 0.0) for n in nodes]).T
-        self.alpha_mu = self.alpha * self.mu
+                                      nodes, merge, dynamic)]).T
+        alpha = [n.alpha if n.kind is NodeKind.ONE_TO_TWO else (1.0, 0.0)
+                 for n in nodes]
         self.full = self.r_max - _TOL
         # the bound each load is held above: pooled loads may go negative
         # at merges, the known defect of that demand
         self.pooled = mode is DemandMode.POOLED
         self.lower = np.where(merge & self.pooled, -np.inf, 0.0)
+        # every array and view a step touches, made once.  The new loads sit
+        # among their bounds: rows (1, 2) > (2, 3) is `hit`, (0, 2) > (2, 4) fatal
+        self.bounds = np.array([self.lower - _TOL, self.lower, self.r_max,
+                                self.r_max, self.r_max + _TOL])
+        self.new_r = self.bounds[2]
+        self.hit_rows = self.bounds[1:3], self.bounds[2:4]
+        self.fatal_rows = self.bounds[0:3:2], self.bounds[2:5:2]
+        self.ds = self.work[:2 * cells].reshape(2, cells)
+        self.right, self.left = self.ds
+        self.send, self.recv = self.right[:-1], self.left[1:]
+        # q_in enters left of a road's first cell, q_out right of its last
+        self.ends_at = np.concatenate((cells + self.first, self.last))
+        self.rows = np.empty(len(self.gather))
+        self.block = self.rows[:4 * N].reshape(2, 2, N)  # slot j: d, s
+        self.d, self.ends = self.block[:, 0], tuple(self.rows[4 * N:].reshape(2, -1))
+        # slot j's priority c (made per step) and split alpha; times mu, caps
+        self.coef = np.stack((self.priority, np.transpose(alpha)), axis=1)
+        self.c, self.mu4 = self.coef[:, 0], np.tile(self.mu, (2, 2, 1))
+        self.dyn_floor = np.where(dynamic, 0.0, np.inf)  # c by demand above
+        self.caps, self.capped = np.empty((2, 2, 2, N))
+        self.b, self.room, self.scale = np.empty((3, 2, N))  # b: d_b, s_b
+        self.total, self.dr = np.empty((2, N))
+        self.free, self.hit, self.fatal = np.empty((3, 2, N), dtype=bool)
+        self.by_demand, self.under = np.empty((2, N), dtype=bool)
+        self.flows = np.empty(len(self.scatter))
+        self.q, self.flow_scale = self.flows[:2 * E], np.empty(2 * E + 2 * N)
+        self.b_swap, self.d_pair, self.capped_pair, self.slot_pair, \
+            self.free_pair, self.room_pair = self.b[::-1], *map(tuple, (
+                self.d, self.capped, self.slots, self.free, self.room))
 
     @classmethod
     def for_network(cls, network, tau, steps, mode):
@@ -134,34 +164,41 @@ class JunctionTable:
 
         `rho` is the flat cell vector and `r` the buffer loads at t = n tau;
         the sources feed `inflows[n]`.  Returns the (2, cells) demand and
-        supply, a view of the work vector valid until the next call, and
-        the flow vector.
+        supply `ds` and the flow vector `flows`, both arrays of the table
+        that the next call overwrites.
         """
-        w, N, mu = self.work, len(self.ids), self.mu
-        ds = fluxes.demand_supply(rho, w[:2 * len(rho)].reshape(2, -1))
+        fluxes.demand_supply(rho, self.ds)
         self.fed[:] = self.inflows[n]
-        g = w.take(self.gather)
-        (d, s), ends = g[:4 * N].reshape(2, 2, N), g[4 * N:].reshape(2, -1)
-        total = d[0] + d[1]
+        # every index is in range: 'wrap' skips the buffered copy of 'raise'
+        self.work.take(self.gather, out=self.rows, mode="wrap")
+        np.add(*self.d_pair, out=self.total)
         # demand-proportional right of way; (0.5, 0.5) when both demands vanish
-        c = np.divide(d, total, out=self.priority.copy(),
-                      where=self.dynamic & (total > 0.0))
-        m = np.minimum(s, self.alpha_mu)
-        s_b = np.where(r < self.full, mu, m[0] + m[1])
-        m = np.minimum(d, c * mu)
-        d_b = np.where(r > _TOL, mu, np.minimum(total, mu) if self.pooled
-                       else m[0] + m[1])
-        np.minimum(c * s_b, d, out=self.slots[0])
-        np.minimum(self.alpha * d_b, s, out=self.slots[1])
-        np.add(self.slots[:, 0], self.slots[:, 1], out=self.node_flows)
-        np.minimum(ends[0], ends[1], out=self.sink_flows)
-        return ds, w.take(self.scatter)
+        self.c[:] = self.priority
+        np.greater(self.total, self.dyn_floor, out=self.by_demand)
+        np.divide(self.d, self.total, out=self.c, where=self.by_demand)
+        # intake d_b and release s_b: mu unless the buffer is empty (full),
+        # else min(d, c mu) (min(s, alpha mu)) summed over the slots
+        np.multiply(self.coef, self.mu4, out=self.caps)
+        np.minimum(self.block, self.caps, out=self.capped)
+        np.add(*self.capped_pair, out=self.b)
+        if self.pooled:
+            np.minimum(self.total, self.mu, out=self.b[0])
+        np.greater(r, _TOL, out=self.free_pair[0])
+        np.less(r, self.full, out=self.free_pair[1])
+        np.copyto(self.b, self.mu4[0], where=self.free)
+        # c s_b and alpha d_b, capped by d and s
+        np.multiply(self.coef, self.b_swap, out=self.slots)
+        np.minimum(self.slots, self.block, out=self.slots)
+        np.add(*self.slot_pair, out=self.node_flows)
+        np.minimum(*self.ends, out=self.sink_flows)
+        return self.ds, self.work.take(self.scatter, out=self.flows,
+                                       mode="wrap")
 
 
 def buffer_step(table, r, flows, n):
     """The buffer loads after step n, r + tau (f_in - f_out) with the
     table's tau, limited, checked and clamped; returns (new loads, hit,
-    events), each event at t = n tau.
+    events): the loads a new array, `hit` the table's, events at t = n tau.
 
     The coupling branches on the buffer state at t^n, so a buffer that
     empties (or fills) in mid-step would overshoot the bound by up to one
@@ -178,39 +215,41 @@ def buffer_step(table, r, flows, n):
     BufferUnderflow.  With no node hit and no load below 0, every load
     lies in [0, r_max] already and is returned unchecked.
     """
-    f = flows[table.edge_flows:].reshape(2, -1)  # f_in, f_out
-    tau, lower = table.tau, table.lower
-    new_r = r + tau * (f[0] - f[1])
-    hit = np.empty(f.shape, dtype=bool)
-    np.less(new_r, lower, out=hit[0])
-    np.greater(new_r, table.r_max, out=hit[1])
-    if hit.any():
+    f = flows[table.edge_flows:].reshape(2, -1)
+    f_in, f_out, tau, dr, hit = f[0], f[1], table.tau, table.dr, table.hit
+    r_max, new_r, room, scale = table.r_max, table.new_r, table.room, table.scale
+    # new_r = r + tau (f_in - f_out), in the table's rows
+    np.add(r, np.multiply(np.subtract(f_in, f_out, out=dr), tau, out=dr),
+           out=new_r)
+    np.greater(*table.hit_rows, out=hit)
+    if np.count_nonzero(hit):
         # the room to each bound, r above 0 and r_max - r below r_max,
         # scales f_out (and the q_in it feeds), resp. f_in (and the q_out)
-        scale = np.empty_like(f)
-        scale[0] = r
-        np.subtract(table.r_max, r, out=scale[1])
-        scale /= tau
-        scale += f
-        np.divide(scale, f[::-1], out=scale, where=hit)
-        scale[~hit] = 1.0
-        f[::-1] *= scale
-        flows[:table.edge_flows] *= scale.take(table.edge_nodes)
+        np.copyto(table.room_pair[0], r)
+        np.subtract(r_max, r, out=table.room_pair[1])
+        room /= tau
+        room += f
+        scale.fill(1.0)
+        np.divide(room, f[::-1], out=scale, where=hit)
+        flows *= scale.take(table.flow_nodes, out=table.flow_scale,
+                            mode="wrap")
         # a scale of 1 is exact: every other node's load keeps its bits
-        new_r = r + tau * (f[0] - f[1])
-    elif new_r.min() >= 0.0:
-        return new_r, hit, []
-    over = new_r > table.r_max + _TOL
-    under = new_r < -_TOL
-    fatal = over | (new_r < lower - _TOL)
-    if fatal.any():
-        k = int(np.argmax(fatal))
+        np.add(r, np.multiply(np.subtract(f_in, f_out, out=dr), tau, out=dr),
+               out=new_r)
+    elif not table.pooled or new_r.min() >= 0.0:  # all in [0, r_max]
+        return new_r.copy(), hit, []
+    fatal = np.greater(*table.fatal_rows, out=table.fatal)  # below, above
+    if np.count_nonzero(fatal):
+        k = int(np.argmax(fatal[0] | fatal[1]))
         node, load = table.ids[k], float(new_r[k])
-        if over[k]:
-            raise BufferOverflow(
-                f"node {node}: buffer {load} > r_max {table.r_max[k]}")
+        if fatal[1, k]:
+            raise BufferOverflow(f"node {node}: buffer {load} > r_max {r_max[k]}")
         raise BufferUnderflow(f"node {node}: buffer {load} < 0")
-    events = [NegativityEvent(table.ids[k], n * tau, float(new_r[k]))
-              for k in under.nonzero()[0]]
-    clamped = np.minimum(np.maximum(new_r, 0.0), table.r_max)
-    return np.where(under, new_r, clamped), hit, events
+    loads = np.maximum(new_r, 0.0)
+    np.minimum(loads, r_max, out=loads)
+    if not table.pooled:  # past the check, every load is above -TOL
+        return loads, hit, []
+    under = np.less(new_r, -_TOL, out=table.under)
+    np.copyto(loads, new_r, where=under)
+    return loads, hit, [NegativityEvent(table.ids[k], float(n * tau), float(new_r[k]))
+                        for k in under.nonzero()[0]]

@@ -6,13 +6,15 @@ import numpy as np
 
 from . import junctions
 from .errors import (BufferOutOfRange, CFLViolation, DensityOutOfRange,
-                     NonFiniteValue, ScenarioSemanticError)
+                     NonFiniteValue, RunTooLarge, ScenarioSemanticError)
 from .fluxes import godunov_flux
 from .junctions import DemandMode
-from .network import RoadNetwork
+from .network import NodeKind, RoadNetwork
 
 _CLIP_TOL = 1e-10
 _ENTRY_TOL = 1e-12  # initial data off [0, 1] or [0, r_max] by more is rejected
+# the values a run may record, cells x (steps + 1) + steps x sources (2 GiB)
+MAX_VALUES = 2**28
 
 
 @dataclass
@@ -108,30 +110,26 @@ def _chunk_rows(cells):
 
 def advance_step(table, rho, r, n):
     """Step n of the table's run on the flat state (`table.lam` = tau / h
-    per cell); returns the new state, the flow vector used (see
+    per cell); returns the new state and loads, the flow vector used (see
     `JunctionTable`), the limiter's mask and the step's events.
 
-    The new loads come from one `junctions.buffer_step` call, which limits
-    the node fluxes in `flows` before the cells read q_in and q_out.  The
-    new state is `table.state`, overwritten by the next call; it may be
-    passed back as `rho`.
+    The new loads (a new array) come from one `junctions.buffer_step`
+    call, which limits the node fluxes before the cells read q_in and
+    q_out.  The state, flows and mask are the table's `state`, `flows`
+    and `hit`, overwritten by the next call; `rho` may be the state.
     """
     ds, flows = table.fluxes(rho, r, n)
     new_r, hit, events = junctions.buffer_step(table, r, flows, n)
-    F = godunov_flux(ds[0, :-1], ds[1, 1:])
+    F = godunov_flux(table.send, table.recv)
     # demand and supply are spent: their rows take each cell's right and
     # left flux, the interior interfaces' F and the roads' q_out and q_in
-    right, left = ds
-    right[:-1] = F
-    left[1:] = F
-    q_in, q_out = flows[:table.edge_flows].reshape(2, -1)
-    right[table.last] = q_out
-    left[table.first] = q_in
-    nu = table.state
-    np.subtract(right, left, out=right)
+    table.send[:] = table.recv[:] = F
+    ds.put(table.ends_at, table.q)
+    right, nu = table.right, table.state
+    np.subtract(right, table.left, out=right)
     right *= table.lam
     np.subtract(rho, right, out=nu)
-    lo, hi = nu.min(), nu.max()
+    lo, hi = np.minimum.reduce(nu), np.maximum.reduce(nu)
     if lo < -_CLIP_TOL or hi > 1.0 + _CLIP_TOL:
         lo, hi = (f.reduceat(nu, table.first) for f in (np.minimum, np.maximum))
         k = np.argmax((lo < -_CLIP_TOL) | (hi > 1.0 + _CLIP_TOL))
@@ -150,7 +148,8 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     road, the bound the complex tracker assumes.  The state is one flat
     density vector and one load per node; a JunctionTable built for the
     run gives all boundary fluxes of a step in one array pass.  The
-    network checked itself when made, and the initial data is checked
+    network checked itself when made; a run over MAX_VALUES values raises
+    RunTooLarge before any allocation, and the initial data is checked
     here, once: an id not in the network raises ScenarioSemanticError
     (the first in sorted order), a load off [0, r_max] beyond round-off,
     or not finite, BufferOutOfRange naming the node, and `project_cells`
@@ -165,6 +164,11 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
             raise ScenarioSemanticError(f"{what} {unknown[0]!r}")
     tau = cfl_timestep(network, T)
     M = int(round(T / tau))
+    cells = sum(e.cells for e in network.edges.values())
+    sources = sum(v.kind is NodeKind.SOURCE for v in network.nodes.values())
+    if cells * (M + 1) + M * sources > MAX_VALUES:
+        raise RunTooLarge(f"run too large: {cells} cells over {M:.6g} steps "
+                          f"record more than {MAX_VALUES} values")
     table = junctions.JunctionTable.for_network(network, tau, M, mode)
     rho = np.concatenate([project_cells(e, initial.densities.get(
         e.id, [(0.0, 0.0)])) for e in table.edges])
@@ -176,28 +180,31 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
         raise BufferOutOfRange(f"node {table.ids[k]}: buffer load "
                                f"{float(r[k])} outside [0, {table.r_max[k]}]")
     np.clip(r, 0.0, table.r_max, out=r)
-    history = np.zeros((M + 1) * len(rho))
+    history = np.zeros((M + 1) * cells)
     # road k's (M+1, cells) block of the edge-major history, and its cells
     roads = [(history[(M + 1) * a:(M + 1) * (b + 1)].reshape(M + 1, -1),
               slice(a, b + 1)) for a, b in zip(table.first, table.last)]
-    # the states of the last K steps, time-major, copied to every road's
-    # block at once when full and at the end
-    K = _chunk_rows(len(rho))
-    chunk = np.empty((K, len(rho)))
     loads = np.zeros((len(r), M + 1))
-    series = np.zeros((2 * len(table.edges) + 2 * len(r), M))
+    series = np.zeros((len(table.flows), M))
     fired = np.zeros((2, len(r)), dtype=np.intp)
-    for block, cells in roads:
-        block[0] = rho[cells]
+    # the last K steps' states, loads, flows and limiter masks, time-major,
+    # copied (masks summed) to the log's arrays when full and at the end
+    K = _chunk_rows(cells)
+    states, step_loads, step_flows, hits = (
+        np.empty((K, *a.shape), a.dtype) for a in (rho, r, table.flows, table.hit))
+    for block, part in roads:
+        block[0] = rho[part]
     loads[:, 0], events = r, []
     for n in range(M):
-        rho, r, series[:, n], hit, step_events = advance_step(table, rho, r, n)
-        fired += hit
+        rho, r, flows, hit, step_events = advance_step(table, rho, r, n)
         j = n % K
-        chunk[j], loads[:, n + 1] = rho, r
+        states[j], step_loads[j], step_flows[j], hits[j] = rho, r, flows, hit
         events.extend(step_events)
         if j == K - 1 or n == M - 1:
-            for block, cells in roads:
-                block[n + 1 - j:n + 2] = chunk[:j + 1, cells]
+            for block, part in roads:
+                block[n + 1 - j:n + 2] = states[:j + 1, part]
+            loads[:, n + 1 - j:n + 2] = step_loads[:j + 1].T
+            series[:, n - j:n + 1] = step_flows[:j + 1].T
+            fired += hits[:j + 1].sum(0)
     return SimLog(network, tau, T, mode, [block for block, _ in roads],
                   loads, series, events, fired)

@@ -154,10 +154,15 @@ def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
     ("node n2 kind=one_to_one r_max=0.3 mu=0.25",
      "node n2 kind=one_to_one r_max=0.3 mu=0.25 inflow=0.3",
      "node n2: inflow on a one_to_one node; only a source reads inflow"),
+    ("T=8", "T=1e300", "run too large: 30 cells over 2e+301 steps record "
+     "more than 268435456 values"),
+    ("h=0.1", "h=1e-9", "run too large: 3000000000 cells over 1.6e+10 steps "
+     "record more than 268435456 values"),
 ])
 def test_extreme_value_exits_1(tmp_path, capsys, old, new, error):
-    # a finite value whose step or cell count overflows, or an inflow no
-    # step would read, is a bad value with one error line, not a traceback
+    # a finite value whose step or cell count overflows or whose run
+    # would not fit in memory, or an inflow no step would read, is a bad
+    # value with one error line, not a traceback
     text = bundled_scenario("linear")
     assert text.count(old) == 1
     assert_error_line(tmp_path, capsys, text.replace(old, new), error, code=1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bufferlane import junctions
+from bufferlane.errors import BufferOutOfRange, BufferOverflow, BufferUnderflow
 from bufferlane.junctions import DemandMode, JunctionTable
 from bufferlane.network import JunctionSpec, NodeKind
 from conftest import node_buffer_step as buffer_step
@@ -272,6 +273,21 @@ class TestBufferStep:
             assert new_r[0] == kept and not hit.any()
             assert events == ([] if kept == 0.0 else
                               [junctions.NegativityEvent("j", 2.0, kept)])
+
+    @pytest.mark.parametrize("r, inflow, outflow, r_max, error, message", [
+        (0.0, 3.645e10, 1.215e10, 1.0, BufferOverflow,
+         "node nX: buffer 1.0000019073486328 > r_max 1.0"),
+        (1.0, 1.215e10, 3.645e10, 5.0, BufferUnderflow,
+         "node nX: buffer -1.9073486328125e-06 < 0"),
+    ])
+    def test_load_off_its_bound_after_the_limiter_is_fatal(
+            self, r, inflow, outflow, r_max, error, message):
+        # flows of 1e10 leave the limited load about 2e-6 past its bound,
+        # beyond the 1e-12 of round-off the clamp absorbs
+        with pytest.raises(BufferOutOfRange) as info:
+            buffer_step(r, inflow, outflow, 1.0, r_max=r_max, node="nX")
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     def test_unbounded_capacity(self):
         r, _ = buffer_step(1.0, 0.25, 0.0, 0.05, r_max=math.inf)

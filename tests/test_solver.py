@@ -199,9 +199,9 @@ def stepped(net, init, steps, tau, mode):
     fired = 0
     for n in range(steps):
         rho, r, f, hit, step_events = advance_step(table, rho, r, n)
-        states.append(rho.copy())  # the next call overwrites rho
+        states.append(rho.copy())  # the next call overwrites rho and f
         loads.append(r)
-        flows.append(f)
+        flows.append(f.copy())
         events.extend(step_events)
         fired = fired + hit
     return table, np.array(states), np.array(loads), np.array(flows), \
@@ -239,6 +239,35 @@ class TestRecording:
                                                  fired.sum(0).tolist()))
         if mode is DemandMode.POOLED:
             assert events  # the last run reaches the pooled merge's events
+
+    @pytest.mark.parametrize("mode", list(DemandMode))
+    def test_step_results_outlive_the_next_step(self, mode):
+        # a step's loads are a new array that no later step writes; its
+        # flow vector and limiter mask are the table's own, overwritten by
+        # the next step, so the flows kept from step n are a copy
+        net, init = every_row_network()
+        steps = 2 * _chunk_rows(sum(e.cells for e in net.edges.values())) + 1
+        log = simulate(net, init, steps * 0.05, mode)
+        table = JunctionTable.for_network(net, log.tau, steps, mode)
+        owned = [a for a in vars(table).values() if isinstance(a, np.ndarray)]
+        rho = np.concatenate([project_cells(e, init.densities[e.id])
+                              for e in table.edges])
+        r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
+        kept = []
+        for n in range(steps):
+            rho, r, flows, hit, _ = advance_step(table, rho, r, n)
+            assert flows is table.flows and hit is table.hit
+            assert not any(np.may_share_memory(r, a) for a in owned)
+            kept.append((r, flows.copy()))
+        E, N = len(net.edges), len(net.nodes)
+        for n, (r, flows) in enumerate(kept):
+            assert r.tolist() == [log.buffers[v][n + 1] for v in net.nodes]
+            assert flows.tolist() == (
+                [log.q_in[e][n] for e in net.edges]
+                + [log.q_out[e][n] for e in net.edges]
+                + [log.node_inflow[v][n] for v in net.nodes]
+                + [log.node_outflow[v][n] for v in net.nodes])
+        assert len(flows) == 2 * E + 2 * N
 
     def test_peak_memory_bounded_by_cell_vectors(self):
         # beyond the log, simulate holds a few work vectors, the chunk of
