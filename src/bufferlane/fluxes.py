@@ -9,7 +9,7 @@ checks the state it makes, so every density that reaches them is in range.
 
 import numpy as np
 
-SIGMA = 0.5
+SIGMA = np.float64(0.5)  # a numpy scalar: quicker in ufuncs
 F_MAX = 0.25  # f(SIGMA)
 
 
@@ -38,12 +38,13 @@ def supply(rho):
     return flux(np.maximum(rho, SIGMA))
 
 
-def demand_supply(rho, out):
+def demand_supply(rho, out, spare):
     """Demand and supply of every cell of `rho`, written to the two rows
-    of `out`; equal to `demand` and `supply` bit for bit."""
+    of `out`; equal to `demand` and `supply` bit for bit.  `spare`, of
+    the shape of `out`, takes 1 - out."""
     np.minimum(rho, SIGMA, out=out[0])
     np.maximum(rho, SIGMA, out=out[1])
-    out *= 1.0 - out
+    out *= np.subtract(1.0, out, out=spare)
     return out
 
 

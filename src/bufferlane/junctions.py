@@ -129,6 +129,7 @@ class JunctionTable:
         self.hit_rows = self.bounds[1:3], self.bounds[2:4]
         self.fatal_rows = self.bounds[0:3:2], self.bounds[2:5:2]
         self.ds = self.work[:2 * cells].reshape(2, cells)
+        self.ds_spare = np.empty_like(self.ds)
         self.right, self.left = self.ds
         self.send, self.recv = self.right[:-1], self.left[1:]
         # q_in enters left of a road's first cell, q_out right of its last
@@ -167,7 +168,7 @@ class JunctionTable:
         supply `ds` and the flow vector `flows`, both arrays of the table
         that the next call overwrites.
         """
-        fluxes.demand_supply(rho, self.ds)
+        fluxes.demand_supply(rho, self.ds, self.ds_spare)
         self.fed[:] = self.inflows[n]
         # every index is in range: 'wrap' skips the buffered copy of 'raise'
         self.work.take(self.gather, out=self.rows, mode="wrap")
@@ -227,7 +228,9 @@ def buffer_step(table, r, flows, n):
         # scales f_out (and the q_in it feeds), resp. f_in (and the q_out)
         np.copyto(table.room_pair[0], r)
         np.subtract(r_max, r, out=table.room_pair[1])
-        room /= tau
+        # only a hit node's room is read; another's (r_max = 1e308, say)
+        # could overflow when divided by tau
+        np.divide(room, tau, out=room, where=hit)
         room += f
         scale.fill(1.0)
         np.divide(room, f[::-1], out=scale, where=hit)

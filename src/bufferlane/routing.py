@@ -11,7 +11,7 @@ from enum import Enum
 
 from .errors import HorizonExceeded, UnreachableDestination
 from .tracker import (TrackerKind, enter_edge, log_totals, node_waiting,
-                      traverse_edge)
+                      step_totals, traverse_edge)
 
 
 class RoutePolicy(Enum):
@@ -73,10 +73,11 @@ def online_weights(log, step, w_rho, w_r):
     """Snapshot edge weights from the state at one time step."""
     net = log.network
     max_len, r_max = _scales(net)
+    mass = step_totals(log)
     weights = {}
     for eid, e in net.edges.items():
-        lam_rho = e.h / max_len * float(log.rho[eid][step].sum())
-        lam_r = log.buffers[e.source][step] / r_max
+        lam_rho = e.h / max_len * mass[eid].item(step)
+        lam_r = log.buffers[e.source].item(step) / r_max
         weights[eid] = w_rho * lam_rho + w_r * lam_r
     return weights
 

@@ -57,8 +57,12 @@ def project_cells(edge, pieces):
 
 def cfl_timestep(network: RoadNetwork, T):
     """Half the smallest cell width, shrunk so the horizon divides evenly
-    into n >= 1 steps; T / tau outside (0, inf) raises NonFiniteValue."""
-    tau = 0.5 * min(e.h for e in network.edges.values())
+    into n >= 1 steps; a half width that underflows to 0, or T / tau
+    outside (0, inf), raises NonFiniteValue."""
+    h = min(e.h for e in network.edges.values())
+    tau = 0.5 * h
+    if not tau > 0.0:
+        raise NonFiniteValue(f"cell width {h} gives no time step > 0")
     if not 0.0 < T / tau < np.inf:
         raise NonFiniteValue(f"T={T} at tau={tau} gives no finite step count")
     return T / max(1, int(np.ceil(T / tau - 1e-9)))
@@ -152,9 +156,10 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     RunTooLarge before any allocation, and the initial data is checked
     here, once: an id not in the network raises ScenarioSemanticError
     (the first in sorted order), a load off [0, r_max] beyond round-off,
-    or not finite, BufferOutOfRange naming the node, and `project_cells`
-    checks each profile; round-off is clipped.  Each later state is
-    checked by the step that makes it (`advance_step`, `buffer_step`).
+    or not finite, BufferOutOfRange naming the node, a source inflow that
+    could overflow the load NonFiniteValue, and `project_cells` checks
+    each profile; round-off is clipped.  Each later state is checked by
+    the step that makes it (`advance_step`, `buffer_step`).
     """
     for given, known, what in (
             (initial.densities, network.edges, "density for unknown edge"),
@@ -180,6 +185,16 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
         raise BufferOutOfRange(f"node {table.ids[k]}: buffer load "
                                f"{float(r[k])} outside [0, {table.r_max[k]}]")
     np.clip(r, 0.0, table.r_max, out=r)
+    # a source's load grows by at most tau times its inflow a step, and
+    # readers sum its history: twice that sum must still be finite
+    fed = [k for k, v in enumerate(network.nodes.values())
+           if v.kind is NodeKind.SOURCE]
+    with np.errstate(over="ignore"):
+        top = 2.0 * (M + 1) * (r[fed] + tau * table.inflows.sum(0))
+    if not np.isfinite(top).all():
+        k = fed[np.argmin(np.isfinite(top))]
+        raise NonFiniteValue(f"node {table.ids[k]}: inflow over T={T} "
+                             "overflows its buffer load")
     history = np.zeros((M + 1) * cells)
     # road k's (M+1, cells) block of the edge-major history, and its cells
     roads = [(history[(M + 1) * a:(M + 1) * (b + 1)].reshape(M + 1, -1),

@@ -7,18 +7,19 @@ immutable SimLog; the car never feeds back into the field.
 
 A road leg depends only on its entry event, so `traverse_edge` drives
 each (edge, step, position, tracker) leg once per log and replays it
-afterwards; `node_waiting` does the same for waits, and `log_totals` sums
-the history once.  Queries on one simulation share them, and read the
-log as Python floats.  The memo lives as long as the log and holds at
-most one stored value (a position, a leg or a wait) per density value of
-the log.  A SimLog's arrays are read-only, so a stored result never
-goes stale.
+afterwards; `node_waiting` does the same for waits, and `log_totals` and
+`step_totals` sum the history once.  Queries on one simulation share
+them, and read the log as Python floats.  The memo lives as long as the
+log and holds at most one stored value (a position, a leg or a wait) per
+density value of the log.  A SimLog's arrays are read-only, so a stored
+result never goes stale.  A car's `CarLog` keeps one record per leg or
+wait, a replayed leg's positions shared with the memo, and builds its
+samples only when they are read.
 """
 
 import math
 import weakref
 from array import array
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 
@@ -47,38 +48,68 @@ class CarStatus(Enum):
     HORIZON_EXCEEDED = "horizon_exceeded"
 
 
-@dataclass
 class CarLog:
-    """Trajectory samples plus per-edge travel and per-node waiting times."""
+    """A car's trajectory plus per-edge travel and per-node waiting times.
 
-    samples: list = field(default_factory=list)  # (t, edge, x, distance, status)
-    grid_t: list = field(default_factory=list)
-    grid_pos: list = field(default_factory=list)  # cumulative distance at t^n
-    travel_times: list = field(default_factory=list)  # (edge, t_start, tt)
-    waiting_times: list = field(default_factory=list)  # (node, t_arrival, wt)
-    path: list = field(default_factory=list)
-    arrival_time: float = math.nan
-    status: CarStatus = CarStatus.DRIVING
+    The trajectory is kept as one record per leg, as driven or replayed:
+    `(first, count, edge, xs, cum, status)` stands for `count` samples at
+    the grid times t^first, t^{first+1}, ...; a driving record's `xs` holds
+    the positions on the road (a leg's are the memo's stored array, shared,
+    never copied) and a waiting record's `xs` is the road end the car
+    stands at.  A sample's distance along the path is `cum + x`.  A record
+    with `count` None is the single sample at a road end reached between
+    grid times, at time `first`.  `samples`, `grid_t` and `grid_pos` are
+    built from the records on each read, as new lists.
+    """
+
+    def __init__(self, tau):
+        self.tau = tau
+        self.legs = []
+        self.travel_times = []  # (edge, t_start, tt)
+        self.waiting_times = []  # (node, t_arrival, wt)
+        self.path = []
+        self.arrival_time = math.nan
+        self.status = CarStatus.DRIVING
 
     @property
     def total_waiting(self):
         return sum(w for _, _, w in self.waiting_times)
 
-    def sample(self, t, edge_id, x, dist, status="driving", grid=True):
-        """Record a position with its status string (a `CarStatus` value);
-        grid samples (at some t^n) also feed grid_t and grid_pos."""
-        self.samples.append((t, edge_id, x, dist, status))
-        if grid:
-            self.grid_t.append(t)
-            self.grid_pos.append(dist)
+    def record(self, first, count, edge_id, xs, cum, status="driving"):
+        """Append one record; `status` is a `CarStatus` value string."""
+        self.legs.append((first, count, edge_id, xs, cum, status))
 
-    def grid_samples(self, ts, edge_id, xs, dists, status):
-        """Record one grid sample per time in `ts`; `xs` is an iterable of
-        positions on the road, `dists` a list of cumulative distances."""
-        self.samples.extend(zip(ts, repeat(edge_id), xs, dists,
-                                repeat(status)))
-        self.grid_t.extend(ts)
-        self.grid_pos.extend(dists)
+    def _pieces(self):
+        """Per record: (times, on the grid, edge, positions, distances,
+        status), each a new list."""
+        tau = self.tau
+        for first, count, edge_id, xs, cum, status in self.legs:
+            if count is None:
+                yield [first], False, edge_id, [xs], [cum + xs], status
+                continue
+            if status == "waiting":
+                xs = [xs] * count
+            yield ([k * tau for k in range(first, first + count)], True,
+                   edge_id, xs, [cum + p for p in xs], status)
+
+    @property
+    def samples(self):
+        """Every (t, edge, x, distance, status) in time order."""
+        out = []
+        for ts, _, edge_id, xs, dists, status in self._pieces():
+            out.extend(zip(ts, repeat(edge_id), xs, dists, repeat(status)))
+        return out
+
+    @property
+    def grid_t(self):
+        """The grid times t^n of the samples taken on the grid."""
+        return [t for ts, grid, *_ in self._pieces() if grid for t in ts]
+
+    @property
+    def grid_pos(self):
+        """The distance along the path at each time of `grid_t`."""
+        return [d for _, grid, _, _, dists, _ in self._pieces() if grid
+                for d in dists]
 
 
 def naive_step(x, cells, h, tau):
@@ -254,6 +285,16 @@ def log_totals(log):
     return memo.totals
 
 
+def step_totals(log):
+    """Each road's density sum at every step, as one numpy array of M+1
+    values by edge id, read with `.item(n)`.  Summed once per log; every
+    caller gets the same dict, which it must not change."""
+    memo = _memo(log)
+    if memo.step_totals is None:
+        memo.step_totals = {e: a.sum(1) for e, a in log.rho.items()}
+    return memo.step_totals
+
+
 # SimLog -> _Memo; an entry dies with its log
 _MEMO = weakref.WeakKeyDictionary()
 
@@ -263,13 +304,16 @@ class _Memo(dict):
     positions at t^{n+1}, t^{n+2}, ..., error class and message or None);
     waits: (node, n_hat, tau_hat) -> ((wt, m, frac) or None, error or None).
     `stored` counts a leg's positions plus one, and one per wait; it never
-    exceeds `budget`, the number of density values the log holds."""
+    exceeds `budget`, the number of density values the log holds.  The
+    sums of `log_totals` and `step_totals` sit beside the entries, outside
+    that count, and are kept when the entries are emptied."""
 
     def __init__(self, log):
         super().__init__()
         self.budget = sum(a.size for a in log.rho.values())
         self.stored = 0
         self.totals = None
+        self.step_totals = None
 
     def put(self, key, value, size):
         """Store `value`, first emptying the memo if it would pass budget."""
@@ -316,9 +360,10 @@ def traverse_edge(log, edge, n, x, kind, car=None, cum=0.0):
     """Drive from x on `edge` at t^n until the road end is crossed.
 
     Returns the arrival event (n_hat, tau_hat), the end being reached at
-    t^n_hat + tau_hat.  Given a car log, records a sample at every grid time
-    on the road, at distance cum + x.  A leg already driven on this log is
-    replayed from its stored positions, with the same samples and errors.
+    t^n_hat + tau_hat.  Given a car log, records the leg: a sample at every
+    grid time on the road, at distance cum + x.  A leg already driven on
+    this log is replayed from its stored positions, with the same samples
+    and errors.
     """
     kind = TrackerKind(kind)
     memo = _memo(log)
@@ -329,8 +374,7 @@ def traverse_edge(log, edge, n, x, kind, car=None, cum=0.0):
         memo.put(key, leg, len(leg[2]) + 1)
     n_hat, tau_hat, xs, error = leg
     if car is not None:
-        car.grid_samples([k * log.tau for k in range(n + 1, n + 1 + len(xs))],
-                         edge.id, xs, [cum + p for p in xs], "driving")
+        car.record(n + 1, len(xs), edge.id, xs, cum)
     if error is not None:
         cls, message = error
         raise cls(message)
@@ -348,7 +392,7 @@ def track_car(log, start_edge, start_x, start_time, destination,
     """
     net = log.network
     tau = log.tau
-    car = CarLog()
+    car = CarLog(tau)
     n = start_step(tau, start_time)
     edge = net.edges[start_edge]
     x = start_position(edge, start_x)
@@ -357,12 +401,11 @@ def track_car(log, start_edge, start_x, start_time, destination,
     car.path.append(edge.id)
     try:
         while True:
-            car.sample(n * tau, edge.id, x, cum + x)
+            car.record(n, 1, edge.id, (x,), cum)
             n_hat, tau_hat = traverse_edge(log, edge, n, x, kind, car, cum)
             t_arr = n_hat * tau + tau_hat
             car.travel_times.append((edge.id, t_dep, t_arr - t_dep))
-            cum += edge.length
-            car.sample(t_arr, edge.id, edge.length, cum, grid=False)
+            car.record(t_arr, None, edge.id, edge.length, cum)
             node = edge.target
             if node == destination:
                 car.arrival_time = t_arr
@@ -388,12 +431,12 @@ def track_car(log, start_edge, start_x, start_time, destination,
                 wt, m = math.nan, log.steps
             car.waiting_times.append((node, t_arr, wt))
             # car sits at the node on every grid time spent waiting
-            car.grid_samples([k * tau for k in range(n_hat + 1, m + 1)],
-                             edge.id, repeat(edge.length), [cum] * (m - n_hat),
-                             "waiting")
+            car.record(n_hat + 1, m - n_hat, edge.id, edge.length, cum,
+                       "waiting")
             if math.isnan(wt):
                 car.status = CarStatus.HORIZON_EXCEEDED
                 return car
+            cum += edge.length
             edge = net.edges[next_id]
             car.path.append(next_id)
             x = enter_edge(log, next_id, m, frac)

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,12 +23,20 @@ from bufferlane.scenario import (
     write_trajectory_csv,
 )
 
-LINEAR = bundled_scenario("linear").splitlines()
-# (line, start, end) of every value: the right side of key=value and the
-# number of a density/buffer line
-VALUES = [(i, *m.span(1)) for i, line in enumerate(LINEAR)
-          for pattern in (r"=(\S*)", r"^(?:density|buffer) \S+ (\S+)")
-          for m in re.finditer(pattern, line)]
+# every bundled scenario but the long `block` run
+SMALL = ("linear", "merge_pooled", "rarefaction_buffer", "rarefaction_single",
+         "small_network")
+# finite extremes among them: subnormal, tiny, huge and the largest floats
+BAD_VALUES = ["nan", "inf", "-1", "0", "abc", "", "1e-320", "5e-324", "1e-9",
+              "1e30", "1e308", "-1e308"]
+
+
+def value_spans(lines):
+    """(line, start, end) of every value: the right side of key=value and
+    the number of a density/buffer line."""
+    return [(i, *m.span(1)) for i, line in enumerate(lines)
+            for pattern in (r"=(\S*)", r"^(?:density|buffer) \S+ (\S+)")
+            for m in re.finditer(pattern, line)]
 
 
 @pytest.fixture()
@@ -158,6 +167,10 @@ def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
      "more than 268435456 values"),
     ("h=0.1", "h=1e-9", "run too large: 3000000000 cells over 1.6e+10 steps "
      "record more than 268435456 values"),
+    ("to=n2 length=1", "to=n2 length=5e-324",
+     "cell width 0.0 gives no time step > 0"),
+    ("inflow=0.21", "inflow=1e308",
+     "node n1: inflow over T=8.0 overflows its buffer load"),
 ])
 def test_extreme_value_exits_1(tmp_path, capsys, old, new, error):
     # a finite value whose step or cell count overflows or whose run
@@ -166,6 +179,19 @@ def test_extreme_value_exits_1(tmp_path, capsys, old, new, error):
     text = bundled_scenario("linear")
     assert text.count(old) == 1
     assert_error_line(tmp_path, capsys, text.replace(old, new), error, code=1)
+
+
+def test_huge_finite_r_max_runs_without_warning(tmp_path, capsys):
+    # the limiter's room to r_max = 1e308 of a node it does not scale
+    # would overflow when divided by tau
+    text = bundled_scenario("small_network").replace("h=0.01", "h=0.1")
+    path = tmp_path / "huge.scn"
+    path.write_text(text.replace("r_max=0.5 mu=0.25 alpha=0.6,0.4",
+                                 "r_max=1e308 mu=0.25 alpha=0.6,0.4"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_subnormal_horizon_runs_one_step(tmp_path, capsys):
@@ -350,26 +376,37 @@ def test_car_start_checked_without_a_car(tmp_path, capsys, car, error):
         "tracker": "complex", "policy": "shortest", "w_rho": 0.5, "w_r": 0.5}
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(st.one_of(
-    st.integers(0, len(LINEAR) - 1),
-    st.tuples(st.sampled_from(VALUES),
-              st.sampled_from(["nan", "inf", "-1", "0", "abc", ""]))))
-def test_mutated_scenario_never_raises(mutation):
-    # one line dropped, or one value replaced: `run` ends with an exit code
-    # and at most one `error:` line, never a traceback
-    lines = list(LINEAR)
-    if isinstance(mutation, int):
-        del lines[mutation]
-    else:
-        (i, start, end), value = mutation
-        lines[i] = lines[i][:start] + value + lines[i][end:]
+@st.composite
+def mutated_scenario(draw):
+    """A small bundled scenario with one to three lines dropped or values
+    replaced, one after another."""
+    # small_network at h=0.1: a tenth of its cells and of its steps, so
+    # that one of its runs costs about what a run of the others does
+    text = bundled_scenario(draw(st.sampled_from(SMALL)))
+    lines = text.replace("h=0.01", "h=0.1").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        else:
+            i, start, end = draw(st.sampled_from(value_spans(lines)))
+            value = draw(st.sampled_from(BAD_VALUES))
+            lines[i] = lines[i][:start] + value + lines[i][end:]
+    return lines
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_scenario())
+def test_mutated_scenario_never_raises(lines):
+    # lines dropped or values replaced: `run` ends with an exit code and
+    # at most one `error:` line, never a traceback or a numpy warning
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.scn"
         path.write_text("\n".join(lines) + "\n")
         with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
+                contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["run", str(path), "--out", str(Path(tmp) / "o")])
     assert isinstance(code, int)
     text = err.getvalue()

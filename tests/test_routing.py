@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bufferlane import bundled_scenario, scenario as scn
+from bufferlane import bundled_scenario, scenario as scn, tracker
 from bufferlane.errors import UnreachableDestination
 from bufferlane.junctions import DemandMode
 from bufferlane.routing import (
     RoutePolicy,
+    _scales,
     aggregated_weights,
     dijkstra,
     fastest_path,
@@ -89,6 +90,37 @@ class TestWeights:
         assert w["e5"] == pytest.approx(1.0)
         assert w["e6"] == pytest.approx(1.0)
         assert w["e4"] == pytest.approx(0.0)
+
+
+def direct_online_weights(log, step, w_rho, w_r):
+    """The snapshot weights summed straight from the log: the reference."""
+    max_len, r_max = _scales(log.network)
+    weights = {}
+    for eid, e in log.network.edges.items():
+        lam_rho = e.h / max_len * float(log.rho[eid][step].sum())
+        lam_r = log.buffers[e.source][step] / r_max
+        weights[eid] = w_rho * lam_rho + w_r * lam_r
+    return weights
+
+
+@pytest.mark.parametrize("w_rho, w_r", [(0.5, 0.5), (0.3, 1.7)])
+def test_online_weights_equal_direct_sums(small_log, w_rho, w_r):
+    # at every step, with the memo full, emptied by its bound and dropped
+    track_car(small_log, "e1", 0.5, 0.0, "n6",
+              choose_next=online_chooser(small_log, "n6", w_rho, w_r))
+    memo = tracker._MEMO[small_log]
+    steps = range(small_log.steps + 1)
+
+    def bits(weights):
+        return {eid: float(w).hex() for eid, w in weights.items()}
+
+    expect = [bits(direct_online_weights(small_log, n, w_rho, w_r))
+              for n in steps]
+    for empty in (lambda: None, memo.clear,
+                  lambda: tracker._MEMO.pop(small_log)):
+        empty()
+        assert [bits(online_weights(small_log, n, w_rho, w_r))
+                for n in steps] == expect
 
 
 class TestFastestPath:

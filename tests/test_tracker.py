@@ -413,6 +413,28 @@ class TestQueryMemo:
         assert ref() is None
 
     @pytest.mark.parametrize("make_log, destination", [
+        (linear_8_log, "n3"), (horizon_on_road_log, "n3"),
+        (horizon_in_wait_log, "n2")])
+    @pytest.mark.parametrize("kind", list(TrackerKind))
+    def test_samples_are_new_lists_on_each_read(self, driven_steps, make_log,
+                                                destination, kind):
+        # a car that waits and arrives, one cut on the road and one cut
+        # while it waits: a list read from the car is the reader's own
+        log = make_log()
+        car = track_car(log, "e1", 0.0, 0.0, destination, kind)
+        record = car_record(car)
+        driven = driven_steps[0]
+        for name in ("samples", "grid_t", "grid_pos"):
+            read = getattr(car, name)
+            assert read and getattr(car, name) is not read
+            read.reverse()
+            read.append(read[0])
+            assert car_record(car) == record
+        again = track_car(log, "e1", 0.0, 0.0, destination, kind)
+        assert driven_steps[0] == driven  # replayed from the memo
+        assert car_record(again) == record
+
+    @pytest.mark.parametrize("make_log, destination", [
         (linear_8_log, "n3"), (horizon_in_wait_log, "n2")])
     @pytest.mark.parametrize("kind", list(TrackerKind))
     def test_car_log_holds_python_floats(self, make_log, destination, kind):
