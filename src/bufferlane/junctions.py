@@ -72,12 +72,12 @@ class JunctionTable:
         self.mu = np.array([n.mu for n in nodes], dtype=float)
         self.edge_flows = 2 * E
         sources = [n for n in nodes if n.kind is NodeKind.SOURCE]
-        t = np.arange(steps)[:, None] * tau
+        t = np.arange(steps) * tau
         self.inflows = np.empty((steps, len(sources)))
         for j, node in enumerate(sources):
             times, values = np.array(node.inflow, dtype=float).T
-            # inflow_at keeps the last of the leading breakpoints reached
-            reached = np.cumprod(t >= times - 1e-15, axis=1).sum(1)
+            # inflow_at keeps the last breakpoint reached (times increase)
+            reached = np.searchsorted(times - 1e-15, t, side="right")
             self.inflows[:, j] = values[np.maximum(reached - 1, 0)]
         sinks = [k for k, n in enumerate(nodes) if n.kind is NodeKind.SINK]
         zero, fed = 2 * cells, 2 * cells + 1
@@ -118,39 +118,29 @@ class JunctionTable:
                  for n in nodes]
         self.full = self.r_max - _TOL
         # the bound each load is held above: pooled loads may go negative
-        # at merges, the known defect of that demand
+        # at merges, the known defect of that demand; beyond round-off past
+        # `floor` or `ceiling` a load is fatal
         self.pooled = mode is DemandMode.POOLED
         self.lower = np.where(merge & self.pooled, -np.inf, 0.0)
-        # every array and view a step touches, made once.  The new loads sit
-        # among their bounds: rows (1, 2) > (2, 3) is `hit`, (0, 2) > (2, 4) fatal
-        self.bounds = np.array([self.lower - _TOL, self.lower, self.r_max,
-                                self.r_max, self.r_max + _TOL])
-        self.new_r = self.bounds[2]
-        self.hit_rows = self.bounds[1:3], self.bounds[2:4]
-        self.fatal_rows = self.bounds[0:3:2], self.bounds[2:5:2]
+        self.floor, self.ceiling = self.lower - _TOL, self.r_max + _TOL
         self.ds = self.work[:2 * cells].reshape(2, cells)
         self.ds_spare = np.empty_like(self.ds)
-        self.right, self.left = self.ds
-        self.send, self.recv = self.right[:-1], self.left[1:]
         # q_in enters left of a road's first cell, q_out right of its last
         self.ends_at = np.concatenate((cells + self.first, self.last))
         self.rows = np.empty(len(self.gather))
         self.block = self.rows[:4 * N].reshape(2, 2, N)  # slot j: d, s
-        self.d, self.ends = self.block[:, 0], tuple(self.rows[4 * N:].reshape(2, -1))
+        self.ends = tuple(self.rows[4 * N:].reshape(2, -1))
         # slot j's priority c (made per step) and split alpha; times mu, caps
         self.coef = np.stack((self.priority, np.transpose(alpha)), axis=1)
-        self.c, self.mu4 = self.coef[:, 0], np.tile(self.mu, (2, 2, 1))
+        self.mu4 = np.tile(self.mu, (2, 2, 1))
         self.dyn_floor = np.where(dynamic, 0.0, np.inf)  # c by demand above
         self.caps, self.capped = np.empty((2, 2, 2, N))
         self.b, self.room, self.scale = np.empty((3, 2, N))  # b: d_b, s_b
-        self.total, self.dr = np.empty((2, N))
+        self.total, self.dr, self.new_r = np.empty((3, N))
         self.free, self.hit, self.fatal = np.empty((3, 2, N), dtype=bool)
         self.by_demand, self.under = np.empty((2, N), dtype=bool)
         self.flows = np.empty(len(self.scatter))
         self.q, self.flow_scale = self.flows[:2 * E], np.empty(2 * E + 2 * N)
-        self.b_swap, self.d_pair, self.capped_pair, self.slot_pair, \
-            self.free_pair, self.room_pair = self.b[::-1], *map(tuple, (
-                self.d, self.capped, self.slots, self.free, self.room))
 
     @classmethod
     def for_network(cls, network, tau, steps, mode):
@@ -172,34 +162,35 @@ class JunctionTable:
         self.fed[:] = self.inflows[n]
         # every index is in range: 'wrap' skips the buffered copy of 'raise'
         self.work.take(self.gather, out=self.rows, mode="wrap")
-        np.add(*self.d_pair, out=self.total)
+        d, c, b = self.block[:, 0], self.coef[:, 0], self.b
+        np.add(d[0], d[1], out=self.total)
         # demand-proportional right of way; (0.5, 0.5) when both demands vanish
-        self.c[:] = self.priority
+        c[:] = self.priority
         np.greater(self.total, self.dyn_floor, out=self.by_demand)
-        np.divide(self.d, self.total, out=self.c, where=self.by_demand)
+        np.divide(d, self.total, out=c, where=self.by_demand)
         # intake d_b and release s_b: mu unless the buffer is empty (full),
         # else min(d, c mu) (min(s, alpha mu)) summed over the slots
         np.multiply(self.coef, self.mu4, out=self.caps)
         np.minimum(self.block, self.caps, out=self.capped)
-        np.add(*self.capped_pair, out=self.b)
+        np.add(self.capped[0], self.capped[1], out=b)
         if self.pooled:
-            np.minimum(self.total, self.mu, out=self.b[0])
-        np.greater(r, _TOL, out=self.free_pair[0])
-        np.less(r, self.full, out=self.free_pair[1])
-        np.copyto(self.b, self.mu4[0], where=self.free)
+            np.minimum(self.total, self.mu, out=b[0])
+        np.greater(r, _TOL, out=self.free[0])
+        np.less(r, self.full, out=self.free[1])
+        np.copyto(b, self.mu4[0], where=self.free)
         # c s_b and alpha d_b, capped by d and s
-        np.multiply(self.coef, self.b_swap, out=self.slots)
+        np.multiply(self.coef, b[::-1], out=self.slots)
         np.minimum(self.slots, self.block, out=self.slots)
-        np.add(*self.slot_pair, out=self.node_flows)
+        np.add(self.slots[0], self.slots[1], out=self.node_flows)
         np.minimum(*self.ends, out=self.sink_flows)
         return self.ds, self.work.take(self.scatter, out=self.flows,
                                        mode="wrap")
 
 
-def buffer_step(table, r, flows, n):
-    """The buffer loads after step n, r + tau (f_in - f_out) with the
-    table's tau, limited, checked and clamped; returns (new loads, hit,
-    events): the loads a new array, `hit` the table's, events at t = n tau.
+def buffer_step(table, r, flows):
+    """The buffer loads after one step, r + tau (f_in - f_out) with the
+    table's tau, limited, checked and clamped; returns (new loads, hit):
+    the loads a new array, `hit` the table's.
 
     The coupling branches on the buffer state at t^n, so a buffer that
     empties (or fills) in mid-step would overshoot the bound by up to one
@@ -208,7 +199,8 @@ def buffer_step(table, r, flows, n):
     bound keeps the loads admissible and the scheme conservative; `hit` is
     the (2, nodes) mask of the nodes so rescaled at 0 and at r_max.  In
     Pooled mode merges are not limited at 0: their negative loads, the
-    known defect of that demand choice, are kept and reported as events.
+    known defect of that demand choice, are kept as they are, and
+    `negativity_events` finds them in the recorded loads.
 
     Every load after the initial one (which `simulate` checks) is checked
     here, and only here.  After the limiter only a coupling bug can put a
@@ -219,15 +211,15 @@ def buffer_step(table, r, flows, n):
     f = flows[table.edge_flows:].reshape(2, -1)
     f_in, f_out, tau, dr, hit = f[0], f[1], table.tau, table.dr, table.hit
     r_max, new_r, room, scale = table.r_max, table.new_r, table.room, table.scale
-    # new_r = r + tau (f_in - f_out), in the table's rows
     np.add(r, np.multiply(np.subtract(f_in, f_out, out=dr), tau, out=dr),
            out=new_r)
-    np.greater(*table.hit_rows, out=hit)
+    np.less(new_r, table.lower, out=hit[0])
+    np.greater(new_r, r_max, out=hit[1])
     if np.count_nonzero(hit):
         # the room to each bound, r above 0 and r_max - r below r_max,
         # scales f_out (and the q_in it feeds), resp. f_in (and the q_out)
-        np.copyto(table.room_pair[0], r)
-        np.subtract(r_max, r, out=table.room_pair[1])
+        np.copyto(room[0], r)
+        np.subtract(r_max, r, out=room[1])
         # only a hit node's room is read; another's (r_max = 1e308, say)
         # could overflow when divided by tau
         np.divide(room, tau, out=room, where=hit)
@@ -240,8 +232,10 @@ def buffer_step(table, r, flows, n):
         np.add(r, np.multiply(np.subtract(f_in, f_out, out=dr), tau, out=dr),
                out=new_r)
     elif not table.pooled or new_r.min() >= 0.0:  # all in [0, r_max]
-        return new_r.copy(), hit, []
-    fatal = np.greater(*table.fatal_rows, out=table.fatal)  # below, above
+        return new_r.copy(), hit
+    fatal = table.fatal
+    np.less(new_r, table.floor, out=fatal[0])
+    np.greater(new_r, table.ceiling, out=fatal[1])
     if np.count_nonzero(fatal):
         k = int(np.argmax(fatal[0] | fatal[1]))
         node, load = table.ids[k], float(new_r[k])
@@ -250,9 +244,15 @@ def buffer_step(table, r, flows, n):
         raise BufferUnderflow(f"node {node}: buffer {load} < 0")
     loads = np.maximum(new_r, 0.0)
     np.minimum(loads, r_max, out=loads)
-    if not table.pooled:  # past the check, every load is above -TOL
-        return loads, hit, []
-    under = np.less(new_r, -_TOL, out=table.under)
-    np.copyto(loads, new_r, where=under)
-    return loads, hit, [NegativityEvent(table.ids[k], float(n * tau), float(new_r[k]))
-                        for k in under.nonzero()[0]]
+    if table.pooled:  # past the check, every other load is above -TOL
+        np.copyto(loads, new_r, where=np.less(new_r, -_TOL, out=table.under))
+    return loads, hit
+
+
+def negativity_events(ids, loads, tau):
+    """The events of a run's (steps + 1, nodes) recorded `loads`: a load
+    below -TOL at row n + 1 is step n's, at t = n tau, listed by step,
+    then by node.  Only a pooled merge keeps such a load (`buffer_step`)."""
+    steps, nodes = np.nonzero(loads[1:] < -_TOL)
+    return [NegativityEvent(ids[k], float(n * tau), float(loads[n + 1, k]))
+            for n, k in zip(steps.tolist(), nodes.tolist())]

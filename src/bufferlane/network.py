@@ -61,7 +61,8 @@ class JunctionSpec:
     `alpha` orders the split fractions by the declaration order of the
     outgoing edges; fixed `priority` pairs follow the declaration order of
     the incoming edges.  `inflow` is a piecewise-constant profile given as
-    (time, value) breakpoints; only a source may have a nonzero one.
+    (time, value) breakpoints.  Only a one_to_two node may have `alpha`, a
+    two_to_one node a fixed `priority` and a source a nonzero `inflow`.
     """
 
     id: str
@@ -144,6 +145,15 @@ class RoadNetwork:
             if node.kind is NodeKind.TWO_TO_ONE and node.priority != DEMAND_PROPORTIONAL:
                 _check_pair(node, "priorities", node.priority)
             self._check_inflow(node)
+            for name, given, reader in (
+                    ("inflow", any(v for _, v in node.inflow), NodeKind.SOURCE),
+                    ("alpha", node.alpha is not None, NodeKind.ONE_TO_TWO),
+                    ("fixed priority", node.priority != DEMAND_PROPORTIONAL,
+                     NodeKind.TWO_TO_ONE)):
+                if given and node.kind is not reader:  # no step would read it
+                    raise ScenarioSemanticError(
+                        f"node {node.id}: {name} on a {node.kind.value} "
+                        f"node; only a {reader.value} reads {name}")
             if (node.kind in (NodeKind.SOURCE, NodeKind.SINK)
                     and math.isfinite(node.r_max)):
                 raise RateSumViolation(
@@ -160,7 +170,7 @@ class RoadNetwork:
     @staticmethod
     def _check_inflow(node):
         """Every node's profile: increasing, finite times and finite values
-        >= 0, all 0 unless the node is a source (the one kind that reads it)."""
+        >= 0."""
         times = [t_k for t_k, _ in node.inflow]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioSemanticError(
@@ -172,10 +182,6 @@ class RoadNetwork:
             if v_k < 0.0:
                 raise NegativeInflow(
                     f"node {node.id}: inflow {v_k} < 0 from t={t_k}")
-        if node.kind is not NodeKind.SOURCE and any(v for _, v in node.inflow):
-            raise ScenarioSemanticError(
-                f"node {node.id}: inflow on a {node.kind.value} node; only "
-                f"a source reads inflow")
 
     def _check_connected(self):
         if not self.edges:

@@ -10,8 +10,7 @@ import math
 from enum import Enum
 
 from .errors import HorizonExceeded, UnreachableDestination
-from .tracker import (TrackerKind, enter_edge, log_totals, node_waiting,
-                      step_totals, traverse_edge)
+from .tracker import TrackerKind, enter_edge, node_waiting, traverse_edge
 
 
 class RoutePolicy(Enum):
@@ -60,7 +59,7 @@ def aggregated_weights(log, w_rho, w_r):
     max_len, r_max = _scales(net)
     T = log.T
     tau = log.tau
-    mass, load = log_totals(log)
+    mass, load = log.totals
     weights = {}
     for eid, e in net.edges.items():
         lam_rho = tau * e.h / (T * max_len) * mass[eid]
@@ -73,7 +72,7 @@ def online_weights(log, step, w_rho, w_r):
     """Snapshot edge weights from the state at one time step."""
     net = log.network
     max_len, r_max = _scales(net)
-    mass = step_totals(log)
+    mass = log.step_totals
     weights = {}
     for eid, e in net.edges.items():
         lam_rho = e.h / max_len * mass[eid].item(step)

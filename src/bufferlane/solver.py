@@ -1,6 +1,7 @@
 """Network Godunov solver: cell updates, junction fluxes, Euler buffers."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,47 +76,62 @@ class SimLog:
     flux arrays have M entries while state arrays have M+1.  Each table is
     a dict of views into the arrays `simulate` filled: `rho[eid]` is a
     C-contiguous (M+1, cells) block of one edge-major buffer, so no reader
-    copies a road's history, and every node or edge series a contiguous
-    row.  Every array is read-only: a log never changes once made.
+    copies a road's history, and every node or edge series a column of a
+    time-major array.  Every array is read-only: a log never changes once
+    made.  The events, limiter counts and history sums derive from them.
     """
 
-    def __init__(self, network, tau, T, mode, blocks, loads, series,
-                 events, fired):
+    def __init__(self, network, tau, T, mode, blocks, loads, series, fired):
         """`blocks` holds each road's (M+1, cells) history in edge order,
-        `loads` the (nodes, M+1) buffer loads, `series` the (2 edges + 2
-        nodes, M) rows of q_in, q_out, node_inflow and node_outflow, and
-        `fired` per node the number of steps whose fluxes the limiter
-        rescaled.  The step count M is read from `loads`."""
+        `loads` the (M+1, nodes) buffer loads, `series` the (M, 2 edges + 2
+        nodes) flow vectors of the steps (q_in, q_out, node_inflow and
+        node_outflow; see `JunctionTable`), and `fired` per node the number
+        of steps whose fluxes the limiter rescaled.  The step count M is
+        read from `loads`."""
         self.network = network
         self.tau = tau
         self.T = T
         self.mode = mode
-        self.steps = M = loads.shape[1] - 1
+        self.steps = M = loads.shape[0] - 1
         self.t = np.arange(M + 1) * tau
         for a in (self.t, loads, series, *blocks):
             a.flags.writeable = False
         self.rho = dict(zip(network.edges, blocks))
-        self.buffers = dict(zip(network.nodes, loads))
+        self.buffers = dict(zip(network.nodes, loads.T))
         E, N = len(network.edges), len(network.nodes)
-        q_in, q_out, f_in, f_out = np.split(series, [E, 2 * E, 2 * E + N])
+        q_in, q_out, f_in, f_out = np.split(series.T, [E, 2 * E, 2 * E + N])
         self.q_in, self.q_out = (dict(zip(network.edges, q))
                                  for q in (q_in, q_out))
         self.node_inflow, self.node_outflow = (dict(zip(network.nodes, f))
                                                for f in (f_in, f_out))
-        self.events = events
+        self.events = junctions.negativity_events(list(network.nodes), loads,
+                                                  tau)
         self.limiter_fired = dict(zip(network.nodes, fired.sum(0).tolist()))
+
+    @cached_property
+    def totals(self):
+        """Each road's density sum and each node's buffer-load sum over the
+        whole history, as floats by edge and node id; readers share them."""
+        return ({e: float(a.sum()) for e, a in self.rho.items()},
+                {v: float(a.sum()) for v, a in self.buffers.items()})
+
+    @cached_property
+    def step_totals(self):
+        """Each road's density sum at every step, as one numpy array of M+1
+        values by edge id, read with `.item(n)`; readers share them."""
+        return {e: a.sum(1) for e, a in self.rho.items()}
 
 
 def _chunk_rows(cells):
-    """Steps `simulate` holds before copying them to the history: at
-    most 64, and at most 2^17 values (1 MB) in all."""
+    """Steps of cell states `simulate` holds before copying them to the
+    history: at most 64, and at most 2^17 values (1 MB) in all."""
     return max(1, min(64, 2**17 // cells))
 
 
 def advance_step(table, rho, r, n):
     """Step n of the table's run on the flat state (`table.lam` = tau / h
     per cell); returns the new state and loads, the flow vector used (see
-    `JunctionTable`), the limiter's mask and the step's events.
+    `JunctionTable`) and the limiter's mask.
 
     The new loads (a new array) come from one `junctions.buffer_step`
     call, which limits the node fluxes before the cells read q_in and
@@ -123,14 +139,15 @@ def advance_step(table, rho, r, n):
     and `hit`, overwritten by the next call; `rho` may be the state.
     """
     ds, flows = table.fluxes(rho, r, n)
-    new_r, hit, events = junctions.buffer_step(table, r, flows, n)
-    F = godunov_flux(table.send, table.recv)
+    new_r, hit = junctions.buffer_step(table, r, flows)
+    right, left = ds
+    F = godunov_flux(right[:-1], left[1:])
     # demand and supply are spent: their rows take each cell's right and
     # left flux, the interior interfaces' F and the roads' q_out and q_in
-    table.send[:] = table.recv[:] = F
+    right[:-1] = left[1:] = F
     ds.put(table.ends_at, table.q)
-    right, nu = table.right, table.state
-    np.subtract(right, table.left, out=right)
+    nu = table.state
+    np.subtract(right, left, out=right)
     right *= table.lam
     np.subtract(rho, right, out=nu)
     lo, hi = np.minimum.reduce(nu), np.maximum.reduce(nu)
@@ -142,7 +159,7 @@ def advance_step(table, rho, r, n):
             f"t={n * table.tau:.6g} (range [{lo[k]:.3e}, {hi[k]:.3e}])")
     if lo < 0.0 or hi > 1.0:
         np.clip(nu, 0.0, 1.0, out=nu)
-    return nu, new_r, flows, hit, events
+    return nu, new_r, flows, hit
 
 
 def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
@@ -199,27 +216,23 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     # road k's (M+1, cells) block of the edge-major history, and its cells
     roads = [(history[(M + 1) * a:(M + 1) * (b + 1)].reshape(M + 1, -1),
               slice(a, b + 1)) for a, b in zip(table.first, table.last)]
-    loads = np.zeros((len(r), M + 1))
-    series = np.zeros((len(table.flows), M))
+    loads = np.zeros((M + 1, len(r)))
+    series = np.zeros((M, len(table.flows)))
     fired = np.zeros((2, len(r)), dtype=np.intp)
-    # the last K steps' states, loads, flows and limiter masks, time-major,
-    # copied (masks summed) to the log's arrays when full and at the end
+    # the last K steps' states, time-major, copied to the roads' blocks
+    # when full and at the end
     K = _chunk_rows(cells)
-    states, step_loads, step_flows, hits = (
-        np.empty((K, *a.shape), a.dtype) for a in (rho, r, table.flows, table.hit))
+    states = np.empty((K, cells))
     for block, part in roads:
         block[0] = rho[part]
-    loads[:, 0], events = r, []
+    loads[0] = r
     for n in range(M):
-        rho, r, flows, hit, step_events = advance_step(table, rho, r, n)
+        rho, loads[n + 1], series[n], hit = advance_step(table, rho, loads[n], n)
+        fired += hit
         j = n % K
-        states[j], step_loads[j], step_flows[j], hits[j] = rho, r, flows, hit
-        events.extend(step_events)
+        states[j] = rho
         if j == K - 1 or n == M - 1:
             for block, part in roads:
                 block[n + 1 - j:n + 2] = states[:j + 1, part]
-            loads[:, n + 1 - j:n + 2] = step_loads[:j + 1].T
-            series[:, n - j:n + 1] = step_flows[:j + 1].T
-            fired += hits[:j + 1].sum(0)
     return SimLog(network, tau, T, mode, [block for block, _ in roads],
-                  loads, series, events, fired)
+                  loads, series, fired)

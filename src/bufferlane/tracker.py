@@ -7,11 +7,10 @@ immutable SimLog; the car never feeds back into the field.
 
 A road leg depends only on its entry event, so `traverse_edge` drives
 each (edge, step, position, tracker) leg once per log and replays it
-afterwards; `node_waiting` does the same for waits, and `log_totals` and
-`step_totals` sum the history once.  Queries on one simulation share
-them, and read the log as Python floats.  The memo lives as long as the
-log and holds at most one stored value (a position, a leg or a wait) per
-density value of the log.  A SimLog's arrays are read-only, so a stored
+afterwards; `node_waiting` does the same for waits.  Queries on one
+simulation share them, and read the log as Python floats.  The memo
+lives as long as the log and holds at most one stored value (a position,
+a leg or a wait) per density value of the log.  A SimLog's arrays are read-only, so a stored
 result never goes stale.  A car's `CarLog` keeps one record per leg or
 wait, a replayed leg's positions shared with the memo, and builds its
 samples only when they are read.
@@ -225,6 +224,8 @@ def node_waiting(log, node, n_hat, tau_hat):
 
 
 def _wait(log, node, n_hat, tau_hat):
+    if n_hat >= log.steps:
+        raise HorizonExceeded(f"car reaches node {node} at the time horizon")
     tau = log.tau
     out = log.node_outflow[node]
     f_in = log.node_inflow[node].item(n_hat)
@@ -274,27 +275,6 @@ def enter_edge(log, edge_id, m, frac):
     return (log.tau - frac) * velocity(log.rho[edge_id].item(m, 0))
 
 
-def log_totals(log):
-    """Each road's density sum and each node's buffer-load sum over the
-    whole history, as floats by edge and node id.  Summed once per log;
-    every caller gets the same two dicts, which it must not change."""
-    memo = _memo(log)
-    if memo.totals is None:
-        memo.totals = ({e: float(a.sum()) for e, a in log.rho.items()},
-                       {v: float(a.sum()) for v, a in log.buffers.items()})
-    return memo.totals
-
-
-def step_totals(log):
-    """Each road's density sum at every step, as one numpy array of M+1
-    values by edge id, read with `.item(n)`.  Summed once per log; every
-    caller gets the same dict, which it must not change."""
-    memo = _memo(log)
-    if memo.step_totals is None:
-        memo.step_totals = {e: a.sum(1) for e, a in log.rho.items()}
-    return memo.step_totals
-
-
 # SimLog -> _Memo; an entry dies with its log
 _MEMO = weakref.WeakKeyDictionary()
 
@@ -304,16 +284,12 @@ class _Memo(dict):
     positions at t^{n+1}, t^{n+2}, ..., error class and message or None);
     waits: (node, n_hat, tau_hat) -> ((wt, m, frac) or None, error or None).
     `stored` counts a leg's positions plus one, and one per wait; it never
-    exceeds `budget`, the number of density values the log holds.  The
-    sums of `log_totals` and `step_totals` sit beside the entries, outside
-    that count, and are kept when the entries are emptied."""
+    exceeds `budget`, the number of density values the log holds."""
 
     def __init__(self, log):
         super().__init__()
         self.budget = sum(a.size for a in log.rho.values())
         self.stored = 0
-        self.totals = None
-        self.step_totals = None
 
     def put(self, key, value, size):
         """Store `value`, first emptying the memo if it would pass budget."""

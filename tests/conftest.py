@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from bufferlane.junctions import DemandMode, JunctionTable, buffer_step
+from bufferlane.junctions import (DemandMode, JunctionTable, buffer_step,
+                                  negativity_events)
 from bufferlane.network import (
     DEMAND_PROPORTIONAL,
     Edge,
@@ -118,14 +119,15 @@ def node_flows(table, inflow, outflow):
 
 
 def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
-                     mode=DemandMode.STANDARD, node="", n=0):
-    """Buffer step n through a one-node table; returns the new load and
-    the negativity event or None.  The node is a merge (2 roads in, 1
-    out): pooled loads may go negative only there."""
+                     mode=DemandMode.STANDARD, node=""):
+    """One buffer step through a one-node table; returns the new load and
+    the negativity event a log recording it finds, or None.  The node is a
+    merge (2 roads in, 1 out): pooled loads may go negative only there."""
     table = one_node_table(JunctionSpec(id=node, kind=NodeKind.TWO_TO_ONE,
-                                        r_max=r_max), 2, 1, tau, n + 1, mode)
-    new_r, _, events = buffer_step(table, np.array([float(r)]),
-                                   node_flows(table, inflow, outflow), n)
+                                        r_max=r_max), 2, 1, tau, 1, mode)
+    new_r, _ = buffer_step(table, np.array([float(r)]),
+                           node_flows(table, inflow, outflow))
+    events = negativity_events(table.ids, np.array([[float(r)], new_r]), tau)
     return float(new_r[0]), (events[0] if events else None)
 
 

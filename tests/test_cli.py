@@ -171,11 +171,21 @@ def test_bad_number_exits_with_error_line(tmp_path, capsys, old, new, name):
      "cell width 0.0 gives no time step > 0"),
     ("inflow=0.21", "inflow=1e308",
      "node n1: inflow over T=8.0 overflows its buffer load"),
+    ("node n3 kind=one_to_one r_max=0.3 mu=0.25",
+     "node n3 kind=one_to_one r_max=0.3 mu=0.25 alpha=0.9,0.1",
+     "node n3: alpha on a one_to_one node; only a one_to_two reads alpha"),
+    ("node n3 kind=one_to_one r_max=0.3 mu=0.25",
+     "node n3 kind=one_to_one r_max=0.3 mu=0.25 priority=fixed:0.2,0.8",
+     "node n3: fixed priority on a one_to_one node; only a two_to_one "
+     "reads fixed priority"),
+    ("edge e2 from=n2 to=n3 length=1", "edge e2 from=n2 to=n3",
+     "edge e2: missing 'length'"),
 ])
 def test_extreme_value_exits_1(tmp_path, capsys, old, new, error):
     # a finite value whose step or cell count overflows or whose run
-    # would not fit in memory, or an inflow no step would read, is a bad
-    # value with one error line, not a traceback
+    # would not fit in memory, an inflow, split or priority no step would
+    # read, or a missing edge key, is a bad value with one error line, not
+    # a traceback
     text = bundled_scenario("linear")
     assert text.count(old) == 1
     assert_error_line(tmp_path, capsys, text.replace(old, new), error, code=1)
@@ -252,6 +262,8 @@ def test_bad_initial_data_exits_1(tmp_path, capsys, old, new, error):
      "node n5: priorities (1.0,) must be two positive numbers"),
     ("alpha=0.6,0.4", "alpha=0.3,0.3,0.4", "node n2: alpha (0.3, 0.3, 0.4)"),
     ("alpha=0.6,0.4", "alpha=1", "node n2: alpha (1.0,)"),
+    ("priority=demand_proportional", "priority=zipper",
+     "node n5: bad priority 'zipper'"),
 ])
 def test_bad_pair_exits_with_error_line(tmp_path, capsys, old, new, name):
     # a split or fixed right-of-way pair is two positive numbers summing to 1
@@ -293,6 +305,7 @@ def test_repeated_entry_exits_2(tmp_path, capsys, old, new, error):
      "line 9: unknown edge key 'lenght'"),
     ("h=0.1", "hh=0.1", "line 18: unknown run key 'hh'"),
     ("tracker=complex", "polcy=fastest", "line 24: unknown car key 'polcy'"),
+    ("density e1 0.3", "speed e1 0.3", "line 12: unknown initial entry 'speed'"),
 ])
 def test_unknown_key_exits_2(tmp_path, capsys, old, new, error):
     # a misspelt key would silently fall back to its default
@@ -466,6 +479,26 @@ def test_route_json_strict_when_wait_cut_by_horizon(tmp_path, capsys):
     assert route["waiting_times"] == [
         {"node": "n1", "arrival": pytest.approx(10.0 / 7.0), "wt": None}]
     assert route["total_waiting"] is None
+
+
+@pytest.mark.parametrize("car, code, out, err", [
+    # the car reaches n2 at t = T, where no node series has an entry
+    ("start_x=1\nstart_time=8", 3, "car did not arrive: horizon_exceeded\n",
+     ""),
+    ("start_x=1\nstart_time=8\npolicy=fastest", 3, "",
+     "error: no path to n4 completes within the horizon\n"),
+    ("start_x=0\nstart_time=0\npolicy=fastest\ndestination=n1", 4, "",
+     "error: no path n2 -> n1\n"),
+], ids=["shortest-at-horizon", "fastest-at-horizon", "fastest-unreachable"])
+def test_car_query_ends_with_its_exit_code(tmp_path, capsys, car, code, out,
+                                           err):
+    text = bundled_scenario("linear").replace("start_x=0\nstart_time=0", car)
+    text = text.replace("destination=n4\n", "", car.count("destination"))
+    text = text.replace("oracle=linear\n", "")
+    path = tmp_path / "car.scn"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_unreachable_destination_exit_4(tmp_path, capsys):

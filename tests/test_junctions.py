@@ -68,12 +68,10 @@ class TestInflowTable:
 
     def test_breakpoints_on_and_near_grid_times(self):
         # on a grid time (20 tau), within 1e-15 after and before one
-        # (inflow_at's tolerance), 2e-15 after one, between grid times,
-        # and an out-of-order breakpoint inflow_at never reaches
+        # (inflow_at's tolerance), 2e-15 after one and between grid times
         assert 20 * self.TAU == 1.0 and 50 * self.TAU == 2.5
         profile = ((0.0, 0.1), (1.0, 0.3), (2.5 + 9e-16, 0.0),
-                   (3.0 - 9e-16, 0.2), (3.5 + 2e-15, 0.05), (4.01, 0.15),
-                   (4.0, 0.25))
+                   (3.0 - 9e-16, 0.2), (3.5 + 2e-15, 0.05), (4.01, 0.15))
         spec = JunctionSpec(id="s", kind=NodeKind.SOURCE, inflow=profile)
         self.check(one_node_table(spec, 0, 1, self.TAU, 120), [spec])
 
@@ -226,7 +224,7 @@ class TestBufferStep:
 
     def test_pooled_negativity_reported(self):
         r, ev = buffer_step(0.0, 0.19, 0.2, 0.05, r_max=1.0,
-                            mode=DemandMode.POOLED, node="v", n=0)
+                            mode=DemandMode.POOLED, node="v")
         assert r == pytest.approx(-0.0005)
         assert ev is not None and ev.node == "v"
         assert ev.load == pytest.approx(-0.0005)
@@ -236,8 +234,8 @@ class TestBufferStep:
         # outflow is scaled to stop the buffer at exactly 0.0
         table = one_node_table(merge_spec(r_max=1.0), 2, 1, tau=0.05)
         flows = node_flows(table, 0.19, 0.2)
-        r, hit, events = junctions.buffer_step(table, np.zeros(1), flows, 0)
-        assert r[0] == 0.0 and events == []
+        r, hit = junctions.buffer_step(table, np.zeros(1), flows)
+        assert r[0] == 0.0
         assert hit.tolist() == [[True], [False]]
         assert flows[-1] == pytest.approx(0.19)
 
@@ -245,9 +243,9 @@ class TestBufferStep:
         # pooled loads may go negative only at merges
         table = one_node_table(pass_spec(r_max=1.0), 1, 1, tau=0.05,
                                mode=DemandMode.POOLED)
-        r, hit, events = junctions.buffer_step(
-            table, np.zeros(1), node_flows(table, 0.19, 0.2), 0)
-        assert r[0] == 0.0 and events == []
+        r, hit = junctions.buffer_step(
+            table, np.zeros(1), node_flows(table, 0.19, 0.2))
+        assert r[0] == 0.0
         assert hit.tolist() == [[True], [False]]
 
     def test_branches_without_a_hit(self):
@@ -257,22 +255,35 @@ class TestBufferStep:
                                (0.3, 0.0, 0.1), (0.1, 0.21, 0.13)):
             flows = node_flows(table, f_in, f_out)
             before = flows.copy()
-            new_r, hit, events = junctions.buffer_step(
-                table, np.array([r]), flows, 0)
+            new_r, hit = junctions.buffer_step(table, np.array([r]), flows)
             assert new_r.tobytes() == np.array(
                 [r + 0.05 * (f_in - f_out)]).tobytes()
-            assert not hit.any() and events == []
+            assert not hit.any()
             assert flows.tobytes() == before.tobytes()
         # a pooled merge below 0: round-off is clamped to exactly 0.0, a
-        # real negative load is kept and reported
+        # real negative load is kept, and found as an event of its step
         table = one_node_table(merge_spec(r_max=0.3), 2, 1, tau=1.0, steps=3,
                                mode=DemandMode.POOLED)
         for load, kept in ((-5e-13, 0.0), (-5e-4, -5e-4)):
-            new_r, hit, events = junctions.buffer_step(
-                table, np.zeros(1), node_flows(table, 0.0, -load), 2)
+            new_r, hit = junctions.buffer_step(
+                table, np.zeros(1), node_flows(table, 0.0, -load))
             assert new_r[0] == kept and not hit.any()
-            assert events == ([] if kept == 0.0 else
-                              [junctions.NegativityEvent("j", 2.0, kept)])
+            loads = np.array([[0.0], [0.0], [0.0], new_r])  # step 2's
+            assert junctions.negativity_events(table.ids, loads, 1.0) == (
+                [] if kept == 0.0 else
+                [junctions.NegativityEvent("j", 2.0, kept)])
+
+    def test_negativity_events_by_step_then_node(self):
+        # row n + 1 holds step n's loads; round-off below 0 is no event
+        loads = np.array([[-1.0, 0.0, -1.0],
+                          [0.0, -2e-12, -1e-12],
+                          [-3e-4, 0.1, -2e-4],
+                          [0.0, -1e-3, 0.0]])
+        assert junctions.negativity_events(["a", "b", "c"], loads, 0.5) == [
+            junctions.NegativityEvent("b", 0.0, -2e-12),
+            junctions.NegativityEvent("a", 0.5, -3e-4),
+            junctions.NegativityEvent("c", 0.5, -2e-4),
+            junctions.NegativityEvent("b", 1.0, -1e-3)]
 
     @pytest.mark.parametrize("r, inflow, outflow, r_max, error, message", [
         (0.0, 3.645e10, 1.215e10, 1.0, BufferOverflow,

@@ -14,7 +14,7 @@ from bufferlane.errors import (
     DensityOutOfRange,
     ScenarioSemanticError,
 )
-from bufferlane.junctions import DemandMode, JunctionTable
+from bufferlane.junctions import DemandMode, JunctionTable, NegativityEvent
 from bufferlane.network import Edge
 from bufferlane.solver import (
     InitialData,
@@ -189,8 +189,9 @@ class TestSimulate:
 
 def stepped(net, init, steps, tau, mode):
     """`steps` plain `advance_step` calls from the initial state, recorded
-    step by step: the states, loads, flow vectors, events and the number
-    of steps the limiter rescaled each node at 0 and at r_max."""
+    step by step: the states, loads, flow vectors, the negativity events
+    (a load below -1e-12 after step n, at t = n tau) and the number of
+    steps the limiter rescaled each node at 0 and at r_max."""
     table = JunctionTable.for_network(net, tau, steps, mode)
     rho = np.concatenate([project_cells(e, init.densities[e.id])
                           for e in table.edges])
@@ -198,11 +199,13 @@ def stepped(net, init, steps, tau, mode):
     states, loads, flows, events = [rho], [r], [], []
     fired = 0
     for n in range(steps):
-        rho, r, f, hit, step_events = advance_step(table, rho, r, n)
+        rho, r, f, hit = advance_step(table, rho, r, n)
         states.append(rho.copy())  # the next call overwrites rho and f
         loads.append(r)
         flows.append(f.copy())
-        events.extend(step_events)
+        events.extend(NegativityEvent(v, n * tau, load)
+                      for v, load in zip(net.nodes, r.tolist())
+                      if load < -1e-12)
         fired = fired + hit
     return table, np.array(states), np.array(loads), np.array(flows), \
         events, fired
@@ -255,7 +258,7 @@ class TestRecording:
         r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
         kept = []
         for n in range(steps):
-            rho, r, flows, hit, _ = advance_step(table, rho, r, n)
+            rho, r, flows, hit = advance_step(table, rho, r, n)
             assert flows is table.flows and hit is table.hit
             assert not any(np.may_share_memory(r, a) for a in owned)
             kept.append((r, flows.copy()))

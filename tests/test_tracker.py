@@ -179,6 +179,19 @@ class TestTracking:
         assert car.status is CarStatus.HORIZON_EXCEEDED
         assert math.isnan(car.arrival_time)
 
+    def test_node_reached_at_the_horizon(self):
+        # the car starts at the end of e1 at t = T: it reaches n1 at step
+        # M, past the last of the M entries of the node's flux series
+        log = simulate(*line_network(), 2.0)
+        with pytest.raises(HorizonExceeded,
+                           match="car reaches node n1 at the time horizon"):
+            node_waiting(log, "n1", log.steps, 0.0)
+        car = track_car(log, "e1", 1.0, 2.0, "n3")
+        assert car.status is CarStatus.HORIZON_EXCEEDED
+        assert math.isnan(car.arrival_time)
+        [(node, t_arr, wt)] = car.waiting_times
+        assert (node, t_arr) == ("n1", 2.0) and math.isnan(wt)
+
     def test_destination_behind_sink(self, linear_log):
         with pytest.raises(UnreachableDestination):
             track_car(linear_log, "e2", 0.0, 0.0, "n1")
