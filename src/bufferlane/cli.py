@@ -21,6 +21,8 @@ from .errors import (
     ScenarioSyntaxError,
     UnreachableDestination,
 )
+from .junctions import DemandMode
+from .routing import RoutePolicy
 from .run import execute
 from .scenario import (
     parse_scenario,
@@ -30,7 +32,7 @@ from .scenario import (
     write_route_summary,
     write_trajectory_csv,
 )
-from .tracker import CarStatus
+from .tracker import CarStatus, TrackerKind
 
 def _oracle_error(result):
     """The car's truncation error against the oracle its run names, or
@@ -137,14 +139,11 @@ def main(argv=None):
     p_run.add_argument("scenario")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--h", type=float, default=None, help="target cell width")
-    p_run.add_argument("--tracker", choices=["naive", "complex"], default=None)
-    p_run.add_argument("--policy",
-                       choices=["shortest", "fastest", "aggregated", "online"],
-                       default=None)
+    p_run.add_argument("--tracker", choices=[k.value for k in TrackerKind])
+    p_run.add_argument("--policy", choices=[k.value for k in RoutePolicy])
     p_run.add_argument("--wrho", type=float, default=None)
     p_run.add_argument("--wr", type=float, default=None)
-    p_run.add_argument("--demand-mode", choices=["standard", "pooled"],
-                       default=None)
+    p_run.add_argument("--demand-mode", choices=[k.value for k in DemandMode])
     p_run.add_argument("--log-stride", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 

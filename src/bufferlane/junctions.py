@@ -53,8 +53,9 @@ class JunctionTable:
     buffers' inflows and outflows (a sink's go unread) and the sinks'
     fluxes.  One gather feeds the rows; one scatter fills `flows`: q_in
     and q_out per edge (the first `edge_flows` entries), then f_in and
-    f_out per node.  Every array a step writes is the table's, rewritten
-    by the next step: the new cell state `state`, `flows` and `hit`.
+    f_out per node.  A step advances the caller's state (rho, r) in place;
+    every other array it writes is the table's, rewritten by the next
+    step: among them the `flows` and the limiter mask `hit` it returns.
     """
 
     def __init__(self, nodes, ins, outs, edges, tau, steps, mode):
@@ -67,7 +68,6 @@ class JunctionTable:
         self.last = np.cumsum(self.widths) - 1
         self.first = self.last + 1 - self.widths
         cells = int(self.widths.sum())
-        self.state = np.empty(cells)  # the new cell state of a step
         self.r_max = np.array([n.r_max for n in nodes], dtype=float)
         self.mu = np.array([n.mu for n in nodes], dtype=float)
         self.edge_flows = 2 * E
@@ -188,9 +188,9 @@ class JunctionTable:
 
 
 def buffer_step(table, r, flows):
-    """The buffer loads after one step, r + tau (f_in - f_out) with the
-    table's tau, limited, checked and clamped; returns (new loads, hit):
-    the loads a new array, `hit` the table's.
+    """One step of the buffer loads `r`, in place: r + tau (f_in - f_out)
+    with the table's tau, limited, checked and clamped; returns the
+    limiter's mask `hit`, the table's.
 
     The coupling branches on the buffer state at t^n, so a buffer that
     empties (or fills) in mid-step would overshoot the bound by up to one
@@ -205,8 +205,8 @@ def buffer_step(table, r, flows):
     Every load after the initial one (which `simulate` checks) is checked
     here, and only here.  After the limiter only a coupling bug can put a
     load off [0, r_max] beyond round-off; that raises BufferOverflow or
-    BufferUnderflow.  With no node hit and no load below 0, every load
-    lies in [0, r_max] already and is returned unchecked.
+    BufferUnderflow and leaves `r` as it was.  With no node hit and no
+    load below 0, every load lies in [0, r_max] already and goes unchecked.
     """
     f = flows[table.edge_flows:].reshape(2, -1)
     f_in, f_out, tau, dr, hit = f[0], f[1], table.tau, table.dr, table.hit
@@ -232,7 +232,8 @@ def buffer_step(table, r, flows):
         np.add(r, np.multiply(np.subtract(f_in, f_out, out=dr), tau, out=dr),
                out=new_r)
     elif not table.pooled or new_r.min() >= 0.0:  # all in [0, r_max]
-        return new_r.copy(), hit
+        np.copyto(r, new_r)
+        return hit
     fatal = table.fatal
     np.less(new_r, table.floor, out=fatal[0])
     np.greater(new_r, table.ceiling, out=fatal[1])
@@ -242,11 +243,11 @@ def buffer_step(table, r, flows):
         if fatal[1, k]:
             raise BufferOverflow(f"node {node}: buffer {load} > r_max {r_max[k]}")
         raise BufferUnderflow(f"node {node}: buffer {load} < 0")
-    loads = np.maximum(new_r, 0.0)
-    np.minimum(loads, r_max, out=loads)
+    np.maximum(new_r, 0.0, out=r)
+    np.minimum(r, r_max, out=r)
     if table.pooled:  # past the check, every other load is above -TOL
-        np.copyto(loads, new_r, where=np.less(new_r, -_TOL, out=table.under))
-    return loads, hit
+        np.copyto(r, new_r, where=np.less(new_r, -_TOL, out=table.under))
+    return hit
 
 
 def negativity_events(ids, loads, tau):

@@ -51,7 +51,7 @@ def _number(value):
     """Converter of a weight (`w_rho`, `w_r`) to a finite float >= 0."""
     x = float(value)
     if not 0.0 <= x < math.inf:
-        raise ValueError("must be a finite number in [0, inf]")
+        raise ValueError("must be a finite number >= 0")
     return x
 
 

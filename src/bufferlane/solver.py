@@ -81,13 +81,13 @@ class SimLog:
     made.  The events, limiter counts and history sums derive from them.
     """
 
-    def __init__(self, network, tau, T, mode, blocks, loads, series, fired):
+    def __init__(self, network, tau, T, mode, blocks, loads, series, hits):
         """`blocks` holds each road's (M+1, cells) history in edge order,
         `loads` the (M+1, nodes) buffer loads, `series` the (M, 2 edges + 2
         nodes) flow vectors of the steps (q_in, q_out, node_inflow and
-        node_outflow; see `JunctionTable`), and `fired` per node the number
-        of steps whose fluxes the limiter rescaled.  The step count M is
-        read from `loads`."""
+        node_outflow; see `JunctionTable`), and `hits` the steps' (M, 2,
+        nodes) limiter masks, summed per node into `limiter_fired`.  The
+        step count M is read from `loads`."""
         self.network = network
         self.tau = tau
         self.T = T
@@ -106,7 +106,7 @@ class SimLog:
                                                for f in (f_in, f_out))
         self.events = junctions.negativity_events(list(network.nodes), loads,
                                                   tau)
-        self.limiter_fired = dict(zip(network.nodes, fired.sum(0).tolist()))
+        self.limiter_fired = dict(zip(network.nodes, hits.sum((0, 1)).tolist()))
 
     @cached_property
     def totals(self):
@@ -129,37 +129,36 @@ def _chunk_rows(cells):
 
 
 def advance_step(table, rho, r, n):
-    """Step n of the table's run on the flat state (`table.lam` = tau / h
-    per cell); returns the new state and loads, the flow vector used (see
-    `JunctionTable`) and the limiter's mask.
+    """Step n of the table's run on the flat state `rho` and the loads
+    `r`, both advanced in place (`table.lam` = tau / h per cell); returns
+    the flow vector used (see `JunctionTable`) and the limiter's mask, the
+    table's `flows` and `hit`, overwritten by the next call.
 
-    The new loads (a new array) come from one `junctions.buffer_step`
-    call, which limits the node fluxes before the cells read q_in and
-    q_out.  The state, flows and mask are the table's `state`, `flows`
-    and `hit`, overwritten by the next call; `rho` may be the state.
+    The loads come from one `junctions.buffer_step` call, which limits
+    the node fluxes before the cells read q_in and q_out.  A step that
+    raises leaves the state as it made it, and the run aborts.
     """
     ds, flows = table.fluxes(rho, r, n)
-    new_r, hit = junctions.buffer_step(table, r, flows)
+    hit = junctions.buffer_step(table, r, flows)
     right, left = ds
     F = godunov_flux(right[:-1], left[1:])
     # demand and supply are spent: their rows take each cell's right and
     # left flux, the interior interfaces' F and the roads' q_out and q_in
     right[:-1] = left[1:] = F
     ds.put(table.ends_at, table.q)
-    nu = table.state
     np.subtract(right, left, out=right)
     right *= table.lam
-    np.subtract(rho, right, out=nu)
-    lo, hi = np.minimum.reduce(nu), np.maximum.reduce(nu)
+    rho -= right
+    lo, hi = np.minimum.reduce(rho), np.maximum.reduce(rho)
     if lo < -_CLIP_TOL or hi > 1.0 + _CLIP_TOL:
-        lo, hi = (f.reduceat(nu, table.first) for f in (np.minimum, np.maximum))
+        lo, hi = (f.reduceat(rho, table.first) for f in (np.minimum, np.maximum))
         k = np.argmax((lo < -_CLIP_TOL) | (hi > 1.0 + _CLIP_TOL))
         raise CFLViolation(
             f"edge {table.edges[k].id}: density left [0,1] at "
             f"t={n * table.tau:.6g} (range [{lo[k]:.3e}, {hi[k]:.3e}])")
     if lo < 0.0 or hi > 1.0:
-        np.clip(nu, 0.0, 1.0, out=nu)
-    return nu, new_r, flows, hit
+        np.clip(rho, 0.0, 1.0, out=rho)
+    return flows, hit
 
 
 def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
@@ -176,7 +175,8 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     or not finite, BufferOutOfRange naming the node, a source inflow that
     could overflow the load NonFiniteValue, and `project_cells` checks
     each profile; round-off is clipped.  Each later state is checked by
-    the step that makes it (`advance_step`, `buffer_step`).
+    the step that makes it in place (`advance_step`, `buffer_step`), and
+    row n of every history is written once, when the loop reaches t^n.
     """
     for given, known, what in (
             (initial.densities, network.edges, "density for unknown edge"),
@@ -218,21 +218,19 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
               slice(a, b + 1)) for a, b in zip(table.first, table.last)]
     loads = np.zeros((M + 1, len(r)))
     series = np.zeros((M, len(table.flows)))
-    fired = np.zeros((2, len(r)), dtype=np.intp)
-    # the last K steps' states, time-major, copied to the roads' blocks
-    # when full and at the end
+    hits = np.zeros((M, 2, len(r)), dtype=bool)
+    # the last K states, time-major, copied to the roads' blocks when full
+    # and at the end
     K = _chunk_rows(cells)
     states = np.empty((K, cells))
-    for block, part in roads:
-        block[0] = rho[part]
-    loads[0] = r
-    for n in range(M):
-        rho, loads[n + 1], series[n], hit = advance_step(table, rho, loads[n], n)
-        fired += hit
+    for n in range(M + 1):
+        if n:
+            series[n - 1], hits[n - 1] = advance_step(table, rho, r, n - 1)
+        loads[n] = r
         j = n % K
         states[j] = rho
-        if j == K - 1 or n == M - 1:
+        if j == K - 1 or n == M:
             for block, part in roads:
-                block[n + 1 - j:n + 2] = states[:j + 1, part]
+                block[n - j:n + 1] = states[:j + 1, part]
     return SimLog(network, tau, T, mode, [block for block, _ in roads],
-                  loads, series, fired)
+                  loads, series, hits)

@@ -412,10 +412,10 @@ def track_car(log, start_edge, start_x, start_time, destination,
             if math.isnan(wt):
                 car.status = CarStatus.HORIZON_EXCEEDED
                 return car
+            x = enter_edge(log, next_id, m, frac)
             cum += edge.length
             edge = net.edges[next_id]
             car.path.append(next_id)
-            x = enter_edge(log, next_id, m, frac)
             t_dep = m * tau + frac
             n = m + 1
     except HorizonExceeded:

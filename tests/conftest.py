@@ -125,8 +125,8 @@ def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
     merge (2 roads in, 1 out): pooled loads may go negative only there."""
     table = one_node_table(JunctionSpec(id=node, kind=NodeKind.TWO_TO_ONE,
                                         r_max=r_max), 2, 1, tau, 1, mode)
-    new_r, _ = buffer_step(table, np.array([float(r)]),
-                           node_flows(table, inflow, outflow))
+    new_r = np.array([float(r)])
+    buffer_step(table, new_r, node_flows(table, inflow, outflow))
     events = negativity_events(table.ids, np.array([[float(r)], new_r]), tau)
     return float(new_r[0]), (events[0] if events else None)
 

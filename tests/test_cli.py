@@ -14,14 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from bufferlane import __version__, bundled_scenario
 from bufferlane.cli import main
+from bufferlane.junctions import DemandMode
+from bufferlane.oracle import ORACLES
+from bufferlane.routing import RoutePolicy
 from bufferlane.run import execute
 from bufferlane.scenario import (
+    _KEYS,
     ScenarioDoc,
     write_buffer_csv,
     write_density_csv,
     write_route_summary,
     write_trajectory_csv,
 )
+from bufferlane.tracker import TrackerKind
 
 # every bundled scenario but the long `block` run
 SMALL = ("linear", "merge_pooled", "rarefaction_buffer", "rarefaction_single",
@@ -29,6 +34,9 @@ SMALL = ("linear", "merge_pooled", "rarefaction_buffer", "rarefaction_single",
 # finite extremes among them: subnormal, tiny, huge and the largest floats
 BAD_VALUES = ["nan", "inf", "-1", "0", "abc", "", "1e-320", "5e-324", "1e-9",
               "1e30", "1e308", "-1e308"]
+# the names a [run] or [car] setting may take
+NAMES = [k.value for enum in (DemandMode, TrackerKind, RoutePolicy)
+         for k in enum] + list(ORACLES)
 
 
 def value_spans(lines):
@@ -356,7 +364,7 @@ def test_car_settings_checked_without_a_car(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", str(path), "--out", str(out), "--wrho", "-1"]) == 1
     assert capsys.readouterr().err == (
-        "error: car: w_rho=-1.0: must be a finite number in [0, inf]\n")
+        "error: car: w_rho=-1.0: must be a finite number >= 0\n")
     assert not out.exists()
     assert main(["run", str(path), "--out", str(out), "--wr", "0.7"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -391,15 +399,27 @@ def test_car_start_checked_without_a_car(tmp_path, capsys, car, error):
 
 @st.composite
 def mutated_scenario(draw):
-    """A small bundled scenario with one to three lines dropped or values
-    replaced, one after another."""
+    """A small bundled scenario with one to three lines dropped, repeated
+    elsewhere, or inserted as a [run] or [car] setting, or values replaced,
+    one after another."""
     # small_network at h=0.1: a tenth of its cells and of its steps, so
     # that one of its runs costs about what a run of the others does
     text = bundled_scenario(draw(st.sampled_from(SMALL)))
     lines = text.replace("h=0.01", "h=0.1").splitlines()
     for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["drop", "repeat", "insert", "replace"]))
+        if kind == "drop":
             del lines[draw(st.integers(0, len(lines) - 1))]
+        elif kind == "repeat":
+            line = lines[draw(st.integers(0, len(lines) - 1))]
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif kind == "insert":
+            section = draw(st.sampled_from(["run", "car"]))
+            key = draw(st.sampled_from(_KEYS[section]))
+            value = draw(st.sampled_from(BAD_VALUES + NAMES))
+            if f"[{section}]" not in lines:
+                lines.append(f"[{section}]")
+            lines.insert(lines.index(f"[{section}]") + 1, f"{key}={value}")
         else:
             i, start, end = draw(st.sampled_from(value_spans(lines)))
             value = draw(st.sampled_from(BAD_VALUES))
@@ -410,8 +430,9 @@ def mutated_scenario(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(mutated_scenario())
 def test_mutated_scenario_never_raises(lines):
-    # lines dropped or values replaced: `run` ends with an exit code and
-    # at most one `error:` line, never a traceback or a numpy warning
+    # lines dropped, repeated or inserted, or values replaced: `run` ends
+    # with an exit code and at most one `error:` line, never a traceback
+    # or a numpy warning
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.scn"
@@ -499,6 +520,29 @@ def test_car_query_ends_with_its_exit_code(tmp_path, capsys, car, code, out,
     path.write_text(text)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == code
     assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("tracker", ["naive", "complex"])
+@pytest.mark.parametrize("policy", ["shortest", "aggregated", "online",
+                                    "fastest"])
+def test_road_entered_at_the_horizon_is_not_on_the_path(tmp_path, capsys,
+                                                        tracker, policy):
+    # at T=1.6 the wait at n2 ends exactly at T: the car never enters e2,
+    # and its last row has it waiting on e1 at T
+    text = bundled_scenario("linear").replace("T=8", "T=1.6")
+    path = tmp_path / "cut.scn"
+    path.write_text(text.replace("oracle=linear\n", ""))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out), "--tracker", tracker,
+                 "--policy", policy]) == 3
+    if policy == "fastest":
+        assert capsys.readouterr() == (
+            "", "error: no path to n4 completes within the horizon\n")
+        return
+    assert capsys.readouterr() == ("car did not arrive: horizon_exceeded\n", "")
+    assert json.loads((out / "route.json").read_text())["path"] == ["e1"]
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert rows[-1] == "1.6,e1,1.0,1.0,waiting"
 
 
 def test_unreachable_destination_exit_4(tmp_path, capsys):

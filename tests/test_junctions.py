@@ -234,7 +234,8 @@ class TestBufferStep:
         # outflow is scaled to stop the buffer at exactly 0.0
         table = one_node_table(merge_spec(r_max=1.0), 2, 1, tau=0.05)
         flows = node_flows(table, 0.19, 0.2)
-        r, hit = junctions.buffer_step(table, np.zeros(1), flows)
+        r = np.zeros(1)
+        hit = junctions.buffer_step(table, r, flows)
         assert r[0] == 0.0
         assert hit.tolist() == [[True], [False]]
         assert flows[-1] == pytest.approx(0.19)
@@ -243,8 +244,8 @@ class TestBufferStep:
         # pooled loads may go negative only at merges
         table = one_node_table(pass_spec(r_max=1.0), 1, 1, tau=0.05,
                                mode=DemandMode.POOLED)
-        r, hit = junctions.buffer_step(
-            table, np.zeros(1), node_flows(table, 0.19, 0.2))
+        r = np.zeros(1)
+        hit = junctions.buffer_step(table, r, node_flows(table, 0.19, 0.2))
         assert r[0] == 0.0
         assert hit.tolist() == [[True], [False]]
 
@@ -255,7 +256,8 @@ class TestBufferStep:
                                (0.3, 0.0, 0.1), (0.1, 0.21, 0.13)):
             flows = node_flows(table, f_in, f_out)
             before = flows.copy()
-            new_r, hit = junctions.buffer_step(table, np.array([r]), flows)
+            new_r = np.array([r])
+            hit = junctions.buffer_step(table, new_r, flows)
             assert new_r.tobytes() == np.array(
                 [r + 0.05 * (f_in - f_out)]).tobytes()
             assert not hit.any()
@@ -265,8 +267,9 @@ class TestBufferStep:
         table = one_node_table(merge_spec(r_max=0.3), 2, 1, tau=1.0, steps=3,
                                mode=DemandMode.POOLED)
         for load, kept in ((-5e-13, 0.0), (-5e-4, -5e-4)):
-            new_r, hit = junctions.buffer_step(
-                table, np.zeros(1), node_flows(table, 0.0, -load))
+            new_r = np.zeros(1)
+            hit = junctions.buffer_step(table, new_r,
+                                        node_flows(table, 0.0, -load))
             assert new_r[0] == kept and not hit.any()
             loads = np.array([[0.0], [0.0], [0.0], new_r])  # step 2's
             assert junctions.negativity_events(table.ids, loads, 1.0) == (

@@ -191,17 +191,19 @@ def stepped(net, init, steps, tau, mode):
     """`steps` plain `advance_step` calls from the initial state, recorded
     step by step: the states, loads, flow vectors, the negativity events
     (a load below -1e-12 after step n, at t = n tau) and the number of
-    steps the limiter rescaled each node at 0 and at r_max."""
+    steps the limiter rescaled each node at 0 and at r_max.  A step
+    advances rho and r in place and returns the table's flows and mask,
+    so each is copied."""
     table = JunctionTable.for_network(net, tau, steps, mode)
     rho = np.concatenate([project_cells(e, init.densities[e.id])
                           for e in table.edges])
     r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
-    states, loads, flows, events = [rho], [r], [], []
+    states, loads, flows, events = [rho.copy()], [r.copy()], [], []
     fired = 0
     for n in range(steps):
-        rho, r, f, hit = advance_step(table, rho, r, n)
-        states.append(rho.copy())  # the next call overwrites rho and f
-        loads.append(r)
+        f, hit = advance_step(table, rho, r, n)
+        states.append(rho.copy())
+        loads.append(r.copy())
         flows.append(f.copy())
         events.extend(NegativityEvent(v, n * tau, load)
                       for v, load in zip(net.nodes, r.tolist())
@@ -245,25 +247,25 @@ class TestRecording:
 
     @pytest.mark.parametrize("mode", list(DemandMode))
     def test_step_results_outlive_the_next_step(self, mode):
-        # a step's loads are a new array that no later step writes; its
-        # flow vector and limiter mask are the table's own, overwritten by
-        # the next step, so the flows kept from step n are a copy
+        # a step advances the state (rho, r) it is given in place; its flow
+        # vector and limiter mask are the table's own, overwritten by the
+        # next step, so what is kept from step n is a copy
         net, init = every_row_network()
         steps = 2 * _chunk_rows(sum(e.cells for e in net.edges.values())) + 1
         log = simulate(net, init, steps * 0.05, mode)
         table = JunctionTable.for_network(net, log.tau, steps, mode)
-        owned = [a for a in vars(table).values() if isinstance(a, np.ndarray)]
         rho = np.concatenate([project_cells(e, init.densities[e.id])
                               for e in table.edges])
         r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
         kept = []
         for n in range(steps):
-            rho, r, flows, hit = advance_step(table, rho, r, n)
+            flows, hit = advance_step(table, rho, r, n)
             assert flows is table.flows and hit is table.hit
-            assert not any(np.may_share_memory(r, a) for a in owned)
-            kept.append((r, flows.copy()))
+            kept.append((rho.copy(), r.copy(), flows.copy()))
         E, N = len(net.edges), len(net.nodes)
-        for n, (r, flows) in enumerate(kept):
+        for n, (rho, r, flows) in enumerate(kept):
+            assert rho.tolist() == np.concatenate(
+                [log.rho[e][n + 1] for e in net.edges]).tolist()
             assert r.tolist() == [log.buffers[v][n + 1] for v in net.nodes]
             assert flows.tolist() == (
                 [log.q_in[e][n] for e in net.edges]
@@ -343,8 +345,8 @@ class TestStepErrors:
         rho = np.zeros(sum(table.widths))
         rho[3] = eps
         r = np.zeros(len(net.nodes))
-        nu, *_ = advance_step(table, rho, r, 0)
-        return nu
+        advance_step(table, rho, r, 0)
+        return rho
 
     def test_round_off_clipped_to_zero(self):
         # raw -9.9e-11 is within the clip tolerance 1e-10: exactly 0.0
