@@ -1,84 +1,10 @@
-"""Exception hierarchy shared across the simulation engine."""
+"""Exception hierarchy shared across the simulation engine: one class per
+way a caller handles a failure.  A bad argument to a formula is a
+ValueError."""
 
 
 class BufferlaneError(Exception):
     """Base class for all engine errors."""
-
-
-class DensityOutOfRange(BufferlaneError):
-    pass
-
-
-class BufferOutOfRange(BufferlaneError):
-    pass
-
-
-class BufferOverflow(BufferOutOfRange):
-    pass
-
-
-class BufferUnderflow(BufferOutOfRange):
-    pass
-
-
-class NegativeInflow(BufferlaneError):
-    pass
-
-
-class DegreeMismatch(BufferlaneError):
-    pass
-
-
-class RateSumViolation(BufferlaneError):
-    pass
-
-
-class NonPositiveLength(BufferlaneError):
-    pass
-
-
-class NonFiniteValue(BufferlaneError):
-    """A NaN or infinite number where the model needs a finite one."""
-
-
-class DisconnectedGraph(BufferlaneError):
-    pass
-
-
-class CFLViolation(BufferlaneError):
-    pass
-
-
-class NotAShock(BufferlaneError):
-    pass
-
-
-class NotARarefaction(BufferlaneError):
-    pass
-
-
-class ZeroSpeedAtBoundary(BufferlaneError):
-    pass
-
-
-class RunTooLarge(BufferlaneError):
-    """A run whose recorded history would exceed `solver.MAX_VALUES`."""
-
-
-class HorizonExceeded(BufferlaneError):
-    pass
-
-
-class UnreachableDestination(BufferlaneError):
-    pass
-
-
-class OutOfDomain(BufferlaneError):
-    pass
-
-
-class GridMismatch(BufferlaneError):
-    pass
 
 
 class ScenarioSyntaxError(BufferlaneError):
@@ -90,4 +16,22 @@ class ScenarioSyntaxError(BufferlaneError):
 
 
 class ScenarioSemanticError(BufferlaneError):
+    """An input value that cannot be run: a network, initial state or
+    setting rejected before the first step."""
+
+
+class InvariantViolation(BufferlaneError):
+    """A step made a density off [0, 1] or a buffer load off [0, r_max]
+    beyond round-off, which only a coupling bug can cause."""
+
+
+class ZeroSpeedAtBoundary(BufferlaneError):
+    pass
+
+
+class HorizonExceeded(BufferlaneError):
+    pass
+
+
+class UnreachableDestination(BufferlaneError):
     pass

@@ -3,12 +3,15 @@
 All nodes form one table of 2-in/2-out rows, evaluated in one array pass
 per step.  A merge (two_to_one) is a row as written; a split (one_to_two)
 is a merge whose second incoming slot is a phantom with priority 0;
-one_to_one is a split with alpha = (1, 0) whose second exit is a phantom;
-a source is a one_to_one fed by its inflow.  A phantom reads demand or
-supply 0.0 with priority or split 0, so each term it adds is exactly 0
-(`1.0 * x` and `x + 0.0` are exact for x >= 0): every row gives its
-kind's fluxes bit for bit.  A sink absorbs min(demand, supply) = f of its
-road's last cell.
+one_to_one is a split with alpha = (1, 0) whose second exit is a phantom.
+A source is a one_to_one row whose incoming demand is its inflow, but
+its buffer (r_max = inf) takes the whole inflow: f_in is the raw inflow,
+not capped by mu.  It releases as a one_to_one does: min(supply, mu)
+while it holds a load, min(supply, inflow, mu) when empty.  A phantom
+reads demand or supply 0.0 with priority or split 0, so each term it adds
+is exactly 0 (`1.0 * x` and `x + 0.0` are exact for x >= 0): every row
+gives its kind's fluxes bit for bit.  A sink absorbs min(demand, supply)
+= f of its road's last cell.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import fluxes
-from .errors import BufferOverflow, BufferUnderflow
+from .errors import InvariantViolation
 from .network import DEMAND_PROPORTIONAL, NodeKind
 
 # emptiness / fullness decided up to round-off (a numpy scalar: quicker in ufuncs)
@@ -204,9 +207,9 @@ def buffer_step(table, r, flows):
 
     Every load after the initial one (which `simulate` checks) is checked
     here, and only here.  After the limiter only a coupling bug can put a
-    load off [0, r_max] beyond round-off; that raises BufferOverflow or
-    BufferUnderflow and leaves `r` as it was.  With no node hit and no
-    load below 0, every load lies in [0, r_max] already and goes unchecked.
+    load off [0, r_max] beyond round-off; that raises InvariantViolation
+    and leaves `r` as it was.  With no node hit and no load below 0,
+    every load lies in [0, r_max] already and goes unchecked.
     """
     f = flows[table.edge_flows:].reshape(2, -1)
     f_in, f_out, tau, dr, hit = f[0], f[1], table.tau, table.dr, table.hit
@@ -241,8 +244,9 @@ def buffer_step(table, r, flows):
         k = int(np.argmax(fatal[0] | fatal[1]))
         node, load = table.ids[k], float(new_r[k])
         if fatal[1, k]:
-            raise BufferOverflow(f"node {node}: buffer {load} > r_max {r_max[k]}")
-        raise BufferUnderflow(f"node {node}: buffer {load} < 0")
+            raise InvariantViolation(
+                f"node {node}: buffer {load} > r_max {r_max[k]}")
+        raise InvariantViolation(f"node {node}: buffer {load} < 0")
     np.maximum(new_r, 0.0, out=r)
     np.minimum(r, r_max, out=r)
     if table.pooled:  # past the check, every other load is above -TOL

@@ -6,15 +6,7 @@ from enum import Enum
 from typing import Optional
 
 from . import fluxes
-from .errors import (
-    DegreeMismatch,
-    DisconnectedGraph,
-    NegativeInflow,
-    NonFiniteValue,
-    NonPositiveLength,
-    RateSumViolation,
-    ScenarioSemanticError,
-)
+from .errors import ScenarioSemanticError
 
 _SUM_TOL = 1e-12
 
@@ -91,8 +83,8 @@ def _check_pair(node, name, pair):
     that sum to 1 within round-off."""
     if not (pair is not None and len(pair) == 2 and pair[0] > 0
             and pair[1] > 0 and abs(pair[0] + pair[1] - 1.0) <= _SUM_TOL):
-        raise RateSumViolation(f"node {node.id}: {name} {pair} must be two "
-                               f"positive numbers that sum to 1")
+        raise ScenarioSemanticError(f"node {node.id}: {name} {pair} must be "
+                                    f"two positive numbers that sum to 1")
 
 
 class RoadNetwork:
@@ -109,7 +101,8 @@ class RoadNetwork:
         self.out_edges = {nid: [] for nid in self.nodes}
         for e in edges:
             if e.source not in self.nodes or e.target not in self.nodes:
-                raise DegreeMismatch(f"edge {e.id} references unknown node")
+                raise ScenarioSemanticError(
+                    f"edge {e.id} references unknown node")
             self.out_edges[e.source].append(e.id)
             self.in_edges[e.target].append(e.id)
         self.validate()
@@ -126,18 +119,16 @@ class RoadNetwork:
 
     def validate(self) -> "RoadNetwork":
         for e in self.edges.values():
-            if not math.isfinite(e.length):
-                raise NonFiniteValue(f"edge {e.id}: length {e.length}")
-            if e.length <= 0.0:
-                raise NonPositiveLength(f"edge {e.id}: length {e.length}")
+            if not 0.0 < e.length < math.inf:
+                raise ScenarioSemanticError(f"edge {e.id}: length {e.length}")
             if e.cells < 2:
-                raise NonPositiveLength(f"edge {e.id}: needs >= 2 cells")
+                raise ScenarioSemanticError(f"edge {e.id}: needs >= 2 cells")
         for node in self.nodes.values():
             din = len(self.in_edges[node.id])
             dout = len(self.out_edges[node.id])
             want = _DEGREES[node.kind]
             if (din, dout) != want:
-                raise DegreeMismatch(
+                raise ScenarioSemanticError(
                     f"node {node.id} ({node.kind.value}): degree "
                     f"({din},{dout}), expected {want}")
             if node.kind is NodeKind.ONE_TO_TWO:
@@ -156,14 +147,15 @@ class RoadNetwork:
                         f"node; only a {reader.value} reads {name}")
             if (node.kind in (NodeKind.SOURCE, NodeKind.SINK)
                     and math.isfinite(node.r_max)):
-                raise RateSumViolation(
+                raise ScenarioSemanticError(
                     f"node {node.id}: source/sink buffers are unbounded")
             mu_cap = max(max(din, dout), 1) * fluxes.F_MAX
             if not 0.0 < node.mu <= mu_cap:
-                raise RateSumViolation(
+                raise ScenarioSemanticError(
                     f"node {node.id}: mu {node.mu} outside (0, {mu_cap}]")
             if not (node.r_max > 0.0):
-                raise RateSumViolation(f"node {node.id}: r_max must be > 0")
+                raise ScenarioSemanticError(
+                    f"node {node.id}: r_max must be > 0")
         self._check_connected()
         return self
 
@@ -177,15 +169,15 @@ class RoadNetwork:
                 f"node {node.id}: inflow breakpoints must be strictly increasing")
         for t_k, v_k in node.inflow:
             if not (math.isfinite(t_k) and math.isfinite(v_k)):
-                raise NonFiniteValue(
+                raise ScenarioSemanticError(
                     f"node {node.id}: inflow {v_k} from t={t_k}")
             if v_k < 0.0:
-                raise NegativeInflow(
+                raise ScenarioSemanticError(
                     f"node {node.id}: inflow {v_k} < 0 from t={t_k}")
 
     def _check_connected(self):
         if not self.edges:
-            raise DisconnectedGraph("network has no edges")
+            raise ScenarioSemanticError("network has no edges")
         # weak connectivity
         adj = {nid: set() for nid in self.nodes}
         for e in self.edges.values():
@@ -200,14 +192,14 @@ class RoadNetwork:
             seen.add(v)
             stack.extend(adj[v] - seen)
         if seen != set(self.nodes):
-            raise DisconnectedGraph(
+            raise ScenarioSemanticError(
                 f"unreachable nodes: {sorted(set(self.nodes) - seen)}")
 
 
 def cells_for_target_h(length: float, target_h: float, edge_id=None) -> int:
     """Cell count so edges of different length share a grid scale; a
-    count that is not finite raises NonFiniteValue naming the edge."""
+    count that is not finite raises ScenarioSemanticError naming the edge."""
     if not math.isfinite(length / target_h):
-        raise NonFiniteValue(f"edge {edge_id}: length {length} at h="
-                             f"{target_h} gives no finite cell count")
+        raise ScenarioSemanticError(f"edge {edge_id}: length {length} at h="
+                                    f"{target_h} gives no finite cell count")
     return max(2, round(length / target_h))

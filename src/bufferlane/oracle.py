@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 
-from .errors import GridMismatch, OutOfDomain
-
 # three unit roads at densities 0.3 / 0.5 / 0.7, buffer waits at both
 # interior nodes; domain ends when the car leaves the third road
 LINEAR_T_END = 160.0 / 21.0
@@ -28,7 +26,7 @@ LINEAR_WAIT_SECOND = 30.0 / 7.0 - 18.0 / 5.0  # 24/35
 def linear_network_exact(t):
     """Exact position on the three-road constant-density network."""
     if t < 0.0 or t > LINEAR_T_END + 1e-12:
-        raise OutOfDomain(f"t={t} outside [0, {LINEAR_T_END}]")
+        raise ValueError(f"t={t} outside [0, {LINEAR_T_END}]")
     if t <= 10.0 / 7.0:
         return 0.7 * t
     if t <= 8.0 / 5.0:
@@ -43,7 +41,7 @@ def linear_network_exact(t):
 def rarefaction_exact(t):
     """Exact position on the single road with an expanding fan."""
     if t < 0.0 or t > RAREFACTION_T_END + 1e-12:
-        raise OutOfDomain(f"t={t} outside [0, {RAREFACTION_T_END}]")
+        raise ValueError(f"t={t} outside [0, {RAREFACTION_T_END}]")
     if t < 1.25:
         return 0.6 * t
     return t - _FAN_COEFF * math.sqrt(t) + 0.5
@@ -65,7 +63,7 @@ def truncation_error(times, positions, exact, t_end=None):
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
     if times.shape != positions.shape:
-        raise GridMismatch(f"{times.shape} vs {positions.shape}")
+        raise ValueError(f"{times.shape} vs {positions.shape}")
     err = 0.0
     for t, x in zip(times, positions):
         if t_end is not None and t > t_end + 1e-12:

@@ -6,8 +6,7 @@ from functools import cached_property
 import numpy as np
 
 from . import junctions
-from .errors import (BufferOutOfRange, CFLViolation, DensityOutOfRange,
-                     NonFiniteValue, RunTooLarge, ScenarioSemanticError)
+from .errors import InvariantViolation, ScenarioSemanticError
 from .fluxes import godunov_flux
 from .junctions import DemandMode
 from .network import NodeKind, RoadNetwork
@@ -36,8 +35,8 @@ def project_cells(edge, pieces):
     """Exact cell averages of a piecewise-constant profile.
 
     Breakpoints that are not finite or not strictly increasing raise
-    ScenarioSemanticError, and a piece value off [0, 1] beyond round-off,
-    or not finite, raises DensityOutOfRange, both naming the edge."""
+    ScenarioSemanticError naming the edge, and so does a piece value off
+    [0, 1] beyond round-off, or not finite."""
     xs = [x for x, _ in pieces]
     if not (all(map(np.isfinite, xs))
             and all(a < b for a, b in zip(xs, xs[1:]))):
@@ -45,7 +44,7 @@ def project_cells(edge, pieces):
             f"edge {edge.id}: breakpoints must be strictly increasing")
     for _, v in pieces:
         if not -_ENTRY_TOL <= v <= 1.0 + _ENTRY_TOL:
-            raise DensityOutOfRange(
+            raise ScenarioSemanticError(
                 f"edge {edge.id}: initial density {float(v)} outside [0, 1]")
     lo = np.arange(edge.cells) * edge.h
     hi = np.arange(1, edge.cells + 1) * edge.h
@@ -59,13 +58,14 @@ def project_cells(edge, pieces):
 def cfl_timestep(network: RoadNetwork, T):
     """Half the smallest cell width, shrunk so the horizon divides evenly
     into n >= 1 steps; a half width that underflows to 0, or T / tau
-    outside (0, inf), raises NonFiniteValue."""
+    outside (0, inf), raises ScenarioSemanticError."""
     h = min(e.h for e in network.edges.values())
     tau = 0.5 * h
     if not tau > 0.0:
-        raise NonFiniteValue(f"cell width {h} gives no time step > 0")
+        raise ScenarioSemanticError(f"cell width {h} gives no time step > 0")
     if not 0.0 < T / tau < np.inf:
-        raise NonFiniteValue(f"T={T} at tau={tau} gives no finite step count")
+        raise ScenarioSemanticError(
+            f"T={T} at tau={tau} gives no finite step count")
     return T / max(1, int(np.ceil(T / tau - 1e-9)))
 
 
@@ -153,7 +153,7 @@ def advance_step(table, rho, r, n):
     if lo < -_CLIP_TOL or hi > 1.0 + _CLIP_TOL:
         lo, hi = (f.reduceat(rho, table.first) for f in (np.minimum, np.maximum))
         k = np.argmax((lo < -_CLIP_TOL) | (hi > 1.0 + _CLIP_TOL))
-        raise CFLViolation(
+        raise InvariantViolation(
             f"edge {table.edges[k].id}: density left [0,1] at "
             f"t={n * table.tau:.6g} (range [{lo[k]:.3e}, {hi[k]:.3e}])")
     if lo < 0.0 or hi > 1.0:
@@ -168,15 +168,15 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     road, the bound the complex tracker assumes.  The state is one flat
     density vector and one load per node; a JunctionTable built for the
     run gives all boundary fluxes of a step in one array pass.  The
-    network checked itself when made; a run over MAX_VALUES values raises
-    RunTooLarge before any allocation, and the initial data is checked
-    here, once: an id not in the network raises ScenarioSemanticError
-    (the first in sorted order), a load off [0, r_max] beyond round-off,
-    or not finite, BufferOutOfRange naming the node, a source inflow that
-    could overflow the load NonFiniteValue, and `project_cells` checks
-    each profile; round-off is clipped.  Each later state is checked by
-    the step that makes it in place (`advance_step`, `buffer_step`), and
-    row n of every history is written once, when the loop reaches t^n.
+    network checked itself when made.  Each input this run cannot take
+    raises ScenarioSemanticError: a run over MAX_VALUES values, before
+    any allocation, and, checked here once, an id not in the network
+    (the first in sorted order), a load off [0, r_max] beyond round-off
+    or not finite (naming the node) and a source inflow that could
+    overflow the load; `project_cells` checks each profile, and
+    round-off is clipped.  Each later state is checked by the step that
+    makes it in place (`advance_step`, `buffer_step`), and row n of every
+    history is written once, when the loop reaches t^n.
     """
     for given, known, what in (
             (initial.densities, network.edges, "density for unknown edge"),
@@ -189,8 +189,9 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     cells = sum(e.cells for e in network.edges.values())
     sources = sum(v.kind is NodeKind.SOURCE for v in network.nodes.values())
     if cells * (M + 1) + M * sources > MAX_VALUES:
-        raise RunTooLarge(f"run too large: {cells} cells over {M:.6g} steps "
-                          f"record more than {MAX_VALUES} values")
+        raise ScenarioSemanticError(
+            f"run too large: {cells} cells over {M:.6g} steps "
+            f"record more than {MAX_VALUES} values")
     table = junctions.JunctionTable.for_network(network, tau, M, mode)
     rho = np.concatenate([project_cells(e, initial.densities.get(
         e.id, [(0.0, 0.0)])) for e in table.edges])
@@ -199,8 +200,9 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     bad = ~(np.isfinite(r) & (r >= -_ENTRY_TOL) & (r <= table.r_max + _ENTRY_TOL))
     if bad.any():
         k = np.argmax(bad)
-        raise BufferOutOfRange(f"node {table.ids[k]}: buffer load "
-                               f"{float(r[k])} outside [0, {table.r_max[k]}]")
+        raise ScenarioSemanticError(
+            f"node {table.ids[k]}: buffer load "
+            f"{float(r[k])} outside [0, {table.r_max[k]}]")
     np.clip(r, 0.0, table.r_max, out=r)
     # a source's load grows by at most tau times its inflow a step, and
     # readers sum its history: twice that sum must still be finite
@@ -210,8 +212,8 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
         top = 2.0 * (M + 1) * (r[fed] + tau * table.inflows.sum(0))
     if not np.isfinite(top).all():
         k = fed[np.argmin(np.isfinite(top))]
-        raise NonFiniteValue(f"node {table.ids[k]}: inflow over T={T} "
-                             "overflows its buffer load")
+        raise ScenarioSemanticError(f"node {table.ids[k]}: inflow over "
+                                    f"T={T} overflows its buffer load")
     history = np.zeros((M + 1) * cells)
     # road k's (M+1, cells) block of the edge-major history, and its cells
     roads = [(history[(M + 1) * a:(M + 1) * (b + 1)].reshape(M + 1, -1),

@@ -22,13 +22,7 @@ from array import array
 from enum import Enum
 from itertools import repeat
 
-from .errors import (
-    HorizonExceeded,
-    NotARarefaction,
-    NotAShock,
-    UnreachableDestination,
-    ZeroSpeedAtBoundary,
-)
+from .errors import HorizonExceeded, UnreachableDestination, ZeroSpeedAtBoundary
 from .fluxes import flux, flux_derivative, velocity
 
 _ARRIVAL_TOL = 1e-14
@@ -122,7 +116,7 @@ def shock_intersection(x, x_i, rho_minus, rho_plus):
     or None when the car's speed and the shock's round to the same value
     (rho_plus tiny): the car then never reaches the shock."""
     if rho_minus >= rho_plus:
-        raise NotAShock(f"{rho_minus} >= {rho_plus}")
+        raise ValueError(f"{rho_minus} >= {rho_plus}")
     lam = (flux(rho_plus) - flux(rho_minus)) / (rho_plus - rho_minus)
     closing = velocity(rho_minus) - lam
     if closing == 0.0:
@@ -135,7 +129,7 @@ def fan_coefficient(tau_bar, x_bar, x_i):
     """Coefficient c of the in-fan path x(t) = x_i + t - c sqrt(t), wave
     origin at (0, x_i), that the car enters at (tau_bar, x_bar)."""
     if tau_bar <= 0.0:
-        raise NotARarefaction(f"tau_bar {tau_bar} must be positive")
+        raise ValueError(f"tau_bar {tau_bar} must be positive")
     return (tau_bar + x_i - x_bar) / math.sqrt(tau_bar)
 
 

@@ -20,6 +20,10 @@ from bufferlane.solver import InitialData, simulate
 from bufferlane.tracker import TrackerKind, node_waiting, traverse_edge
 
 
+# the tables a SimLog keeps per road or per node id
+TABLES = ("rho", "buffers", "q_in", "q_out", "node_inflow", "node_outflow")
+
+
 def make_edge(eid, src, dst, length=1.0, h=0.1):
     return Edge(id=eid, source=src, target=dst, length=length,
                 cells=cells_for_target_h(length, h))

@@ -31,10 +31,9 @@ from bufferlane.errors import BufferlaneError
 from bufferlane.junctions import DemandMode
 from bufferlane.routing import RoutePolicy
 from bufferlane.solver import simulate
-from conftest import every_row_network, random_scenario
+from conftest import TABLES, every_row_network, random_scenario
 
 GOLDEN = Path(__file__).with_name("golden.json")
-TABLES = ("rho", "buffers", "q_in", "q_out", "node_inflow", "node_outflow")
 BUNDLED = ("linear", "merge_pooled", "rarefaction_buffer",
            "rarefaction_single", "small_network")
 SEEDS = (0, 1, 2, 3, 4)

@@ -1,12 +1,12 @@
 """Closed-form reference trajectories and the truncation-error functional."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bufferlane import oracle
-from bufferlane.errors import GridMismatch, OutOfDomain
 
 
 class TestLinearNetworkExact:
@@ -21,10 +21,13 @@ class TestLinearNetworkExact:
             pytest.approx(3.0)
 
     def test_domain(self):
-        with pytest.raises(OutOfDomain):
+        end = oracle.LINEAR_T_END
+        with pytest.raises(ValueError,
+                           match=re.escape(f"t=-0.1 outside [0, {end}]")):
             oracle.linear_network_exact(-0.1)
-        with pytest.raises(OutOfDomain):
-            oracle.linear_network_exact(oracle.LINEAR_T_END + 0.1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"t={end + 0.1} outside [0, {end}]")):
+            oracle.linear_network_exact(end + 0.1)
 
     def test_continuous_and_monotone(self):
         ts = np.linspace(0.0, oracle.LINEAR_T_END, 10_000)
@@ -59,8 +62,10 @@ class TestRarefactionExact:
         assert np.all(np.diff(xs) >= -1e-12)
 
     def test_domain(self):
-        with pytest.raises(OutOfDomain):
-            oracle.rarefaction_exact(oracle.RAREFACTION_T_END + 0.2)
+        end = oracle.RAREFACTION_T_END
+        with pytest.raises(ValueError, match=re.escape(
+                f"t={end + 0.2} outside [0, {end}]")):
+            oracle.rarefaction_exact(end + 0.2)
 
 
 class TestTruncationError:
@@ -83,6 +88,6 @@ class TestTruncationError:
         assert err == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(GridMismatch):
+        with pytest.raises(ValueError, match=re.escape("(2,) vs (1,)")):
             oracle.truncation_error([0.0, 1.0], [0.0],
                                     oracle.rarefaction_exact)

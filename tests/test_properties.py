@@ -1,12 +1,15 @@
-"""Randomized invariants: conservation, bounds, determinism, FIFO order,
-fastest routes."""
+"""Randomized invariants: conservation, bounds, determinism, declaration
+order, mirror symmetry, FIFO order, fastest routes."""
 
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bufferlane import bundled_scenario, run, scenario as scn
 from bufferlane.errors import HorizonExceeded, ZeroSpeedAtBoundary
 from bufferlane.fluxes import demand, supply
 from bufferlane.junctions import DemandMode
@@ -17,6 +20,7 @@ from bufferlane.solver import simulate
 from bufferlane.tracker import (CarStatus, TrackerKind, complex_step,
                                 naive_step, track_car)
 from conftest import (
+    TABLES,
     buffer_bound_defect,
     mass_balance_defect,
     node_fluxes,
@@ -126,6 +130,98 @@ class TestDeterminism:
             assert np.array_equal(log1.rho[eid], log2.rho[eid])
         for nid in log1.buffers:
             assert np.array_equal(log1.buffers[nid], log2.buffers[nid])
+
+
+def table_bytes(log):
+    """Every table of `log` as {table: {id: bytes}}."""
+    return {name: {key: a.tobytes() for key, a in getattr(log, name).items()}
+            for name in TABLES}
+
+
+def float_bits(value):
+    """`value` with every float written as its hex form, so that `==`
+    compares bits (NaN and the sign of 0 included)."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (tuple, list)):
+        return [float_bits(v) for v in value]
+    return value
+
+
+def shuffled(text, rng):
+    """`text` with its node lines in a random order and its edge lines
+    too, except that each split's out-edges and each fixed-priority
+    merge's in-edges keep their order: `alpha` and `fixed:` pair with
+    them by declaration order."""
+    doc = scn.parse_scenario(text)
+    paired = [[eid for eid, a in doc.edges if a[end] == nid]
+              for nid, attrs in doc.nodes
+              for end, ordered in (
+                  ("from", attrs.get("kind") == "one_to_two"),
+                  ("to", attrs.get("priority", "").startswith("fixed:")))
+              if ordered]
+    lines = text.splitlines()
+    slots = {kind: [i for i, line in enumerate(lines)
+                    if line.startswith(kind + " ")]
+             for kind in ("node", "edge")}
+    out = list(lines)
+    for kind, at in slots.items():
+        while True:
+            order = rng.sample(at, len(at))
+            ids = [lines[i].split()[1] for i in order]
+            if kind == "node" or all(sorted(group, key=ids.index) == group
+                                     for group in paired):
+                break
+        for i, j in zip(at, order):
+            out[i] = lines[j]
+    return "\n".join(out) + "\n"
+
+
+class TestDeclarationOrder:
+    # the bundled scenarios small enough for a few runs each at h = 0.1
+    SCENARIOS = ("linear", "merge_pooled", "rarefaction_buffer",
+                 "rarefaction_single", "small_network")
+
+    @staticmethod
+    def outputs(text):
+        doc = scn.parse_scenario(text)
+        result = run.execute(replace(doc, run={**doc.run, "h": "0.1"}))
+        car = result.car_log
+        return table_bytes(result.log), result.log.limiter_fired, (
+            car and float_bits([car.samples, car.path, car.arrival_time]))
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_shuffled_lines_give_the_same_run(self, name):
+        # up to 8 distinct orders other than the file's (rarefaction_single
+        # has only one: its two node lines swapped)
+        text = bundled_scenario(name)
+        rng = random.Random(name)
+        orders = {shuffled(text, rng) for _ in range(40)} - {text}
+        assert orders
+        want = self.outputs(text)
+        for again in sorted(orders)[:8]:
+            assert self.outputs(again) == want
+
+
+class TestMirrorSymmetry:
+    def test_block_halves_are_bitwise_twins(self):
+        # n0 splits 0.5/0.5 into two copies of one gadget, e<k>a through
+        # a<k> and e<k>b through b<k>, which meet again at m1 and m2
+        doc = scn.parse_scenario(bundled_scenario("block"))
+        doc = replace(doc, run={**doc.run, "h": "0.05"})
+        log = simulate(scn.build_network(doc), scn.build_initial(doc),
+                       float(doc.run["T"]))
+        tables = table_bytes(log)
+        pairs = 0
+        for name, table in tables.items():
+            ids = [key for key in table if key[0] == "a" or
+                   key[0] == "e" and key.endswith("a")]
+            for key in ids:
+                twin = key[:-1] + "b" if key[0] == "e" else "b" + key[1:]
+                assert table[key] == table[twin], (name, key)
+            pairs += len(ids)
+        # 15 roads in rho, q_in and q_out; 10 nodes in the three node tables
+        assert pairs == 3 * 15 + 3 * 10
 
 
 class TestFifo:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bufferlane import bundled_scenario, scenario as scn, tracker
+from bufferlane import bundled_scenario, scenario as scn
 from bufferlane.errors import UnreachableDestination
 from bufferlane.junctions import DemandMode
 from bufferlane.routing import (
@@ -105,22 +105,13 @@ def direct_online_weights(log, step, w_rho, w_r):
 
 @pytest.mark.parametrize("w_rho, w_r", [(0.5, 0.5), (0.3, 1.7)])
 def test_online_weights_equal_direct_sums(small_log, w_rho, w_r):
-    # at every step, with the memo full, emptied by its bound and dropped
-    track_car(small_log, "e1", 0.5, 0.0, "n6",
-              choose_next=online_chooser(small_log, "n6", w_rho, w_r))
-    memo = tracker._MEMO[small_log]
-    steps = range(small_log.steps + 1)
-
+    # bit for bit at every step
     def bits(weights):
         return {eid: float(w).hex() for eid, w in weights.items()}
 
-    expect = [bits(direct_online_weights(small_log, n, w_rho, w_r))
-              for n in steps]
-    for empty in (lambda: None, memo.clear,
-                  lambda: tracker._MEMO.pop(small_log)):
-        empty()
-        assert [bits(online_weights(small_log, n, w_rho, w_r))
-                for n in steps] == expect
+    for n in range(small_log.steps + 1):
+        assert bits(online_weights(small_log, n, w_rho, w_r)) == bits(
+            direct_online_weights(small_log, n, w_rho, w_r))
 
 
 class TestFastestPath:

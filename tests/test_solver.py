@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from bufferlane import bundled_scenario, scenario as scn
-from bufferlane.errors import (
-    BufferOutOfRange,
-    CFLViolation,
-    DensityOutOfRange,
-    ScenarioSemanticError,
-)
+from bufferlane.errors import InvariantViolation, ScenarioSemanticError
 from bufferlane.junctions import DemandMode, JunctionTable, NegativityEvent
 from bufferlane.network import Edge
 from bufferlane.solver import (
@@ -317,7 +312,7 @@ class TestStepErrors:
         net, init = line_network()
         init.densities["e2"] = [(0.0, 0.5), (0.5, 0.95), (0.6, 1.0)]
         stepped(net, init, 20, 0.05, DemandMode.STANDARD)
-        with pytest.raises(CFLViolation, match=r"edge e2: density left "
+        with pytest.raises(InvariantViolation, match=r"edge e2: density left "
                            r"\[0,1\] at t=0 \(range \[4.200e-01, 1.045e\+00\]\)"):
             stepped(net, init, 5, 0.2, DemandMode.STANDARD)
 
@@ -329,7 +324,7 @@ class TestStepErrors:
         net, init = line_network()
         init.densities[edge] = [(0.0, 0.5), (0.5, 0.95), (0.6, 1.0)]
         stepped(net, init, 20, 0.05, DemandMode.STANDARD)
-        with pytest.raises(CFLViolation, match=re.escape(
+        with pytest.raises(InvariantViolation, match=re.escape(
                 f"edge {edge}: density left [0,1] at t=0 "
                 f"(range [{lo}, 1.045e+00])")):
             stepped(net, init, 5, 0.2, DemandMode.STANDARD)
@@ -356,7 +351,7 @@ class TestStepErrors:
 
     def test_overshoot_beyond_round_off_raises(self):
         # raw -9.0e-10 is past the clip tolerance: a CFL violation on e1
-        with pytest.raises(CFLViolation, match=r"edge e1: density left "
+        with pytest.raises(InvariantViolation, match=r"edge e1: density left "
                            r"\[0,1\] at t=0 \(range \[-9\.000e-10, "):
             self.overshoot(1e-5)
 
@@ -373,7 +368,7 @@ class TestStepErrors:
                 (line, "n0", -0.5, float("inf"), DemandMode.STANDARD),
                 (merge, "n3", -0.01, 1.0, DemandMode.POOLED)):
             buffers = dict(init.buffers, **{node: load})
-            with pytest.raises(BufferOutOfRange, match=re.escape(
+            with pytest.raises(ScenarioSemanticError, match=re.escape(
                     f"node {node}: buffer load {load} outside [0, {bound}]")):
                 simulate(net, InitialData(init.densities, buffers), 1.0,
                          mode=mode)
@@ -410,7 +405,7 @@ class TestInitialState:
         for rho in (1.5, -0.01, float("nan"), float("inf")):
             net, init = line_network()
             init.densities["e2"] = [(0.0, rho)]
-            with pytest.raises(DensityOutOfRange,
+            with pytest.raises(ScenarioSemanticError,
                                match=re.escape(f"edge e2: initial density {rho}")):
                 simulate(net, init, 1.0)
 
@@ -421,7 +416,7 @@ class TestInitialState:
         init.densities["e2"] = [(0.0, 0.5), (0.5, float("inf"))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DensityOutOfRange,
+            with pytest.raises(ScenarioSemanticError,
                                match="edge e2: initial density inf"):
                 simulate(net, init, 1.0)
 
