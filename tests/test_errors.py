@@ -25,8 +25,8 @@ def raised_names():
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) \
-                    else node.exc
+                exc = (node.exc.func if isinstance(node.exc, ast.Call)
+                       else node.exc)
                 if isinstance(exc, ast.Name):
                     names.add(exc.id)
     return names
