@@ -28,20 +28,11 @@ def flux_derivative(rho):
     return 1.0 - 2.0 * rho
 
 
-def demand(rho):
-    """Maximum flux a road can send downstream: f(min(rho, sigma))."""
-    return flux(np.minimum(rho, SIGMA))
-
-
-def supply(rho):
-    """Maximum flux a road can absorb: f(max(rho, sigma))."""
-    return flux(np.maximum(rho, SIGMA))
-
-
 def demand_supply(rho, out, spare):
-    """Demand and supply of every cell of `rho`, written to the two rows
-    of `out`; equal to `demand` and `supply` bit for bit.  `spare`, of
-    the shape of `out`, takes 1 - out."""
+    """Demand f(min(rho, sigma)), the most a cell can send downstream, and
+    supply f(max(rho, sigma)), the most it can absorb, of every cell of
+    `rho`, written to the two rows of `out`.  `spare`, of the shape of
+    `out`, takes 1 - out."""
     np.minimum(rho, SIGMA, out=out[0])
     np.maximum(rho, SIGMA, out=out[1])
     out *= np.subtract(1.0, out, out=spare)

@@ -11,7 +11,11 @@ while it holds a load, min(supply, inflow, mu) when empty.  A phantom
 reads demand or supply 0.0 with priority or split 0, so each term it adds
 is exactly 0 (`1.0 * x` and `x + 0.0` are exact for x >= 0): every row
 gives its kind's fluxes bit for bit.  A sink absorbs min(demand, supply)
-= f of its road's last cell.
+= f of its road's last cell.  A source's inflow is sampled at t = n tau
+from the last breakpoint reached up to 1e-15.  The scalar step in
+`tests/reference.py` gives every row, the inflow sampling and the
+limiter node by node, and a test holds `solver.advance_step` to it bit
+for bit.
 """
 
 from dataclasses import dataclass
@@ -44,9 +48,10 @@ class NegativityEvent:
 class JunctionTable:
     """A network's nodes as rows over one work vector, built for one run:
     it owns the step `tau`, the per-cell `lam` = tau / h, the (steps,
-    sources) `inflows` at t = n tau (`JunctionSpec.inflow_at` bit for bit)
-    and the demand mode, as the flag `pooled` and the bound `lower` each
-    load is held above.  A step reads only the state and its index n.
+    sources) `inflows` at t = n tau (`inflow_at` of `tests/reference.py`
+    bit for bit) and the demand mode, as the flag `pooled` and the bound
+    `lower` each load is held above.  A step reads only the state and its
+    index n.
 
     Road k owns cells `first[k]` to `last[k]` of the flat cell vector;
     `ins[k]` / `outs[k]` list the edges at node k in the order that pairs
@@ -79,7 +84,7 @@ class JunctionTable:
         self.inflows = np.empty((steps, len(sources)))
         for j, node in enumerate(sources):
             times, values = np.array(node.inflow, dtype=float).T
-            # inflow_at keeps the last breakpoint reached (times increase)
+            # the last breakpoint reached up to 1e-15 (times increase)
             reached = np.searchsorted(times - 1e-15, t, side="right")
             self.inflows[:, j] = values[np.maximum(reached - 1, 0)]
         sinks = [k for k, n in enumerate(nodes) if n.kind is NodeKind.SINK]

@@ -54,7 +54,8 @@ class JunctionSpec:
     outgoing edges; fixed `priority` pairs follow the declaration order of
     the incoming edges.  `inflow` is a piecewise-constant profile given as
     (time, value) breakpoints.  Only a one_to_two node may have `alpha`, a
-    two_to_one node a fixed `priority` and a source a nonzero `inflow`.
+    two_to_one node a fixed `priority` and a source a nonzero `inflow`;
+    a sink keeps the default `mu`, which no step reads.
     """
 
     id: str
@@ -64,18 +65,6 @@ class JunctionSpec:
     alpha: Optional[tuple] = None
     priority: object = DEMAND_PROPORTIONAL
     inflow: tuple = ((0.0, 0.0),)
-
-    def inflow_at(self, t: float) -> float:
-        """The inflow at time t.  `simulate` samples every step at once
-        into `JunctionTable.inflows`; this scalar form is kept as the
-        reference that table is tested against."""
-        value = self.inflow[0][1]
-        for t_k, v_k in self.inflow:
-            if t >= t_k - 1e-15:
-                value = v_k
-            else:
-                break
-        return value
 
 
 def _check_pair(node, name, pair):
@@ -136,15 +125,19 @@ class RoadNetwork:
             if node.kind is NodeKind.TWO_TO_ONE and node.priority != DEMAND_PROPORTIONAL:
                 _check_pair(node, "priorities", node.priority)
             self._check_inflow(node)
-            for name, given, reader in (
-                    ("inflow", any(v for _, v in node.inflow), NodeKind.SOURCE),
-                    ("alpha", node.alpha is not None, NodeKind.ONE_TO_TWO),
+            for name, given, readers in (
+                    ("inflow", any(v for _, v in node.inflow),
+                     [NodeKind.SOURCE]),
+                    ("alpha", node.alpha is not None, [NodeKind.ONE_TO_TWO]),
                     ("fixed priority", node.priority != DEMAND_PROPORTIONAL,
-                     NodeKind.TWO_TO_ONE)):
-                if given and node.kind is not reader:  # no step would read it
+                     [NodeKind.TWO_TO_ONE]),
+                    ("mu", node.mu != JunctionSpec.mu,
+                     [k for k in NodeKind if k is not NodeKind.SINK])):
+                if given and node.kind not in readers:  # no step would read it
                     raise ScenarioSemanticError(
-                        f"node {node.id}: {name} on a {node.kind.value} "
-                        f"node; only a {reader.value} reads {name}")
+                        f"node {node.id}: {name} on a {node.kind.value} node; "
+                        f"only a {' or '.join(k.value for k in readers)} "
+                        f"reads {name}")
             if (node.kind in (NodeKind.SOURCE, NodeKind.SINK)
                     and math.isfinite(node.r_max)):
                 raise ScenarioSemanticError(

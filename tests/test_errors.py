@@ -1,4 +1,5 @@
-"""The error classes: each one is raised somewhere in the package."""
+"""The package's own names: each error class is raised, and each function
+and method read, somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,36 @@ def test_every_error_class_is_raised():
     errors = engine_errors()
     assert {"ScenarioSemanticError", "InvariantViolation"} <= errors
     assert sorted(errors - raised_names()) == []
+
+
+# called from outside the package only: the benchmark's mass check
+# (`bench/checks.py`) sums the inflows of `sources()` and outflows of `sinks()`
+BENCH_ONLY = {"RoadNetwork.sources", "RoadNetwork.sinks"}
+
+
+def unread_functions():
+    """The functions and methods defined in the package that no code in
+    it reads: a method (`Class.name`) is read as an attribute `x.name`,
+    any other function also by its bare name.  Python calls the dunder
+    methods itself."""
+    names, attrs, defined = set(), set(), {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ClassDef):  # walked before its methods
+                defined.update((f, f"{node.name}.{f.name}") for f in node.body
+                               if isinstance(f, ast.FunctionDef))
+            elif isinstance(node, ast.FunctionDef):
+                defined.setdefault(node, node.name)
+    return {label for f, label in defined.items()
+            if not f.name.startswith("__") and f.name not in attrs
+            and ("." in label or f.name not in names)}
+
+
+def test_every_function_is_read():
+    # a function kept only for tests is a second copy of the program:
+    # the tests' scalar reference step lives in tests/reference.py
+    assert sorted(unread_functions() - BENCH_ONLY) == []

@@ -14,7 +14,7 @@ from bufferlane.network import (
     RoadNetwork,
     cells_for_target_h,
 )
-from conftest import line_network, make_edge
+from conftest import line_network, make_edge, one_node_table
 
 
 def rejected(message):
@@ -195,6 +195,18 @@ def test_inflow_only_on_sources(inflow, error):
         RoadNetwork(nodes, list(net.edges.values()))
 
 
+def test_sink_mu_rejected():
+    # no step reads a sink's mu: the default is accepted, any other
+    # rejected rather than dropped
+    net, _ = line_network()
+    nodes = list(net.nodes.values())
+    RoadNetwork([replace(n, mu=0.25) for n in nodes], list(net.edges.values()))
+    with rejected("node n3: mu on a sink node; only a source or one_to_one "
+                  "or one_to_two or two_to_one reads mu"):
+        RoadNetwork([replace(n, mu=0.01) for n in nodes],
+                    list(net.edges.values()))
+
+
 _S = JunctionSpec(id="s", kind=NodeKind.SOURCE)
 _T = JunctionSpec(id="t", kind=NodeKind.SINK)
 _T2 = JunctionSpec(id="t2", kind=NodeKind.SINK)
@@ -240,13 +252,18 @@ def test_empty_network():
 
 
 def test_inflow_profile_lookup():
+    # a run samples the profile at t = n tau into its junction table
     spec = JunctionSpec(id="s", kind=NodeKind.SOURCE,
                         inflow=((0.0, 0.1), (2.0, 0.2), (5.0, 0.0)))
-    assert spec.inflow_at(0.0) == 0.1
-    assert spec.inflow_at(1.999) == 0.1
-    assert spec.inflow_at(2.0) == 0.2
-    assert spec.inflow_at(4.0) == 0.2
-    assert spec.inflow_at(100.0) == 0.0
+    tau = 0.001
+    inflow = one_node_table(spec, 0, 1, tau, 100001).inflows[:, 0]
+    assert [n * tau for n in (1999, 2000, 4000, 100000)] == [
+        1.999, 2.0, 4.0, 100.0]
+    assert inflow[0] == 0.1
+    assert inflow[1999] == 0.1
+    assert inflow[2000] == 0.2
+    assert inflow[4000] == 0.2
+    assert inflow[100000] == 0.0
 
 
 def test_default_r_max_unbounded():

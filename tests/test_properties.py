@@ -1,5 +1,5 @@
 """Randomized invariants: conservation, bounds, determinism, declaration
-order, mirror symmetry, FIFO order, fastest routes."""
+order, mirror symmetry, x2 scaling, FIFO order, fastest routes."""
 
 import math
 import random
@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from bufferlane import bundled_scenario, run, scenario as scn
 from bufferlane.errors import HorizonExceeded, ZeroSpeedAtBoundary
-from bufferlane.fluxes import demand, supply
 from bufferlane.junctions import DemandMode
-from bufferlane.network import DEMAND_PROPORTIONAL, JunctionSpec, NodeKind
-from bufferlane.routing import fixed_path_chooser
+from bufferlane.network import (DEMAND_PROPORTIONAL, JunctionSpec, NodeKind,
+                                RoadNetwork)
+from bufferlane.routing import RoutePolicy, fixed_path_chooser
 from bufferlane.run import plan_route
 from bufferlane.solver import simulate
 from bufferlane.tracker import (CarStatus, TrackerKind, complex_step,
@@ -27,6 +27,7 @@ from conftest import (
     random_scenario,
     total_edge_time,
 )
+from reference import demand, supply
 
 
 class TestModeEquivalence:
@@ -148,6 +149,12 @@ def float_bits(value):
     return value
 
 
+def keeps_order(ids, paired):
+    """Whether the edge ids `ids` keep every list of ids in `paired` in
+    its order."""
+    return all(sorted(group, key=ids.index) == group for group in paired)
+
+
 def shuffled(text, rng):
     """`text` with its node lines in a random order and its edge lines
     too, except that each split's out-edges and each fixed-priority
@@ -169,8 +176,7 @@ def shuffled(text, rng):
         while True:
             order = rng.sample(at, len(at))
             ids = [lines[i].split()[1] for i in order]
-            if kind == "node" or all(sorted(group, key=ids.index) == group
-                                     for group in paired):
+            if kind == "node" or keeps_order(ids, paired):
                 break
         for i, j in zip(at, order):
             out[i] = lines[j]
@@ -202,6 +208,29 @@ class TestDeclarationOrder:
         for again in sorted(orders)[:8]:
             assert self.outputs(again) == want
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shuffled_random_network_gives_the_same_run(self, seed):
+        # the node and edge lists given to RoadNetwork in 3 other orders,
+        # each split's out-edges and each fixed merge's in-edges in theirs
+        net, init = random_scenario(np.random.default_rng(seed))
+        mode = list(DemandMode)[seed % 2]
+        paired = [net.out_edges[v] for v, node in net.nodes.items()
+                  if node.kind is NodeKind.ONE_TO_TWO]
+        paired += [net.in_edges[v] for v, node in net.nodes.items()
+                   if node.priority != DEMAND_PROPORTIONAL]
+        log = simulate(net, init, 4.0, mode)
+        want = table_bytes(log), log.limiter_fired
+        rng = random.Random(seed)
+        for _ in range(3):
+            nodes = rng.sample(list(net.nodes.values()), len(net.nodes))
+            edges = list(net.edges.values())
+            while True:
+                edges = rng.sample(edges, len(edges))
+                if keeps_order([e.id for e in edges], paired):
+                    break
+            log = simulate(RoadNetwork(nodes, edges), init, 4.0, mode)
+            assert (table_bytes(log), log.limiter_fired) == want
+
 
 class TestMirrorSymmetry:
     def test_block_halves_are_bitwise_twins(self):
@@ -222,6 +251,74 @@ class TestMirrorSymmetry:
             pairs += len(ids)
         # 15 roads in rho, q_in and q_out; 10 nodes in the three node tables
         assert pairs == 3 * 15 + 3 * 10
+
+
+def doubled(doc):
+    """`doc` with every length and time doubled: road lengths, h, T,
+    r_max, initial loads, density and inflow breakpoints, start_x and
+    start_time.  Densities, rates and the values of the inflows stay."""
+    def twice(text):
+        return repr(2.0 * float(text))
+
+    nodes = []
+    for nid, attrs in doc.nodes:
+        attrs = dict(attrs)
+        if "r_max" in attrs:
+            attrs["r_max"] = twice(attrs["r_max"])
+        if "inflow" in attrs:
+            attrs["inflow"] = ",".join(f"{2.0 * t!r}:{v!r}" for t, v in
+                                       scn._parse_profile(attrs["inflow"]))
+        nodes.append((nid, attrs))
+    return replace(
+        doc, nodes=nodes,
+        edges=[(eid, {**attrs, "length": twice(attrs["length"])})
+               for eid, attrs in doc.edges],
+        densities={e: [(2.0 * x, v) for x, v in profile]
+                   for e, profile in doc.densities.items()},
+        buffers={v: 2.0 * r for v, r in doc.buffers.items()},
+        run={**doc.run, "T": twice(doc.run["T"]), "h": twice(doc.run["h"])},
+        car={key: twice(value) if key in ("start_x", "start_time") else value
+             for key, value in doc.car.items()})
+
+
+class TestScaling:
+    @pytest.mark.parametrize("name", TestDeclarationOrder.SCENARIOS)
+    def test_doubled_lengths_and_times(self, name):
+        # LWR with unit maximal speed and density has no length scale: with
+        # every length and time doubled, tau doubles and tau / h stays, so
+        # each density and flux keeps its bits and each load, time and
+        # position doubles exactly (x2 is exact in binary floating point)
+        doc = scn.parse_scenario(bundled_scenario(name))
+        doc = replace(doc, run={**doc.run, "h": "0.1"})
+        cars = [{**doc.car, "policy": policy.value, "tracker": kind.value}
+                for policy in RoutePolicy for kind in TrackerKind]
+        for car in cars if doc.car else [doc.car]:
+            one = run.execute(replace(doc, car=car))
+            two = run.execute(doubled(replace(doc, car=car)))
+            want = table_bytes(one.log)
+            want["buffers"] = {v: (2.0 * r).tobytes()
+                               for v, r in one.log.buffers.items()}
+            assert table_bytes(two.log) == want
+            if not car:
+                continue
+            a, b = one.car_log, two.car_log
+            assert b.path == a.path
+            assert float_bits([b.arrival_time, two.predicted_arrival,
+                               b.waiting_times, b.travel_times]) == float_bits([
+                2.0 * a.arrival_time,
+                None if one.predicted_arrival is None
+                else 2.0 * one.predicted_arrival,
+                [(v, 2.0 * t, 2.0 * w) for v, t, w in a.waiting_times],
+                [(e, 2.0 * t, 2.0 * w) for e, t, w in a.travel_times]])
+            # except where the complex tracker crosses a fan: its path
+            # there takes sqrt(tau) (`fan_coefficient`, `complex_step`),
+            # and sqrt(2 tau) is not sqrt(2) sqrt(tau) to the last bit
+            ulps = 4 if car["tracker"] == "complex" else 0
+            assert len(b.samples) == len(a.samples)
+            for (t, e, x, _, s), (t2, e2, x2, _, s2) in zip(a.samples,
+                                                            b.samples):
+                assert (2.0 * t, e, s) == (t2, e2, s2)
+                assert abs(x2 - 2.0 * x) <= ulps * math.ulp(x2)
 
 
 class TestFifo:
