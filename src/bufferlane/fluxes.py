@@ -41,5 +41,6 @@ def demand_supply(rho, out, spare):
 
 def godunov_flux(d, s):
     """Godunov interface flux for concave f: the smaller of the sending
-    cell's demand `d` and the receiving cell's supply `s`."""
-    return np.minimum(d, s)
+    cells' demands `d` and the receiving cells' supplies `s`, written over
+    the array `d` and returned."""
+    return np.minimum(d, s, out=d)

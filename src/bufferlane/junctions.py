@@ -50,8 +50,8 @@ class JunctionTable:
     it owns the step `tau`, the per-cell `lam` = tau / h, the (steps,
     sources) `inflows` at t = n tau (`inflow_at` of `tests/reference.py`
     bit for bit) and the demand mode, as the flag `pooled` and the bound
-    `lower` each load is held above.  A step reads only the state and its
-    index n.
+    each load is held above.  A step reads only the state and its index
+    n.
 
     Road k owns cells `first[k]` to `last[k]` of the flat cell vector;
     `ins[k]` / `outs[k]` list the edges at node k in the order that pairs
@@ -64,6 +64,10 @@ class JunctionTable:
     f_out per node.  A step advances the caller's state (rho, r) in place;
     every other array it writes is the table's, rewritten by the next
     step: among them the `flows` and the limiter mask `hit` it returns.
+    The table also owns every view of those arrays that `fluxes`,
+    `buffer_step` and `solver.advance_step` read, each made once here: a
+    step makes no view but its row of `inflows` and the two rows that
+    `fluxes.demand_supply` fills, and allocates no array.
     """
 
     def __init__(self, nodes, ins, outs, edges, tau, steps, mode):
@@ -124,31 +128,58 @@ class JunctionTable:
                                       nodes, merge, dynamic)]).T
         alpha = [n.alpha if n.kind is NodeKind.ONE_TO_TWO else (1.0, 0.0)
                  for n in nodes]
-        self.full = self.r_max - _TOL
+        # rows 1e-12, the loads at t^n and r_max - 1e-12: one compare of
+        # two views gives `free` (not empty: 1e-12 < r; not full: r <
+        # r_max - 1e-12)
+        marks = np.stack((np.full(N, _TOL), np.zeros(N), self.r_max - _TOL))
+        self.r_now, self.free_sides = marks[1], (marks[:2], marks[1:])
         # the bound each load is held above: pooled loads may go negative
         # at merges, the known defect of that demand; beyond round-off past
-        # `floor` or `ceiling` a load is fatal
+        # floor or ceiling a load is fatal.  The rows floor, lower, new
+        # load, r_max and ceiling: one compare of two views gives the
+        # limiter's `hit` (new < lower, r_max < new), one the `fatal` mask
+        # (new < floor, ceiling < new)
         self.pooled = mode is DemandMode.POOLED
-        self.lower = np.where(merge & self.pooled, -np.inf, 0.0)
-        self.floor, self.ceiling = self.lower - _TOL, self.r_max + _TOL
+        lower = np.where(merge & self.pooled, -np.inf, 0.0)
+        levels = np.stack((lower - _TOL, lower, np.zeros(N), self.r_max,
+                           self.r_max + _TOL))
+        self.new_r = levels[2]
+        self.hit_sides = levels[2:4], levels[1:3]
+        self.fatal_sides = levels[2::2], levels[:3:2]
         self.ds = self.work[:2 * cells].reshape(2, cells)
         self.ds_spare = np.empty_like(self.ds)
         # q_in enters left of a road's first cell, q_out right of its last
         self.ends_at = np.concatenate((cells + self.first, self.last))
         self.rows = np.empty(len(self.gather))
         self.block = self.rows[:4 * N].reshape(2, 2, N)  # slot j: d, s
-        self.ends = tuple(self.rows[4 * N:].reshape(2, -1))
+        # the sinks' road-end demand and supply
+        self.end_d, self.end_s = self.rows[4 * N:].reshape(2, -1)
         # slot j's priority c (made per step) and split alpha; times mu, caps
         self.coef = np.stack((self.priority, np.transpose(alpha)), axis=1)
         self.mu4 = np.tile(self.mu, (2, 2, 1))
         self.dyn_floor = np.where(dynamic, 0.0, np.inf)  # c by demand above
         self.caps, self.capped = np.empty((2, 2, 2, N))
         self.b, self.room, self.scale = np.empty((3, 2, N))  # b: d_b, s_b
-        self.total, self.dr, self.new_r = np.empty((3, N))
+        self.total, self.dr = np.empty((2, N))
         self.free, self.hit, self.fatal = np.empty((3, 2, N), dtype=bool)
         self.by_demand, self.under = np.empty((2, N), dtype=bool)
         self.flows = np.empty(len(self.scatter))
         self.q, self.flow_scale = self.flows[:2 * E], np.empty(2 * E + 2 * N)
+        # every view a step reads, made once
+        self.d, self.c = self.block[:, 0], self.coef[:, 0]  # slot j's d, c
+        self.d0, self.d1 = self.d
+        self.capped0, self.capped1 = self.capped
+        self.d_b, self.b_rev, self.mu2 = self.b[0], self.b[::-1], self.mu4[0]
+        self.slots0, self.slots1 = self.slots
+        self.f = self.flows[self.edge_flows:].reshape(2, N)  # f_in, f_out
+        self.f_in, self.f_out = self.f
+        self.f_rev = self.f[::-1]
+        # the room to 0 is (0 - r) / -tau, r / tau bit for bit
+        self.bounds = np.stack((np.zeros(N), self.r_max))
+        self.room_tau = np.array([[-self.tau], [self.tau]])
+        # ds's rows take each cell's right and left flux in `advance_step`
+        self.right, self.left = self.ds
+        self.right_in, self.left_in = self.right[:-1], self.left[1:]
 
     @classmethod
     def for_network(cls, network, tau, steps, mode):
@@ -167,48 +198,48 @@ class JunctionTable:
         that the next call overwrites.
         """
         fluxes.demand_supply(rho, self.ds, self.ds_spare)
-        self.fed[:] = self.inflows[n]
+        self.fed[...] = self.inflows[n]
         # every index is in range: 'wrap' skips the buffered copy of 'raise'
         self.work.take(self.gather, out=self.rows, mode="wrap")
-        d, c, b = self.block[:, 0], self.coef[:, 0], self.b
-        np.add(d[0], d[1], out=self.total)
+        np.add(self.d0, self.d1, out=self.total)
         # demand-proportional right of way; (0.5, 0.5) when both demands vanish
-        c[:] = self.priority
+        self.c[...] = self.priority
         np.greater(self.total, self.dyn_floor, out=self.by_demand)
-        np.divide(d, self.total, out=c, where=self.by_demand)
+        np.divide(self.d, self.total, out=self.c, where=self.by_demand)
         # intake d_b and release s_b: mu unless the buffer is empty (full),
         # else min(d, c mu) (min(s, alpha mu)) summed over the slots
         np.multiply(self.coef, self.mu4, out=self.caps)
         np.minimum(self.block, self.caps, out=self.capped)
-        np.add(self.capped[0], self.capped[1], out=b)
+        np.add(self.capped0, self.capped1, out=self.b)
         if self.pooled:
-            np.minimum(self.total, self.mu, out=b[0])
-        np.greater(r, _TOL, out=self.free[0])
-        np.less(r, self.full, out=self.free[1])
-        np.copyto(b, self.mu4[0], where=self.free)
+            np.minimum(self.total, self.mu, out=self.d_b)
+        self.r_now[...] = r
+        np.less(*self.free_sides, out=self.free)
+        np.copyto(self.b, self.mu2, where=self.free)
         # c s_b and alpha d_b, capped by d and s
-        np.multiply(self.coef, b[::-1], out=self.slots)
+        np.multiply(self.coef, self.b_rev, out=self.slots)
         np.minimum(self.slots, self.block, out=self.slots)
-        np.add(self.slots[0], self.slots[1], out=self.node_flows)
-        np.minimum(*self.ends, out=self.sink_flows)
+        np.add(self.slots0, self.slots1, out=self.node_flows)
+        np.minimum(self.end_d, self.end_s, out=self.sink_flows)
         return self.ds, self.work.take(self.scatter, out=self.flows,
                                        mode="wrap")
 
 
-def buffer_step(table, r, flows):
+def buffer_step(table, r):
     """One step of the buffer loads `r`, in place: r + tau (f_in - f_out)
-    with the table's tau, limited, checked and clamped; returns the
-    limiter's mask `hit`, the table's.
+    with the table's tau and the f_in and f_out of its `flows`, limited,
+    checked and clamped; returns the limiter's mask `hit`, the table's.
 
     The coupling branches on the buffer state at t^n, so a buffer that
     empties (or fills) in mid-step would overshoot the bound by up to one
     step's flow before the fluxes switch.  Scaling the node's outgoing
-    (resp. incoming) fluxes in `flows`, in place, to stop exactly at the
-    bound keeps the loads admissible and the scheme conservative; `hit` is
-    the (2, nodes) mask of the nodes so rescaled at 0 and at r_max.  In
-    Pooled mode merges are not limited at 0: their negative loads, the
-    known defect of that demand choice, are kept as they are, and
-    `negativity_events` finds them in the recorded loads.
+    (resp. incoming) fluxes in `table.flows`, in place, to stop exactly at
+    the bound keeps the loads admissible and the scheme conservative;
+    `hit` is the (2, nodes) mask of the nodes so rescaled at 0 and at
+    r_max.  In Pooled mode merges are not limited at 0: their negative
+    loads, the known defect of that demand choice, are kept as they are,
+    and `negativity_events` finds them in the recorded loads.  Every
+    array it reads or writes, and every view of one, is the table's.
 
     Every load after the initial one (which `simulate` checks) is checked
     here, and only here.  After the limiter only a coupling bug can put a
@@ -216,35 +247,33 @@ def buffer_step(table, r, flows):
     and leaves `r` as it was.  With no node hit and no load below 0,
     every load lies in [0, r_max] already and goes unchecked.
     """
-    f = flows[table.edge_flows:].reshape(2, -1)
-    f_in, f_out, tau, dr, hit = f[0], f[1], table.tau, table.dr, table.hit
-    r_max, new_r, room, scale = table.r_max, table.new_r, table.room, table.scale
+    f_in, f_out, tau, dr, hit = (table.f_in, table.f_out, table.tau,
+                                 table.dr, table.hit)
+    r_max, new_r, room = table.r_max, table.new_r, table.room
     np.add(r, np.multiply(np.subtract(f_in, f_out, out=dr), tau, out=dr),
            out=new_r)
-    np.less(new_r, table.lower, out=hit[0])
-    np.greater(new_r, r_max, out=hit[1])
+    np.less(*table.hit_sides, out=hit)
     if np.count_nonzero(hit):
         # the room to each bound, r above 0 and r_max - r below r_max,
-        # scales f_out (and the q_in it feeds), resp. f_in (and the q_out)
-        np.copyto(room[0], r)
-        np.subtract(r_max, r, out=room[1])
-        # only a hit node's room is read; another's (r_max = 1e308, say)
+        # scales f_out (and the q_in it feeds), resp. f_in (and the q_out);
+        # only a hit node's room is read: another's (r_max = 1e308, say)
         # could overflow when divided by tau
-        np.divide(room, tau, out=room, where=hit)
-        room += f
+        np.subtract(table.bounds, r, out=room)
+        np.divide(room, table.room_tau, out=room, where=hit)
+        room += table.f
+        scale = table.scale
         scale.fill(1.0)
-        np.divide(room, f[::-1], out=scale, where=hit)
-        flows *= scale.take(table.flow_nodes, out=table.flow_scale,
-                            mode="wrap")
+        np.divide(room, table.f_rev, out=scale, where=hit)
+        table.flows *= scale.take(table.flow_nodes, out=table.flow_scale,
+                                  mode="wrap")
         # a scale of 1 is exact: every other node's load keeps its bits
         np.add(r, np.multiply(np.subtract(f_in, f_out, out=dr), tau, out=dr),
                out=new_r)
-    elif not table.pooled or new_r.min() >= 0.0:  # all in [0, r_max]
-        np.copyto(r, new_r)
+    elif not table.pooled or np.minimum.reduce(new_r) >= 0.0:  # in [0, r_max]
+        r[...] = new_r
         return hit
     fatal = table.fatal
-    np.less(new_r, table.floor, out=fatal[0])
-    np.greater(new_r, table.ceiling, out=fatal[1])
+    np.less(*table.fatal_sides, out=fatal)
     if np.count_nonzero(fatal):
         k = int(np.argmax(fatal[0] | fatal[1]))
         node, load = table.ids[k], float(new_r[k])

@@ -1,5 +1,6 @@
 """Network Godunov solver: cell updates, junction fluxes, Euler buffers."""
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -13,7 +14,7 @@ from .network import NodeKind, RoadNetwork
 
 _CLIP_TOL = 1e-10
 _ENTRY_TOL = 1e-12  # initial data off [0, 1] or [0, r_max] by more is rejected
-# the values a run may record, cells x (steps + 1) + steps x sources (2 GiB)
+# the 8-byte values a run may allocate for its log (2 GiB; see `simulate`)
 MAX_VALUES = 2**28
 
 
@@ -31,28 +32,46 @@ class InitialData:
     buffers: dict = field(default_factory=dict)
 
 
-def project_cells(edge, pieces):
-    """Exact cell averages of a piecewise-constant profile.
+def project_cells(edges, densities):
+    """Exact cell averages of each road's piecewise-constant profile
+    `densities[edge.id]` (zero where missing), as one flat cell vector in
+    the order of `edges`, every road in one pass.
 
     Breakpoints that are not finite or not strictly increasing raise
     ScenarioSemanticError naming the edge, and so does a piece value off
-    [0, 1] beyond round-off, or not finite."""
-    xs = [x for x, _ in pieces]
-    if not (all(map(np.isfinite, xs))
-            and all(a < b for a, b in zip(xs, xs[1:]))):
-        raise ScenarioSemanticError(
-            f"edge {edge.id}: breakpoints must be strictly increasing")
-    for _, v in pieces:
-        if not -_ENTRY_TOL <= v <= 1.0 + _ENTRY_TOL:
+    [0, 1] beyond round-off, or not finite: the first such road, and its
+    breakpoints before its values."""
+    profiles = [densities.get(e.id, [(0.0, 0.0)]) for e in edges]
+    P = max(map(len, profiles))
+    starts, ends, values = [], [], []
+    for edge, pieces in zip(edges, profiles):
+        xs = [x for x, _ in pieces]
+        if not (all(map(math.isfinite, xs))
+                and all(a < b for a, b in zip(xs, xs[1:]))):
             raise ScenarioSemanticError(
-                f"edge {edge.id}: initial density {float(v)} outside [0, 1]")
-    lo = np.arange(edge.cells) * edge.h
-    hi = np.arange(1, edge.cells + 1) * edge.h
-    ends = [x for x, _ in pieces[1:]] + [edge.length]
-    acc = np.zeros(edge.cells)
-    for (x, v), end in zip(pieces, ends):
+                f"edge {edge.id}: breakpoints must be strictly increasing")
+        for _, v in pieces:
+            if not -_ENTRY_TOL <= v <= 1.0 + _ENTRY_TOL:
+                raise ScenarioSemanticError(
+                    f"edge {edge.id}: initial density {float(v)} outside "
+                    "[0, 1]")
+        # a road with fewer pieces pads with value 0: each adds exactly 0.0
+        pad = [0.0] * (P - len(pieces))
+        starts += xs + pad
+        ends += xs[1:] + [edge.length] + pad
+        values += [v for _, v in pieces] + pad
+    widths = [e.cells for e in edges]
+    h = np.repeat([e.h for e in edges], widths)
+    road = np.repeat(np.arange(len(edges)), widths)
+    i = np.arange(len(h)) - np.repeat(np.cumsum(widths) - widths, widths)
+    lo, hi = i * h, (i + 1) * h
+    pieces = np.array((starts, ends, values), dtype=float).reshape(3, -1, P)
+    acc = np.zeros(len(h))
+    for p in range(P):
+        # piece p of each cell's road: its start, end and value
+        x, end, v = pieces[:, road, p]
         acc += v * np.maximum(np.minimum(hi, end) - np.maximum(lo, x), 0.0)
-    return acc / edge.h
+    return acc / h
 
 
 def cfl_timestep(network: RoadNetwork, T):
@@ -139,12 +158,12 @@ def advance_step(table, rho, r, n):
     raises leaves the state as it made it, and the run aborts.
     """
     ds, flows = table.fluxes(rho, r, n)
-    hit = junctions.buffer_step(table, r, flows)
-    right, left = ds
-    F = godunov_flux(right[:-1], left[1:])
+    hit = junctions.buffer_step(table, r)
+    right, left = table.right, table.left
     # demand and supply are spent: their rows take each cell's right and
-    # left flux, the interior interfaces' F and the roads' q_out and q_in
-    right[:-1] = left[1:] = F
+    # left flux, the interior interfaces' min(d, s) and the roads' q_out
+    # and q_in
+    table.left_in[...] = godunov_flux(table.right_in, table.left_in)
     ds.put(table.ends_at, table.q)
     np.subtract(right, left, out=right)
     right *= table.lam
@@ -169,11 +188,12 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     density vector and one load per node; a JunctionTable built for the
     run gives all boundary fluxes of a step in one array pass.  The
     network checked itself when made.  Each input this run cannot take
-    raises ScenarioSemanticError: a run over MAX_VALUES values, before
-    any allocation, and, checked here once, an id not in the network
-    (the first in sorted order), a load off [0, r_max] beyond round-off
-    or not finite (naming the node) and a source inflow that could
-    overflow the load; `project_cells` checks each profile, and
+    raises ScenarioSemanticError: a run whose arrays (the log's and the
+    sources' inflows) would take more than MAX_VALUES 8-byte values,
+    before any allocation, and, checked here once, an id not in the
+    network (the first in sorted order), a load off [0, r_max] beyond
+    round-off or not finite (naming the node) and a source inflow that
+    could overflow the load; `project_cells` checks each profile, and
     round-off is clipped.  Each later state is checked by the step that
     makes it in place (`advance_step`, `buffer_step`), and row n of every
     history is written once, when the loop reaches t^n.
@@ -188,13 +208,16 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     M = int(round(T / tau))
     cells = sum(e.cells for e in network.edges.values())
     sources = sum(v.kind is NodeKind.SOURCE for v in network.nodes.values())
-    if cells * (M + 1) + M * sources > MAX_VALUES:
+    E, N = len(network.edges), len(network.nodes)
+    # the densities, time and loads of M + 1 states, then the sources'
+    # inflows, the flow vector and the 2N-byte limiter mask of M steps
+    if ((cells + 1 + N) * (M + 1) + M * (sources + 2 * E + 2 * N)
+            + M * N // 4 > MAX_VALUES):
         raise ScenarioSemanticError(
             f"run too large: {cells} cells over {M:.6g} steps "
             f"record more than {MAX_VALUES} values")
     table = junctions.JunctionTable.for_network(network, tau, M, mode)
-    rho = np.concatenate([project_cells(e, initial.densities.get(
-        e.id, [(0.0, 0.0)])) for e in table.edges])
+    rho = project_cells(table.edges, initial.densities)
     r = np.array([float(initial.buffers.get(v, 0.0)) for v in network.nodes])
     np.clip(rho, 0.0, 1.0, out=rho)
     bad = ~(np.isfinite(r) & (r >= -_ENTRY_TOL) & (r <= table.r_max + _ENTRY_TOL))

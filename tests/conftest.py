@@ -115,11 +115,12 @@ def node_fluxes(spec, rho_in, rho_out, r, mode=DemandMode.STANDARD):
 
 
 def node_flows(table, inflow, outflow):
-    """A flow vector of a one-node table: zero road fluxes and the node's
-    buffer `inflow` and `outflow`."""
-    flows = np.zeros(table.edge_flows + 2)
-    flows[table.edge_flows:] = inflow, outflow
-    return flows
+    """The flow vector of a one-node table, the `flows` that `buffer_step`
+    reads, set to zero road fluxes and the node's buffer `inflow` and
+    `outflow`; returns it."""
+    table.flows.fill(0.0)
+    table.flows[table.edge_flows:] = inflow, outflow
+    return table.flows
 
 
 def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
@@ -130,7 +131,8 @@ def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
     table = one_node_table(JunctionSpec(id=node, kind=NodeKind.TWO_TO_ONE,
                                         r_max=r_max), 2, 1, tau, 1, mode)
     new_r = np.array([float(r)])
-    buffer_step(table, new_r, node_flows(table, inflow, outflow))
+    node_flows(table, inflow, outflow)
+    buffer_step(table, new_r)
     events = negativity_events(table.ids, np.array([[float(r)], new_r]), tau)
     return float(new_r[0]), (events[0] if events else None)
 

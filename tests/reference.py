@@ -20,6 +20,21 @@ def supply(rho):
     return m * (1.0 - m)
 
 
+def cell_averages(edge, pieces):
+    """A road's exact cell averages of a piecewise-constant profile, cell
+    by cell: the pieces' v times their overlap with the cell, summed in
+    piece order, over h."""
+    h = edge.h
+    ends = [x for x, _ in pieces[1:]] + [edge.length]
+    averages = []
+    for i in range(edge.cells):
+        lo, hi, acc = i * h, (i + 1) * h, 0.0
+        for (x, v), end in zip(pieces, ends):
+            acc += v * max(min(hi, end) - max(lo, x), 0.0)
+        averages.append(acc / h)
+    return averages
+
+
 def inflow_at(profile, t):
     """The value of the last (time, value) breakpoint reached by time t,
     up to 1e-15, else of the first."""

@@ -67,8 +67,9 @@ def test_demand_supply_monotone():
 
 
 def godunov(u, v):
-    """Godunov flux between cells of density u (left) and v (right)."""
-    return fluxes.godunov_flux(demand(u), supply(v))
+    """Godunov flux between cells of density u (left) and v (right); the
+    flux is written over an array of the demands."""
+    return fluxes.godunov_flux(np.array(demand(u)), supply(v))
 
 
 def test_godunov_flux_values():

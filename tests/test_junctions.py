@@ -236,7 +236,7 @@ class TestBufferStep:
         table = one_node_table(merge_spec(r_max=1.0), 2, 1, tau=0.05)
         flows = node_flows(table, 0.19, 0.2)
         r = np.zeros(1)
-        hit = junctions.buffer_step(table, r, flows)
+        hit = junctions.buffer_step(table, r)
         assert r[0] == 0.0
         assert hit.tolist() == [[True], [False]]
         assert flows[-1] == pytest.approx(0.19)
@@ -246,7 +246,8 @@ class TestBufferStep:
         table = one_node_table(pass_spec(r_max=1.0), 1, 1, tau=0.05,
                                mode=DemandMode.POOLED)
         r = np.zeros(1)
-        hit = junctions.buffer_step(table, r, node_flows(table, 0.19, 0.2))
+        node_flows(table, 0.19, 0.2)
+        hit = junctions.buffer_step(table, r)
         assert r[0] == 0.0
         assert hit.tolist() == [[True], [False]]
 
@@ -258,7 +259,7 @@ class TestBufferStep:
             flows = node_flows(table, f_in, f_out)
             before = flows.copy()
             new_r = np.array([r])
-            hit = junctions.buffer_step(table, new_r, flows)
+            hit = junctions.buffer_step(table, new_r)
             assert new_r.tobytes() == np.array(
                 [r + 0.05 * (f_in - f_out)]).tobytes()
             assert not hit.any()
@@ -269,8 +270,8 @@ class TestBufferStep:
                                mode=DemandMode.POOLED)
         for load, kept in ((-5e-13, 0.0), (-5e-4, -5e-4)):
             new_r = np.zeros(1)
-            hit = junctions.buffer_step(table, new_r,
-                                        node_flows(table, 0.0, -load))
+            node_flows(table, 0.0, -load)
+            hit = junctions.buffer_step(table, new_r)
             assert new_r[0] == kept and not hit.any()
             loads = np.array([[0.0], [0.0], [0.0], new_r])  # step 2's
             assert junctions.negativity_events(table.ids, loads, 1.0) == (

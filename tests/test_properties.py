@@ -16,7 +16,7 @@ from bufferlane.network import (DEMAND_PROPORTIONAL, JunctionSpec, NodeKind,
                                 RoadNetwork)
 from bufferlane.routing import RoutePolicy, fixed_path_chooser
 from bufferlane.run import plan_route
-from bufferlane.solver import simulate
+from bufferlane.solver import InitialData, simulate
 from bufferlane.tracker import (CarStatus, TrackerKind, complex_step,
                                 naive_step, track_car)
 from conftest import (
@@ -319,6 +319,31 @@ class TestScaling:
                                                             b.samples):
                 assert (2.0 * t, e, s) == (t2, e2, s2)
                 assert abs(x2 - 2.0 * x) <= ulps * math.ulp(x2)
+
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_doubled_random_network(self, seed):
+        # the same relation on random networks in both demand modes: every
+        # length, r_max, load and breakpoint doubled, and T with them (the
+        # modes give different runs on 6 of these seeds, negative pooled
+        # loads on 3)
+        net, init = random_scenario(np.random.default_rng(seed))
+        nodes = [replace(v, r_max=2.0 * v.r_max,
+                         inflow=tuple((2.0 * t, q) for t, q in v.inflow))
+                 for v in net.nodes.values()]
+        edges = [replace(e, length=2.0 * e.length) for e in net.edges.values()]
+        twice = InitialData({e: [(2.0 * x, rho) for x, rho in profile]
+                             for e, profile in init.densities.items()},
+                            {v: 2.0 * r for v, r in init.buffers.items()})
+        for mode in DemandMode:
+            one = simulate(net, init, 4.0, mode)
+            two = simulate(RoadNetwork(nodes, edges).validate(), twice, 8.0,
+                           mode)
+            want = table_bytes(one)
+            want["buffers"] = {v: (2.0 * r).tobytes()
+                               for v, r in one.buffers.items()}
+            assert (table_bytes(two), two.limiter_fired) == (
+                want, one.limiter_fired)
 
 
 class TestFifo:

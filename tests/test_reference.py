@@ -1,13 +1,16 @@
 """`solver.advance_step` against the scalar reference step, by `float.hex`,
-on random networks in both demand modes."""
+on random networks in both demand modes, and `solver.project_cells`
+against the reference cell averages."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bufferlane.junctions import DemandMode, JunctionTable
-from bufferlane.solver import advance_step, cfl_timestep, simulate
+from bufferlane.solver import (advance_step, cfl_timestep, project_cells,
+                               simulate)
 from conftest import random_scenario
 import reference
 
@@ -63,3 +66,16 @@ def test_advance_step_equals_the_reference_step(case):
     assert hexes(flows) == hexes(want[0])
     assert hexes(load) == hexes(want[1])
     assert hexes(state) == hexes(want[2])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_project_cells_equals_the_reference(seed):
+    # one pass over every road, roads of one and of two pieces mixed, and
+    # a road with no profile reads 0
+    net, init = random_scenario(np.random.default_rng(seed))
+    edges = list(net.edges.values())
+    densities = dict(init.densities)
+    densities.pop(edges[seed % len(edges)].id)
+    want = [x for e in edges for x in reference.cell_averages(
+        e, densities.get(e.id, [(0.0, 0.0)]))]
+    assert hexes(project_cells(edges, densities)) == hexes(want)

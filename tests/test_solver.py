@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bufferlane import bundled_scenario, scenario as scn
+from bufferlane import bundled_scenario, scenario as scn, solver
 from bufferlane.errors import InvariantViolation, ScenarioSemanticError
 from bufferlane.junctions import DemandMode, JunctionTable, NegativityEvent
 from bufferlane.network import Edge
@@ -24,6 +24,7 @@ from conftest import (
     every_row_network,
     line_network,
     mass_balance_defect,
+    random_scenario,
     total_mass,
 )
 
@@ -31,25 +32,25 @@ from conftest import (
 class TestProjectCells:
     def test_uniform(self):
         e = Edge(id="e", source="a", target="b", length=1.0, cells=10)
-        np.testing.assert_allclose(project_cells(e, [(0.0, 0.4)]),
+        np.testing.assert_allclose(project_cells([e], {"e": [(0.0, 0.4)]}),
                                    np.full(10, 0.4))
 
     def test_jump_on_cell_boundary(self):
         e = Edge(id="e", source="a", target="b", length=1.0, cells=10)
-        cells = project_cells(e, [(0.0, 0.4), (0.5, 0.2)])
+        cells = project_cells([e], {"e": [(0.0, 0.4), (0.5, 0.2)]})
         np.testing.assert_allclose(cells[:5], 0.4)
         np.testing.assert_allclose(cells[5:], 0.2)
 
     def test_jump_inside_cell_averages(self):
         # a jump mid-cell contributes the exact average to that cell
         e = Edge(id="e", source="a", target="b", length=1.0, cells=4)
-        cells = project_cells(e, [(0.0, 0.4), (0.375, 0.2)])
+        cells = project_cells([e], {"e": [(0.0, 0.4), (0.375, 0.2)]})
         np.testing.assert_allclose(cells, [0.4, 0.3, 0.2, 0.2])
 
     def test_mass_preserved(self):
         e = Edge(id="e", source="a", target="b", length=2.0, cells=7)
         pieces = [(0.0, 0.1), (0.3, 0.8), (1.1, 0.45)]
-        cells = project_cells(e, pieces)
+        cells = project_cells([e], {"e": pieces})
         exact = 0.1 * 0.3 + 0.8 * 0.8 + 0.45 * 0.9
         assert cells.sum() * e.h == pytest.approx(exact, abs=1e-14)
 
@@ -136,7 +137,7 @@ class TestSimulate:
         assert buffer_bound_defect(log) < 1e-12
 
     def test_pooled_mode_records_events(self):
-        from bufferlane import bundled_scenario, scenario as scn
+        from bufferlane import bundled_scenario, scenario as scn, solver
         doc = scn.parse_scenario(bundled_scenario("merge_pooled"))
         net = scn.build_network(doc)
         log = simulate(net, scn.build_initial(doc), 1.0,
@@ -190,8 +191,7 @@ def stepped(net, init, steps, tau, mode):
     advances rho and r in place and returns the table's flows and mask,
     so each is copied."""
     table = JunctionTable.for_network(net, tau, steps, mode)
-    rho = np.concatenate([project_cells(e, init.densities[e.id])
-                          for e in table.edges])
+    rho = project_cells(table.edges, init.densities)
     r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
     states, loads, flows, events = [rho.copy()], [r.copy()], [], []
     fired = 0
@@ -249,8 +249,7 @@ class TestRecording:
         steps = 2 * _chunk_rows(sum(e.cells for e in net.edges.values())) + 1
         log = simulate(net, init, steps * 0.05, mode)
         table = JunctionTable.for_network(net, log.tau, steps, mode)
-        rho = np.concatenate([project_cells(e, init.densities[e.id])
-                              for e in table.edges])
+        rho = project_cells(table.edges, init.densities)
         r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
         kept = []
         for n in range(steps):
@@ -269,10 +268,39 @@ class TestRecording:
                 + [log.node_outflow[v][n] for v in net.nodes])
         assert len(flows) == 2 * E + 2 * N
 
+    @pytest.mark.parametrize("mode", list(DemandMode))
+    def test_a_step_allocates_no_array(self, mode):
+        # every array a step writes and every view it reads is the table's,
+        # so 100 steps trace less than one cell vector of peak memory:
+        # numpy's iterators take about 1.7 KB, below the 240 cells or more
+        # of a random network at h = 0.005
+        rng = np.random.default_rng(11)
+        fired = 0
+        for _ in range(6):
+            net, init = random_scenario(rng, h=0.005)
+            # every load within one step's flow of a bound: the limiter fires
+            for k, node in enumerate(net.interior_nodes()):
+                init.buffers[node.id] = 1e-6 if k % 2 else node.r_max - 1e-6
+            table = JunctionTable.for_network(net, cfl_timestep(net, T=1.0),
+                                              101, mode)
+            rho = project_cells(table.edges, init.densities)
+            r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
+            advance_step(table, rho.copy(), r.copy(), 0)  # first-call caches
+            tracemalloc.start()
+            try:
+                for n in range(1, 101):
+                    _, hit = advance_step(table, rho, r, n)
+                    fired += np.count_nonzero(hit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * len(rho)
+        assert fired
+
     def test_peak_memory_bounded_by_cell_vectors(self):
-        # beyond the log, simulate holds a few work vectors, the chunk of
-        # recent steps and the step's temporaries (about 11 vectors); a
-        # copy of one road's 65-step history would add 32.5 more
+        # beyond the log, simulate holds a few work vectors and the chunk
+        # of recent steps (about 10 vectors; a step adds none); a copy of
+        # one road's 65-step history would add 32.5 more
         net, init = line_network(densities=(0.3, 0.6), h=1 / 16384)
         cells = sum(e.cells for e in net.edges.values())
         tau = cfl_timestep(net, T=1.0)
@@ -375,6 +403,17 @@ class TestStepErrors:
 
 
 class TestInitialState:
+    def test_run_size_counts_every_recorded_array(self, monkeypatch):
+        # three 2-cell roads over 4 steps: 30 densities and 4 inflows, but
+        # also 5 times, 20 loads, 56 flows and 32 mask bytes (4 values)
+        net, init = line_network(h=0.5)
+        monkeypatch.setattr(solver, "MAX_VALUES", 118)
+        with pytest.raises(ScenarioSemanticError, match="run too large: 6 "
+                           "cells over 4 steps record more than 118 values"):
+            simulate(net, init, 1.0)
+        monkeypatch.setattr(solver, "MAX_VALUES", 119)
+        assert simulate(net, init, 1.0).steps == 4
+
     @pytest.mark.parametrize("densities, buffers, text", [
         ({"ghost": [(0.0, 0.5)], "e1": [(0.0, 0.3)]}, {"nope": 0.1},
          "density for unknown edge 'ghost'"),
@@ -399,7 +438,7 @@ class TestInitialState:
                                "breakpoints must be strictly increasing"):
                 simulate(net, InitialData({"e1": pieces}), 1.0)
             with pytest.raises(ScenarioSemanticError):
-                project_cells(net.edges["e1"], pieces)
+                project_cells([net.edges["e1"]], {"e1": pieces})
 
     def test_density_out_of_range_raises(self):
         for rho in (1.5, -0.01, float("nan"), float("inf")):
