@@ -1,21 +1,23 @@
 """Junction coupling: boundary fluxes from demand/supply and buffer state.
 
 All nodes form one table of 2-in/2-out rows, evaluated in one array pass
-per step.  A merge (two_to_one) is a row as written; a split (one_to_two)
-is a merge whose second incoming slot is a phantom with priority 0;
-one_to_one is a split with alpha = (1, 0) whose second exit is a phantom.
-A source is a one_to_one row whose incoming demand is its inflow, but
-its buffer (r_max = inf) takes the whole inflow: f_in is the raw inflow,
-not capped by mu.  It releases as a one_to_one does: min(supply, mu)
-while it holds a load, min(supply, inflow, mu) when empty.  A phantom
-reads demand or supply 0.0 with priority or split 0, so each term it adds
-is exactly 0 (`1.0 * x` and `x + 0.0` are exact for x >= 0): every row
-gives its kind's fluxes bit for bit.  A sink absorbs min(demand, supply)
-= f of its road's last cell.  A source's inflow is sampled at t = n tau
-from the last breakpoint reached up to 1e-15.  The scalar step in
-`tests/reference.py` gives every row, the inflow sampling and the
-limiter node by node, and a test holds `solver.advance_step` to it bit
-for bit.
+per step; a row's role comes from its roads.  A merge (two roads in) is
+a row as written; a split (two out) is a merge whose second incoming
+slot is a phantom with priority 0; one road in and one out is a split
+with alpha = (1, 0) whose second exit is a phantom.  A source (no road
+in) is such a row whose incoming demand is its inflow, but its buffer
+(r_max = inf) takes the whole inflow: f_in is the raw inflow, not capped
+by mu.  It releases as a one_to_one does: min(supply, mu) while it holds
+a load, min(supply, inflow, mu) when empty.  A sink (no road out) is
+such a row whose exit is its road's last cell, with caps F_MAX and a
+buffer never free: it passes f there, min(demand, supply), as f_in =
+f_out.  A phantom reads demand or supply 0.0 with priority or split 0,
+so each term it adds is exactly 0 (`1.0 * x` and `x + 0.0` are exact for
+x >= 0): every row gives its kind's fluxes bit for bit.  A source's
+inflow is sampled at t = n tau from the last breakpoint reached up to
+1e-15.  The scalar step in `tests/reference.py` gives every row, the
+inflow sampling and the limiter node by node, and a test holds
+`solver.advance_step` to it bit for bit.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import fluxes
 from .errors import InvariantViolation
-from .network import DEMAND_PROPORTIONAL, NodeKind
+from .network import DEMAND_PROPORTIONAL
 
 # emptiness / fullness decided up to round-off (a numpy scalar: quicker in ufuncs)
 _TOL = np.float64(1e-12)
@@ -55,13 +57,14 @@ class JunctionTable:
 
     Road k owns cells `first[k]` to `last[k]` of the flat cell vector;
     `ins[k]` / `outs[k]` list the edges at node k in the order that pairs
-    them with priority and alpha.  The work vector holds every cell's
+    them with priority and alpha, and fix row k's role: `sources` lists
+    the rows with no road in.  The work vector holds every cell's
     demand and supply, the phantoms' 0.0, the sources' inflows, per slot
-    j every row's outflow of incoming and inflow of outgoing road j, the
-    buffers' inflows and outflows (a sink's go unread) and the sinks'
-    fluxes.  One gather feeds the rows; one scatter fills `flows`: q_in
-    and q_out per edge (the first `edge_flows` entries), then f_in and
-    f_out per node.  A step advances the caller's state (rho, r) in place;
+    j every row's outflow of incoming and inflow of outgoing road j (a
+    sink's exit slot goes unread), and the buffers' inflows and outflows.
+    One gather feeds the rows; one scatter fills `flows`: q_in and q_out
+    per edge (the first `edge_flows` entries), then f_in and f_out per
+    node.  A step advances the caller's state (rho, r) in place;
     every other array it writes is the table's, rewritten by the next
     step: among them the `flows` and the limiter mask `hit` it returns.
     The table also owns every view of those arrays that `fluxes`,
@@ -81,26 +84,25 @@ class JunctionTable:
         self.first = self.last + 1 - self.widths
         cells = int(self.widths.sum())
         self.r_max = np.array([n.r_max for n in nodes], dtype=float)
-        self.mu = np.array([n.mu for n in nodes], dtype=float)
+        sink = np.array([not o for o in outs])
+        self.mu = np.where(sink, fluxes.F_MAX, [n.mu for n in nodes])
         self.edge_flows = 2 * E
-        sources = [n for n in nodes if n.kind is NodeKind.SOURCE]
+        self.sources = [k for k in range(N) if not ins[k]]
         t = np.arange(steps) * tau
-        self.inflows = np.empty((steps, len(sources)))
-        for j, node in enumerate(sources):
-            times, values = np.array(node.inflow, dtype=float).T
+        self.inflows = np.empty((steps, len(self.sources)))
+        for j, k in enumerate(self.sources):
+            times, values = np.array(nodes[k].inflow, dtype=float).T
             # the last breakpoint reached up to 1e-15 (times increase)
             reached = np.searchsorted(times - 1e-15, t, side="right")
             self.inflows[:, j] = values[np.maximum(reached - 1, 0)]
-        sinks = [k for k, n in enumerate(nodes) if n.kind is NodeKind.SINK]
         zero, fed = 2 * cells, 2 * cells + 1
-        base = fed + len(sources)
-        self.work = np.zeros(base + 6 * N + len(sinks))
+        base = fed + len(self.sources)
+        self.work = np.zeros(base + 6 * N)
         self.fed = self.work[fed:base]
         # slot j of a row: outflow of incoming and inflow of outgoing road j
         self.slots = self.work[base:base + 4 * N].reshape(2, 2, N)
-        self.node_flows = self.work[base + 4 * N:base + 6 * N].reshape(2, N)
-        self.sink_flows = self.work[base + 6 * N:]
-        gather = np.full((2, 2, N), zero)
+        self.node_flows = self.work[base + 4 * N:].reshape(2, N)
+        self.gather = gather = np.full((2, 2, N), zero)
         scatter = np.full((2, E), zero)
         nodal = base + 4 * N + np.arange(2 * N).reshape(2, N)
         for k in range(N):
@@ -109,29 +111,27 @@ class JunctionTable:
             for j, e in enumerate(outs[k]):
                 gather[j, 1, k] = cells + self.first[e]
                 scatter[0, e] = base + (2 * j + 1) * N + k
-            if nodes[k].kind is NodeKind.SOURCE:
-                gather[0, 0, k] = nodal[0, k] = fed
-                fed += 1
+            if not outs[k]:  # a sink's exit is its road's last cell
+                gather[0, 1, k] = cells + self.last[ins[k][0]]
+        # a source's demand is its inflow, which is also its f_in
+        gather[0, 0, self.sources] = nodal[0, self.sources] = range(fed, base)
+        self.scatter = np.concatenate((scatter.ravel(), nodal.ravel()))
         # each flow's entry in the limiter's (2, nodes) scale of f_out and
         # f_in: q_in (q_out) goes with its source's f_out (target's f_in)
         q_nodes = ((scatter - base) % N + [[0], [N]]).ravel()
         self.flow_nodes = np.concatenate((q_nodes, N + np.arange(N), range(N)))
-        for j, k in enumerate(sinks):
-            nodal[:, k] = scatter[1, ins[k][0]] = base + 6 * N + j
-        ends = self.last[[ins[k][0] for k in sinks]]
-        self.gather = np.concatenate((gather.ravel(), ends, cells + ends))
-        self.scatter = np.concatenate((scatter.ravel(), nodal.ravel()))
-        merge = np.array([n.kind is NodeKind.TWO_TO_ONE for n in nodes])
+        merge = np.array([len(i) == 2 for i in ins])
         dynamic = merge & [n.priority == DEMAND_PROPORTIONAL for n in nodes]
         self.priority = np.array([(0.5, 0.5) if dyn else n.priority if m else
                                   (1.0, 0.0) for n, m, dyn in zip(
                                       nodes, merge, dynamic)]).T
-        alpha = [n.alpha if n.kind is NodeKind.ONE_TO_TWO else (1.0, 0.0)
-                 for n in nodes]
-        # rows 1e-12, the loads at t^n and r_max - 1e-12: one compare of
-        # two views gives `free` (not empty: 1e-12 < r; not full: r <
-        # r_max - 1e-12)
-        marks = np.stack((np.full(N, _TOL), np.zeros(N), self.r_max - _TOL))
+        alpha = [n.alpha if len(o) == 2 else (1.0, 0.0)
+                 for n, o in zip(nodes, outs)]
+        # rows 1e-12, the loads at t^n and r_max - 1e-12 (a sink's +-inf:
+        # its buffer is never free): one compare of two views gives `free`
+        # (not empty: 1e-12 < r; not full: r < r_max - 1e-12)
+        marks = np.stack((np.where(sink, np.inf, _TOL), np.zeros(N),
+                          np.where(sink, -np.inf, self.r_max - _TOL)))
         self.r_now, self.free_sides = marks[1], (marks[:2], marks[1:])
         # the bound each load is held above: pooled loads may go negative
         # at merges, the known defect of that demand; beyond round-off past
@@ -150,10 +150,7 @@ class JunctionTable:
         self.ds_spare = np.empty_like(self.ds)
         # q_in enters left of a road's first cell, q_out right of its last
         self.ends_at = np.concatenate((cells + self.first, self.last))
-        self.rows = np.empty(len(self.gather))
-        self.block = self.rows[:4 * N].reshape(2, 2, N)  # slot j: d, s
-        # the sinks' road-end demand and supply
-        self.end_d, self.end_s = self.rows[4 * N:].reshape(2, -1)
+        self.block = np.empty((2, 2, N))  # slot j: d, s
         # slot j's priority c (made per step) and split alpha; times mu, caps
         self.coef = np.stack((self.priority, np.transpose(alpha)), axis=1)
         self.mu4 = np.tile(self.mu, (2, 2, 1))
@@ -200,7 +197,7 @@ class JunctionTable:
         fluxes.demand_supply(rho, self.ds, self.ds_spare)
         self.fed[...] = self.inflows[n]
         # every index is in range: 'wrap' skips the buffered copy of 'raise'
-        self.work.take(self.gather, out=self.rows, mode="wrap")
+        self.work.take(self.gather, out=self.block, mode="wrap")
         np.add(self.d0, self.d1, out=self.total)
         # demand-proportional right of way; (0.5, 0.5) when both demands vanish
         self.c[...] = self.priority
@@ -220,7 +217,6 @@ class JunctionTable:
         np.multiply(self.coef, self.b_rev, out=self.slots)
         np.minimum(self.slots, self.block, out=self.slots)
         np.add(self.slots0, self.slots1, out=self.node_flows)
-        np.minimum(self.end_d, self.end_s, out=self.sink_flows)
         return self.ds, self.work.take(self.scatter, out=self.flows,
                                        mode="wrap")
 

@@ -67,6 +67,21 @@ class JunctionSpec:
     inflow: tuple = ((0.0, 0.0),)
 
 
+# each setting only some kinds read (its name, whether a node gives it,
+# those kinds), and per kind the ones it does not read, in that order
+_SETTINGS = (
+    ("inflow", lambda n: any(v for _, v in n.inflow), [NodeKind.SOURCE]),
+    ("alpha", lambda n: n.alpha is not None, [NodeKind.ONE_TO_TWO]),
+    ("fixed priority", lambda n: n.priority != DEMAND_PROPORTIONAL,
+     [NodeKind.TWO_TO_ONE]),
+    ("mu", lambda n: n.mu != JunctionSpec.mu,
+     [k for k in NodeKind if k is not NodeKind.SINK]),
+)
+_UNREAD = {kind: [(name, given, " or ".join(k.value for k in readers))
+                  for name, given, readers in _SETTINGS if kind not in readers]
+           for kind in NodeKind}
+
+
 def _check_pair(node, name, pair):
     """A split or fixed right-of-way pair is exactly two positive numbers
     that sum to 1 within round-off."""
@@ -125,21 +140,12 @@ class RoadNetwork:
             if node.kind is NodeKind.TWO_TO_ONE and node.priority != DEMAND_PROPORTIONAL:
                 _check_pair(node, "priorities", node.priority)
             self._check_inflow(node)
-            for name, given, readers in (
-                    ("inflow", any(v for _, v in node.inflow),
-                     [NodeKind.SOURCE]),
-                    ("alpha", node.alpha is not None, [NodeKind.ONE_TO_TWO]),
-                    ("fixed priority", node.priority != DEMAND_PROPORTIONAL,
-                     [NodeKind.TWO_TO_ONE]),
-                    ("mu", node.mu != JunctionSpec.mu,
-                     [k for k in NodeKind if k is not NodeKind.SINK])):
-                if given and node.kind not in readers:  # no step would read it
+            for name, given, readers in _UNREAD[node.kind]:
+                if given(node):  # no step would read it
                     raise ScenarioSemanticError(
                         f"node {node.id}: {name} on a {node.kind.value} node; "
-                        f"only a {' or '.join(k.value for k in readers)} "
-                        f"reads {name}")
-            if (node.kind in (NodeKind.SOURCE, NodeKind.SINK)
-                    and math.isfinite(node.r_max)):
+                        f"only a {readers} reads {name}")
+            if 0 in want and math.isfinite(node.r_max):  # source or sink
                 raise ScenarioSemanticError(
                     f"node {node.id}: source/sink buffers are unbounded")
             mu_cap = max(max(din, dout), 1) * fluxes.F_MAX

@@ -10,7 +10,7 @@ from . import junctions
 from .errors import InvariantViolation, ScenarioSemanticError
 from .fluxes import godunov_flux
 from .junctions import DemandMode
-from .network import NodeKind, RoadNetwork
+from .network import RoadNetwork
 
 _CLIP_TOL = 1e-10
 _ENTRY_TOL = 1e-12  # initial data off [0, 1] or [0, r_max] by more is rejected
@@ -207,7 +207,7 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     tau = cfl_timestep(network, T)
     M = int(round(T / tau))
     cells = sum(e.cells for e in network.edges.values())
-    sources = sum(v.kind is NodeKind.SOURCE for v in network.nodes.values())
+    sources = sum(not ins for ins in network.in_edges.values())
     E, N = len(network.edges), len(network.nodes)
     # the densities, time and loads of M + 1 states, then the sources'
     # inflows, the flow vector and the 2N-byte limiter mask of M steps
@@ -229,12 +229,10 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     np.clip(r, 0.0, table.r_max, out=r)
     # a source's load grows by at most tau times its inflow a step, and
     # readers sum its history: twice that sum must still be finite
-    fed = [k for k, v in enumerate(network.nodes.values())
-           if v.kind is NodeKind.SOURCE]
     with np.errstate(over="ignore"):
-        top = 2.0 * (M + 1) * (r[fed] + tau * table.inflows.sum(0))
+        top = 2.0 * (M + 1) * (r[table.sources] + tau * table.inflows.sum(0))
     if not np.isfinite(top).all():
-        k = fed[np.argmin(np.isfinite(top))]
+        k = table.sources[np.argmin(np.isfinite(top))]
         raise ScenarioSemanticError(f"node {table.ids[k]}: inflow over "
                                     f"T={T} overflows its buffer load")
     history = np.zeros((M + 1) * cells)

@@ -1,5 +1,6 @@
 """The package's own names: each error class is raised, and each function
-and method read, somewhere in the package."""
+and method read, somewhere in the package; only the network reads node
+kinds."""
 
 import ast
 from pathlib import Path
@@ -70,3 +71,21 @@ def test_every_function_is_read():
     # a function kept only for tests is a second copy of the program:
     # the tests' scalar reference step lives in tests/reference.py
     assert sorted(unread_functions() - BENCH_ONLY) == []
+
+
+def node_kind_readers():
+    """`module:line` of each read of a `NodeKind` member outside
+    network.py, which validates each node against its kind."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "network.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "NodeKind"]
+
+
+def test_only_the_network_reads_node_kinds():
+    # a junction row's role comes from its roads; the scenario parser may
+    # still make a kind from its name, `NodeKind(...)`
+    assert node_kind_readers() == []

@@ -51,9 +51,9 @@ def source_fluxes(f_in, rho_first, r, mu):
     return q, f_in - q
 
 
-def sink_flux(rho_last):
-    return node_fluxes(JunctionSpec(id="t", kind=NodeKind.SINK),
-                       (rho_last,), (), 0.0)[0]
+def sink_flux(rho_last, mu=0.25, mode=DemandMode.STANDARD):
+    return node_fluxes(JunctionSpec(id="t", kind=NodeKind.SINK, mu=mu),
+                       (rho_last,), (), 0.0, mode)[0]
 
 
 class TestInflowTable:
@@ -211,6 +211,12 @@ class TestSourceSink:
     def test_sink_absorbs_flux(self):
         assert sink_flux(0.7) == pytest.approx(0.21)
         assert sink_flux(1.0) == 0.0
+        # the row reads no setting of the sink: a mu that validation would
+        # reject gives the same bits
+        for mode in DemandMode:
+            for rho in (0.2, 0.45, 0.7, 0.9):
+                assert (sink_flux(rho, mu=0.1, mode=mode).hex()
+                        == sink_flux(rho, mode=mode).hex())
 
 
 class TestBufferStep:

@@ -334,6 +334,60 @@ class TestLimiterCounts:
             "n0": 0, "n1": 0, "n3": 0}
 
 
+GRIDS = (0.1, 0.05, 0.025, 0.0125)
+
+
+def l1_error(rho, h, exact, samples=64):
+    """L1 distance of a road's cell averages `rho` (cell width h) from the
+    cell averages of the field `exact(x)`, each the mean of `samples`
+    midpoints."""
+    x = (np.arange(len(rho))[:, None]
+         + (np.arange(samples) + 0.5) / samples) * h
+    return h * np.abs(rho - exact(x).mean(1)).sum()
+
+
+def observed_orders(errors):
+    """log2 of each error over the next: the order of each grid halving."""
+    return np.log2(np.divide(errors[:-1], errors[1:]))
+
+
+class TestFieldOrder:
+    """The coupled field against exact solutions on four grids."""
+
+    def test_filling_buffer(self):
+        # inflow f(0.3) = 0.21 meets the exit supply f(0.8) = 0.16: n1
+        # fills at 0.05 until r_max = 0.1 at t = 2, then throttles road e1
+        # to 0.16, a shock from x = 1 at speed (0.16 - 0.21) / (0.8 - 0.3)
+        # that reaches x = 0.6 by t = 6; the sink passes f(0.8), so e2
+        # keeps its density
+        errors = []
+        for h in GRIDS:
+            net, init = line_network(densities=(0.3, 0.8), r_max=0.1, h=h)
+            log = simulate(net, init, 6.0)
+            np.testing.assert_allclose(log.buffers["n1"],
+                                       np.minimum(0.05 * log.t, 0.1),
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose(log.rho["e2"], 0.8, rtol=0, atol=1e-14)
+            errors.append(l1_error(log.rho["e1"][-1], h,
+                                   lambda x: np.where(x < 0.6, 0.3, 0.8)))
+        assert observed_orders(errors).min() >= 0.9, errors
+
+    def test_rarefaction_fan(self):
+        # 0.4 | 0.2 at x = 0.5 opens a fan between the characteristic
+        # speeds 1 - 2 rho, 0.2 and 0.6; a monotone scheme's L1 error
+        # falls at order 1/2 at least (Kuznetsov)
+        def fan(x, t=2.0):
+            return np.clip((1.0 - (x - 0.5) / t) / 2.0, 0.2, 0.4)
+
+        errors = []
+        for h in GRIDS:
+            doc = scn.parse_scenario(bundled_scenario(
+                "rarefaction_single").replace("h=0.1", f"h={h}"))
+            log = simulate(scn.build_network(doc), scn.build_initial(doc), 2.0)
+            errors.append(l1_error(log.rho["e1"][-1], h, fan))
+        assert observed_orders(errors).min() >= 0.5, errors
+
+
 class TestStepErrors:
     def test_cfl_violation_names_edge(self):
         # tau = 2h on a queue in front of a jam: the 0.95 cell overfills
