@@ -4,8 +4,9 @@
 writes the CSV/JSON result files; `bufferlane verify` checks the built-in
 analytic trajectories and prints the truncation error per scenario.
 
-Exit codes: 0 ok, 1 bad scenario value or setting, 2 scenario parse
-error, 3 time horizon exceeded, 4 unreachable destination.
+Exit codes: 0 ok, 1 bad scenario value or setting or an output path that
+cannot be written, 2 scenario parse error (a file that cannot be read or is
+not UTF-8 included), 3 time horizon exceeded, 4 unreachable destination.
 """
 
 import argparse
@@ -51,7 +52,12 @@ def _cmd_run(args):
               file=sys.stderr)
         return 1
     try:
-        doc = parse_scenario(Path(args.scenario).read_text())
+        raw = Path(args.scenario).read_bytes()
+        doc = parse_scenario(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:  # the line of the bad byte
+        line = raw.count(b"\n", 0, exc.start) + 1
+        print(f"error: line {line}: not UTF-8: {exc.reason}", file=sys.stderr)
+        return 2
     except (ScenarioSyntaxError, ScenarioSemanticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -65,31 +71,36 @@ def _cmd_run(args):
         return {HorizonExceeded: 3, UnreachableDestination: 4}.get(type(exc), 1)
 
     out = Path(args.out or (Path(args.scenario).stem + "_out"))
-    out.mkdir(parents=True, exist_ok=True)
-    log, car, car_log = result.log, result.doc.car, result.car_log
-    strided = _StridedView(log, args.log_stride)
-    write_density_csv(strided, out / "density.csv")
-    write_buffer_csv(strided, out / "buffers.csv")
-    extra = {}
-    code = 0
-    if car_log is not None:
-        write_trajectory_csv(car_log, out / "trajectory.csv")
-        write_route_summary(out / "route.json", car["policy"],
-                            car["start_time"], car_log)
-        if car_log.status is CarStatus.ARRIVED:
-            print(f"policy={car['policy']} path={'-'.join(car_log.path)} "
-                  f"arrival={car_log.arrival_time:.6g} "
-                  f"waiting={car_log.total_waiting:.6g}")
-        else:
-            print(f"car did not arrive: {car_log.status.value}")
-            code = 3
-        err = _oracle_error(result)
-        if err is not None:
-            extra["truncation_error"] = err
-            print(f"trajectory error vs built-in oracle: {err:.3e}")
-    for ev in log.events:
-        print(f"negativity event: node {ev.node} t={ev.time:.6g} r={ev.load:.3e}")
-    write_manifest(out / "manifest.json", result.doc, log, extra)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        log, car, car_log = result.log, result.doc.car, result.car_log
+        strided = _StridedView(log, args.log_stride)
+        write_density_csv(strided, out / "density.csv")
+        write_buffer_csv(strided, out / "buffers.csv")
+        extra = {}
+        code = 0
+        if car_log is not None:
+            write_trajectory_csv(car_log, out / "trajectory.csv")
+            write_route_summary(out / "route.json", car["policy"],
+                                car["start_time"], car_log)
+            if car_log.status is CarStatus.ARRIVED:
+                print(f"policy={car['policy']} path={'-'.join(car_log.path)} "
+                      f"arrival={car_log.arrival_time:.6g} "
+                      f"waiting={car_log.total_waiting:.6g}")
+            else:
+                print(f"car did not arrive: {car_log.status.value}")
+                code = 3
+            err = _oracle_error(result)
+            if err is not None:
+                extra["truncation_error"] = err
+                print(f"trajectory error vs built-in oracle: {err:.3e}")
+        for ev in log.events:
+            print(f"negativity event: node {ev.node} t={ev.time:.6g} "
+                  f"r={ev.load:.3e}")
+        write_manifest(out / "manifest.json", result.doc, log, extra)
+    except OSError as exc:  # the output path cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -48,14 +48,15 @@ class Edge:
 
 @dataclass
 class JunctionSpec:
-    """Node parameters: buffer capacity/rate plus kind-specific data.
+    """Node parameters: buffer capacity/rate plus role-specific data.
 
+    `kind` names an (in, out) degree pair; the rules follow the degrees.
     `alpha` orders the split fractions by the declaration order of the
     outgoing edges; fixed `priority` pairs follow the declaration order of
     the incoming edges.  `inflow` is a piecewise-constant profile given as
-    (time, value) breakpoints.  Only a one_to_two node may have `alpha`, a
-    two_to_one node a fixed `priority` and a source a nonzero `inflow`;
-    a sink keeps the default `mu`, which no step reads.
+    (time, value) breakpoints.  Only a node with two roads out may have
+    `alpha`, two in a fixed `priority` and none in a nonzero `inflow`; one
+    with no road out keeps the default `mu`, which no step reads.
     """
 
     id: str
@@ -67,19 +68,15 @@ class JunctionSpec:
     inflow: tuple = ((0.0, 0.0),)
 
 
-# each setting only some kinds read (its name, whether a node gives it,
-# those kinds), and per kind the ones it does not read, in that order
+# each setting only some nodes read: its name, whether a node gives it,
+# and whether a node of in-degree i and out-degree o reads it
 _SETTINGS = (
-    ("inflow", lambda n: any(v for _, v in n.inflow), [NodeKind.SOURCE]),
-    ("alpha", lambda n: n.alpha is not None, [NodeKind.ONE_TO_TWO]),
+    ("inflow", lambda n: any(v for _, v in n.inflow), lambda i, o: i == 0),
+    ("alpha", lambda n: n.alpha is not None, lambda i, o: o == 2),
     ("fixed priority", lambda n: n.priority != DEMAND_PROPORTIONAL,
-     [NodeKind.TWO_TO_ONE]),
-    ("mu", lambda n: n.mu != JunctionSpec.mu,
-     [k for k in NodeKind if k is not NodeKind.SINK]),
+     lambda i, o: i == 2),
+    ("mu", lambda n: n.mu != JunctionSpec.mu, lambda i, o: o > 0),
 )
-_UNREAD = {kind: [(name, given, " or ".join(k.value for k in readers))
-                  for name, given, readers in _SETTINGS if kind not in readers]
-           for kind in NodeKind}
 
 
 def _check_pair(node, name, pair):
@@ -95,7 +92,9 @@ class RoadNetwork:
     """Directed road graph with per-node incidence lists, validated when made.
 
     `in_edges[v]` / `out_edges[v]` keep the scenario declaration order,
-    which fixes the pairing of alpha and priority coefficients.
+    which fixes the pairing of alpha and priority coefficients.  A node's
+    kind must match its degrees; every other rule reads its role from the
+    degrees, as the junction table does.
     """
 
     def __init__(self, nodes, edges):
@@ -112,14 +111,10 @@ class RoadNetwork:
         self.validate()
 
     def sources(self):
-        return [n for n in self.nodes.values() if n.kind is NodeKind.SOURCE]
+        return [n for n in self.nodes.values() if not self.in_edges[n.id]]
 
     def sinks(self):
-        return [n for n in self.nodes.values() if n.kind is NodeKind.SINK]
-
-    def interior_nodes(self):
-        return [n for n in self.nodes.values()
-                if n.kind not in (NodeKind.SOURCE, NodeKind.SINK)]
+        return [n for n in self.nodes.values() if not self.out_edges[n.id]]
 
     def validate(self) -> "RoadNetwork":
         for e in self.edges.values():
@@ -130,22 +125,23 @@ class RoadNetwork:
         for node in self.nodes.values():
             din = len(self.in_edges[node.id])
             dout = len(self.out_edges[node.id])
-            want = _DEGREES[node.kind]
-            if (din, dout) != want:
+            if (din, dout) != _DEGREES[node.kind]:
                 raise ScenarioSemanticError(
                     f"node {node.id} ({node.kind.value}): degree "
-                    f"({din},{dout}), expected {want}")
-            if node.kind is NodeKind.ONE_TO_TWO:
+                    f"({din},{dout}), expected {_DEGREES[node.kind]}")
+            if dout == 2:
                 _check_pair(node, "alpha", node.alpha)
-            if node.kind is NodeKind.TWO_TO_ONE and node.priority != DEMAND_PROPORTIONAL:
+            if din == 2 and node.priority != DEMAND_PROPORTIONAL:
                 _check_pair(node, "priorities", node.priority)
             self._check_inflow(node)
-            for name, given, readers in _UNREAD[node.kind]:
-                if given(node):  # no step would read it
+            for name, given, reads in _SETTINGS:
+                if given(node) and not reads(din, dout):  # no step reads it
+                    readers = " or ".join(k.value for k, d in _DEGREES.items()
+                                          if reads(*d))
                     raise ScenarioSemanticError(
                         f"node {node.id}: {name} on a {node.kind.value} node; "
                         f"only a {readers} reads {name}")
-            if 0 in want and math.isfinite(node.r_max):  # source or sink
+            if 0 in (din, dout) and math.isfinite(node.r_max):  # source or sink
                 raise ScenarioSemanticError(
                     f"node {node.id}: source/sink buffers are unbounded")
             mu_cap = max(max(din, dout), 1) * fluxes.F_MAX

@@ -46,9 +46,9 @@ def shortest_path(network, source, destination):
 
 
 def _scales(network):
-    """Weight normalizers: the longest road and the largest finite interior
-    buffer capacity."""
-    caps = [n.r_max for n in network.interior_nodes() if math.isfinite(n.r_max)]
+    """Weight normalizers: the longest road and the largest finite buffer
+    capacity (a source's or sink's is unbounded)."""
+    caps = [n.r_max for n in network.nodes.values() if math.isfinite(n.r_max)]
     return (max(e.length for e in network.edges.values()),
             max(caps) if caps else math.inf)
 

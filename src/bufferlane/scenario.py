@@ -236,7 +236,7 @@ def write_density_csv(log, path):
     road by road; each time row of a road is formatted and written as one
     string, so memory beyond the log stays one row's text."""
     times = list(map(repr, log.t.tolist()))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,edge_id,cell_index,rho\n")
         for eid in log.network.edges:
             hist = log.rho[eid]
@@ -250,7 +250,7 @@ def write_buffer_csv(log, path):
     """One `t,node_id,r` line per node and recorded instant, node by node;
     each node's series is formatted and written as one string."""
     times = list(map(repr, log.t.tolist()))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,node_id,r\n")
         for nid in log.network.nodes:
             heads = [f"{t},{nid}," for t in times]
@@ -259,7 +259,7 @@ def write_buffer_csv(log, path):
 
 
 def write_trajectory_csv(car_log, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,edge_id,x_on_edge,cumulative_distance,status\n")
         for t, eid, x, dist, status in car_log.samples:
             fh.write(f"{float(t)!r},{eid},{float(x)!r},{float(dist)!r},{status}\n")
@@ -286,7 +286,7 @@ def write_route_summary(path, policy, departure, car_log):
             for v, a, w in car_log.waiting_times],
         "total_waiting": _finite_or_null(car_log.total_waiting),
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -306,6 +306,6 @@ def write_manifest(path, doc, log, extra):
         "tool_version": __version__,
     }
     payload.update(extra)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -137,6 +137,12 @@ def node_buffer_step(r, inflow, outflow, tau, r_max=math.inf,
     return float(new_r[0]), (events[0] if events else None)
 
 
+def interior_nodes(net):
+    """The nodes with a road in and a road out, in declaration order."""
+    return [n for n in net.nodes.values()
+            if net.in_edges[n.id] and net.out_edges[n.id]]
+
+
 def total_mass(log, n):
     """Total car mass (roads + buffers) at time step n."""
     net = log.network
@@ -261,7 +267,7 @@ def random_scenario(rng, h=0.15):
         else:
             densities[e.id] = [(0.0, float(rng.uniform(0.0, 0.95)))]
     buffers = {}
-    for node in net.interior_nodes():
+    for node in interior_nodes(net):
         if rng.random() < 0.5:
             buffers[node.id] = float(rng.uniform(0.0, node.r_max))
     return net, InitialData(densities=densities, buffers=buffers)

@@ -25,6 +25,7 @@ from bufferlane.tracker import (
 )
 from conftest import (
     buffer_bound_defect,
+    interior_nodes,
     line_network,
     mass_balance_defect,
     node_fluxes,
@@ -247,7 +248,7 @@ def test_criterion_8_fifo_property():
         rng = np.random.default_rng(2000 + seed)
         net, init = random_scenario(rng)
         log = simulate(net, init, 8.0)
-        interior = {n.id for n in net.interior_nodes()}
+        interior = {n.id for n in interior_nodes(net)}
         for eid, edge in net.edges.items():
             if edge.target not in interior:
                 continue

@@ -452,6 +452,59 @@ def test_missing_file_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "absent.scn")]) == 2
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    # the bad byte's line is counted in bytes, past a valid two-byte
+    # character on line 1
+    lines = bundled_scenario("linear").encode().splitlines(keepends=True)
+    lines[0] = "# caf\u00e9\n".encode()
+    lines.insert(2, b"# \xff\n")
+    path = tmp_path / "latin.scn"
+    path.write_bytes(b"".join(lines))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+# one source road: the density entry is line 6
+ONE_ROAD = """[network]
+node a kind=source
+node b kind=sink
+edge e from=a to=b length=1
+[initial]
+{entry}
+[run]
+T=1
+h=0.1
+"""
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("density e abc", "abc"), ("buffer a x", "x"),
+    ("density e 0:0.3,abc", "0:0.3,abc")])
+def test_initial_value_not_a_number_exits_2(tmp_path, capsys, entry, value):
+    assert_error_line(tmp_path, capsys, ONE_ROAD.format(entry=entry),
+                      f"line 6: expected a number, got {value!r}", code=2)
+
+
+def test_scenario_without_edges_exits_2(tmp_path, capsys):
+    assert_error_line(tmp_path, capsys,
+                      "[network]\nnode a kind=source\nnode b kind=sink\n",
+                      "scenario defines no edges", code=2)
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/o"])
+def test_unwritable_out_exits_1(linear_file, tmp_path, capsys, out):
+    # an existing file, or a directory under one: one error line, no
+    # traceback, and the file is left as it was
+    (tmp_path / "taken").write_text("x")
+    assert main(["run", str(linear_file), "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (tmp_path / "taken").read_text() == "x"
+
+
 def test_horizon_exceeded_exit_3(linear_file, tmp_path, capsys):
     text = bundled_scenario("linear").replace("T=8", "T=2")
     path = tmp_path / "short.scn"

@@ -1,20 +1,25 @@
 """Road graph model: validation rules, grids and inflow profiles."""
 
+import itertools
 import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bufferlane.errors import ScenarioSemanticError
+from bufferlane.junctions import DemandMode, buffer_step
 from bufferlane.network import (
+    _DEGREES,
+    _SETTINGS,
     Edge,
     JunctionSpec,
     NodeKind,
     RoadNetwork,
     cells_for_target_h,
 )
-from conftest import line_network, make_edge, one_node_table
+from conftest import interior_nodes, line_network, make_edge, one_node_table
 
 
 def rejected(message):
@@ -28,7 +33,7 @@ def test_line_network_validates():
     assert len(net.edges) == 3
     assert [n.id for n in net.sources()] == ["n0"]
     assert [n.id for n in net.sinks()] == ["n3"]
-    assert {n.id for n in net.interior_nodes()} == {"n1", "n2"}
+    assert {n.id for n in interior_nodes(net)} == {"n1", "n2"}
 
 
 def test_edge_grid():
@@ -205,6 +210,65 @@ def test_sink_mu_rejected():
                   "or one_to_two or two_to_one reads mu"):
         RoadNetwork([replace(n, mu=0.01) for n in nodes],
                     list(net.edges.values()))
+
+
+# per setting, the field that gives it and two values, each valid where read
+TWO_VALUES = {"inflow": ("inflow", ((0.0, 0.1),), ((0.0, 0.3),)),
+              "alpha": ("alpha", (0.3, 0.7), (0.8, 0.2)),
+              "fixed priority": ("priority", (0.3, 0.7), (0.8, 0.2)),
+              "mu": ("mu", 0.1, 0.2)}
+
+
+def star(spec, n_in, n_out):
+    """The network of node j, `spec`, fed by a source on each road in and
+    drained by a sink on each road out."""
+    nodes = ([spec] + [JunctionSpec(id=f"s{k}", kind=NodeKind.SOURCE)
+                       for k in range(n_in)]
+             + [JunctionSpec(id=f"t{k}", kind=NodeKind.SINK)
+                for k in range(n_out)])
+    edges = ([make_edge(f"a{k}", f"s{k}", "j") for k in range(n_in)]
+             + [make_edge(f"b{k}", "j", f"t{k}") for k in range(n_out)])
+    return RoadNetwork(nodes, edges)
+
+
+def stepped(spec, n_in, n_out, mode):
+    """The bytes of the flows and new load of one step of `spec`'s one-node
+    table from each state of a grid: every road at rho in {0.2, 0.5, 0.8},
+    the load at 0, r_max / 2 and r_max (1 if unbounded)."""
+    cap = spec.r_max if math.isfinite(spec.r_max) else 1.0
+    out = []
+    for rho, r in itertools.product((0.2, 0.5, 0.8), (0.0, cap / 2, cap)):
+        table = one_node_table(spec, n_in, n_out, tau=0.1, mode=mode)
+        _, flows = table.fluxes(np.full(n_in + n_out, rho), np.array([r]), 0)
+        load = np.array([r])
+        buffer_step(table, load)
+        out.append(flows.tobytes() + load.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("kind", list(_DEGREES), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", [name for name, *_ in _SETTINGS])
+def test_validation_rejects_what_no_step_reads(name, kind):
+    # a setting is rejected on a node shape exactly when the junction
+    # table's row for that shape gives the same bits for any two values
+    n_in, n_out = _DEGREES[kind]
+    base = JunctionSpec(id="j", kind=kind,
+                        r_max=math.inf if 0 in (n_in, n_out) else 0.3,
+                        alpha=(0.5, 0.5) if n_out == 2 else None)
+    field, *values = TWO_VALUES[name]
+    specs = [replace(base, **{field: v}) for v in values]
+    verdicts = set()
+    for spec in specs:
+        try:
+            star(spec, n_in, n_out)
+            verdicts.add(True)
+        except ScenarioSemanticError as exc:
+            assert str(exc).startswith(f"node j: {name} on a {kind.value} ")
+            verdicts.add(False)
+    (accepted,) = verdicts
+    for mode in DemandMode:
+        first, second = (stepped(spec, n_in, n_out, mode) for spec in specs)
+        assert (first != second) == accepted
 
 
 _S = JunctionSpec(id="s", kind=NodeKind.SOURCE)

@@ -22,6 +22,7 @@ from bufferlane.tracker import (CarStatus, TrackerKind, complex_step,
 from conftest import (
     TABLES,
     buffer_bound_defect,
+    interior_nodes,
     mass_balance_defect,
     node_fluxes,
     random_scenario,
@@ -352,7 +353,7 @@ class TestFifo:
         rng = np.random.default_rng(seed)
         net, init = random_scenario(rng)
         log = simulate(net, init, 8.0)
-        interior = {n.id for n in net.interior_nodes()}
+        interior = {n.id for n in interior_nodes(net)}
         checked = 0
         for eid, edge in net.edges.items():
             if edge.target not in interior:

@@ -22,6 +22,7 @@ from bufferlane.solver import (
 from conftest import (
     buffer_bound_defect,
     every_row_network,
+    interior_nodes,
     line_network,
     mass_balance_defect,
     random_scenario,
@@ -279,7 +280,7 @@ class TestRecording:
         for _ in range(6):
             net, init = random_scenario(rng, h=0.005)
             # every load within one step's flow of a bound: the limiter fires
-            for k, node in enumerate(net.interior_nodes()):
+            for k, node in enumerate(interior_nodes(net)):
                 init.buffers[node.id] = 1e-6 if k % 2 else node.r_max - 1e-6
             table = JunctionTable.for_network(net, cfl_timestep(net, T=1.0),
                                               101, mode)
