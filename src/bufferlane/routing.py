@@ -1,8 +1,8 @@
 """Route selection: static shortest path, time-dependent fastest path,
 aggregated weights, and online snapshot weights.
 
-Ties are always broken towards the lexicographically smallest edge-id
-sequence so that every policy is deterministic.
+Every policy runs one label-setting search, `_search`, which breaks ties
+towards the smallest edge-id sequence, so every policy is deterministic.
 """
 
 import heapq
@@ -20,23 +20,38 @@ class RoutePolicy(Enum):
     ONLINE = "online"
 
 
-def dijkstra(network, weights, source, destination):
-    """Min-weight path by edge weights; returns (edge ids, total weight)."""
-    best = {}
-    heap = [(0.0, (), source)]
+def _search(network, source, destination, label, relax):
+    """Dijkstra's label-setting search.  A label is a tuple that starts
+    with its cost; `relax(u, label, eid)` gives the label at the end of
+    road `eid` out of `u`, or None when the road cannot be used.  Returns
+    (edge ids, label), or None when `destination` is not reached."""
+    settled = set()
+    heap = [(label[0], (), source, label)]
     while heap:
-        dist, path, u = heapq.heappop(heap)
-        if u in best:
+        _, path, u, label = heapq.heappop(heap)
+        if u in settled:
             continue
-        best[u] = (dist, path)
+        settled.add(u)
         if u == destination:
-            return list(path), dist
+            return list(path), label
         for eid in network.out_edges[u]:
             w = network.edges[eid].target
-            if w in best:
+            if w in settled:
                 continue
-            heapq.heappush(heap, (dist + weights[eid], path + (eid,), w))
-    raise UnreachableDestination(f"no path {source} -> {destination}")
+            reached = relax(u, label, eid)
+            if reached is not None:
+                heapq.heappush(heap, (reached[0], path + (eid,), w, reached))
+    return None
+
+
+def dijkstra(network, weights, source, destination):
+    """Min-weight path by edge weights; returns (edge ids, total weight)."""
+    found = _search(network, source, destination, (0.0,),
+                    lambda u, label, eid: (label[0] + weights[eid],))
+    if found is None:
+        raise UnreachableDestination(f"no path {source} -> {destination}")
+    path, (dist,) = found
+    return path, dist
 
 
 def shortest_path(network, source, destination):
@@ -57,8 +72,7 @@ def aggregated_weights(log, w_rho, w_r):
     """Static edge weights from time-aggregated densities and buffer loads."""
     net = log.network
     max_len, r_max = _scales(net)
-    T = log.T
-    tau = log.tau
+    T, tau = log.T, log.tau
     mass, load = log.totals
     weights = {}
     for eid, e in net.edges.items():
@@ -98,41 +112,26 @@ def fastest_path(log, start_node, arrival_event, destination,
     Returns (edge ids, arrival time).
     """
     tau = log.tau
-    n0, f0 = arrival_event
-    best = {}
-    horizon_hit = False
-    heap = [(n0 * tau + f0, (), start_node, (n0, f0))]
-    while heap:
-        t_u, path, u, event = heapq.heappop(heap)
-        if u in best:
-            continue
-        best[u] = (t_u, path)
-        if u == destination:
-            return list(path), t_u
-        outs = log.network.out_edges[u]
-        if not outs:
-            continue
-        try:
-            _, m, frac = node_waiting(log, u, *event)
+    net = log.network
+
+    def relax(u, label, eid):
+        try:  # wait at u, then a virtual car over the road, as a car does
+            _, m, frac = node_waiting(log, u, *label[1:])
+            x = enter_edge(log, eid, m, frac)
+            n_hat, tau_hat = traverse_edge(log, net.edges[eid], m + 1, x, kind)
         except HorizonExceeded:
-            horizon_hit = True
-            continue
-        for eid in outs:
-            edge = log.network.edges[eid]
-            if edge.target in best:
-                continue
-            try:  # a virtual car over the road, same integration as a car
-                x = enter_edge(log, eid, m, frac)
-                n_hat, tau_hat = traverse_edge(log, edge, m + 1, x, kind)
-            except HorizonExceeded:
-                horizon_hit = True
-                continue
-            heapq.heappush(heap, (n_hat * tau + tau_hat, path + (eid,),
-                                  edge.target, (n_hat, tau_hat)))
-    if horizon_hit:
+            return None
+        return n_hat * tau + tau_hat, n_hat, tau_hat
+
+    n0, f0 = arrival_event
+    found = _search(net, start_node, destination, (n0 * tau + f0, n0, f0),
+                    relax)
+    if found is None:  # no road leads there, or the horizon cut every path
+        shortest_path(net, start_node, destination)
         raise HorizonExceeded(
             f"no path to {destination} completes within the horizon")
-    raise UnreachableDestination(f"no path {start_node} -> {destination}")
+    path, (arrival, _, _) = found
+    return path, arrival
 
 
 def fixed_path_chooser(network, path):

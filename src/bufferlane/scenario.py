@@ -94,7 +94,9 @@ def parse_scenario(text) -> ScenarioDoc:
     Node, edge, [run] and [car] values stay the text written: each is
     converted where it is read.  A key not in `_KEYS`, or a node or edge
     id, a density or buffer entry, or a key of one line, of [run] or of
-    [car] given twice is a ScenarioSyntaxError naming the line."""
+    [car] given twice is a ScenarioSyntaxError naming the line.  One
+    leading byte-order mark (U+FEFF) is skipped."""
+    text = text.removeprefix("\ufeff")
     doc = ScenarioDoc()
     declared = {"node": {}, "edge": {}}
     section = None

@@ -36,7 +36,6 @@ class TrackerKind(Enum):
 
 class CarStatus(Enum):
     DRIVING = "driving"
-    WAITING = "waiting"
     ARRIVED = "arrived"
     HORIZON_EXCEEDED = "horizon_exceeded"
 
@@ -69,7 +68,7 @@ class CarLog:
         return sum(w for _, _, w in self.waiting_times)
 
     def record(self, first, count, edge_id, xs, cum, status="driving"):
-        """Append one record; `status` is a `CarStatus` value string."""
+        """Append one record; `status` is "driving" or "waiting"."""
         self.legs.append((first, count, edge_id, xs, cum, status))
 
     def _pieces(self):

@@ -555,18 +555,23 @@ def test_route_json_strict_when_wait_cut_by_horizon(tmp_path, capsys):
     assert route["total_waiting"] is None
 
 
-@pytest.mark.parametrize("car, code, out, err", [
+@pytest.mark.parametrize("car, T, code, out, err", [
     # the car reaches n2 at t = T, where no node series has an entry
-    ("start_x=1\nstart_time=8", 3, "car did not arrive: horizon_exceeded\n",
-     ""),
-    ("start_x=1\nstart_time=8\npolicy=fastest", 3, "",
+    ("start_x=1\nstart_time=8", 8, 3,
+     "car did not arrive: horizon_exceeded\n", ""),
+    ("start_x=1\nstart_time=8\npolicy=fastest", 8, 3, "",
      "error: no path to n4 completes within the horizon\n"),
-    ("start_x=0\nstart_time=0\npolicy=fastest\ndestination=n1", 4, "",
+    ("start_x=0\nstart_time=0\npolicy=fastest\ndestination=n1", 8, 4, "",
      "error: no path n2 -> n1\n"),
-], ids=["shortest-at-horizon", "fastest-at-horizon", "fastest-unreachable"])
-def test_car_query_ends_with_its_exit_code(tmp_path, capsys, car, code, out,
-                                           err):
+    # the horizon cuts the search on e2, but no road leads to n1 at all
+    ("start_x=0\nstart_time=0\npolicy=fastest\ndestination=n1", 3, 4, "",
+     "error: no path n2 -> n1\n"),
+], ids=["shortest-at-horizon", "fastest-at-horizon", "fastest-unreachable",
+        "fastest-unreachable-short-horizon"])
+def test_car_query_ends_with_its_exit_code(tmp_path, capsys, car, T, code,
+                                           out, err):
     text = bundled_scenario("linear").replace("start_x=0\nstart_time=0", car)
+    text = text.replace("T=8", f"T={T}")
     text = text.replace("destination=n4\n", "", car.count("destination"))
     text = text.replace("oracle=linear\n", "")
     path = tmp_path / "car.scn"
@@ -605,6 +610,20 @@ def test_unreachable_destination_exit_4(tmp_path, capsys):
     path.write_text(text)
     code = main(["run", str(path), "--out", str(tmp_path / "o")])
     assert code == 4
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    # a scenario saved as UTF-8 with a BOM runs as the plain file does
+    outs = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        path = tmp_path / f"{name}.scn"
+        path.write_text(bundled_scenario("linear"), encoding=encoding)
+        assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+        files = sorted((tmp_path / name).iterdir())
+        outs.append((capsys.readouterr(), [f.name for f in files],
+                     [f.read_bytes() for f in files]))
+    assert (tmp_path / "bom.scn").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outs[0] == outs[1]
 
 
 def test_policy_override(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The package's own names: each error class is raised, and each function
 and method read, somewhere in the package; only the network's degree
-table reads node kinds."""
+table reads node kinds, and one search loop pops a heap."""
 
 import ast
 from pathlib import Path
@@ -101,3 +101,21 @@ def test_only_the_network_reads_node_kinds():
     # validation alike: a kind only names a degree pair.  The scenario
     # parser may still make a kind from its name, `NodeKind(...)`
     assert node_kind_readers() == []
+
+
+def heap_pops():
+    """`module:line` of each `heappop` call in the package."""
+    pops = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        pops += [f"{path.name}:{node.lineno}"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and "heappop" in (getattr(node.func, "attr", None),
+                                   getattr(node.func, "id", None))]
+    return pops
+
+
+def test_one_search_loop():
+    # every routing policy runs `routing._search`; a second Dijkstra loop
+    # is a second copy of its heap, settled set and tie-break
+    assert len(heap_pops()) == 1, heap_pops()

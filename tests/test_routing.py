@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bufferlane import bundled_scenario, scenario as scn
-from bufferlane.errors import UnreachableDestination
+from bufferlane.errors import HorizonExceeded, UnreachableDestination
 from bufferlane.junctions import DemandMode
 from bufferlane.routing import (
     RoutePolicy,
@@ -21,7 +21,7 @@ from bufferlane.routing import (
 )
 from bufferlane.run import plan_route
 from bufferlane.solver import simulate
-from bufferlane.tracker import TrackerKind, track_car
+from bufferlane.tracker import TrackerKind, track_car, traverse_edge
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,36 @@ def test_online_weights_equal_direct_sums(small_log, w_rho, w_r):
             direct_online_weights(small_log, n, w_rho, w_r))
 
 
+# a split into two identical branches that merge again
+TWIN_BRANCHES = """\
+[network]
+node s kind=source mu=0.25 inflow=0.21
+node d kind=one_to_two r_max=0.3 mu=0.25 alpha=0.5,0.5
+node a kind=one_to_one r_max=0.3 mu=0.2
+node b kind=one_to_one r_max=0.3 mu=0.2
+node m kind=two_to_one r_max=0.3 mu=0.25 priority=demand_proportional
+node t kind=sink
+edge e1 from=s to=d length=1
+edge e2 from=d to=a length=1
+edge e3 from=d to=b length=1
+edge e4 from=a to=m length=1
+edge e5 from=b to=m length=1
+edge e6 from=m to=t length=1
+[initial]
+density e1 0.3
+density e2 0.3
+density e3 0.3
+density e4 0.2
+density e5 0.2
+density e6 0.3
+buffer a 0.1
+buffer b 0.1
+[run]
+T=10
+h=0.1
+"""
+
+
 class TestFastestPath:
     def test_prefers_undelayed_route_at_departure_zero(self, small_log):
         tracker_event = (0, 0.0)
@@ -137,6 +167,45 @@ class TestFastestPath:
         route, _ = plan_route(small_log, RoutePolicy.ONLINE, "e1", 0.0,
                               0.0, "n6", TrackerKind.COMPLEX)
         assert route is None  # decided junction by junction
+
+    @pytest.mark.parametrize("T, reaches_n4", [(3.0, False), (8.0, True)])
+    def test_unreachable_destination_at_any_horizon(self, T, reaches_n4):
+        # no road leads back to the source n1; at T = 3 the horizon also
+        # cuts the search on e2, which must not make that HorizonExceeded
+        doc = scn.parse_scenario(bundled_scenario("linear"))
+        log = simulate(scn.build_network(doc), scn.build_initial(doc), T)
+        event = traverse_edge(log, log.network.edges["e1"], 0, 0.0,
+                              TrackerKind.COMPLEX)
+        with pytest.raises(UnreachableDestination,
+                           match="^no path n2 -> n1$"):
+            fastest_path(log, "n2", event, "n1")
+        if reaches_n4:
+            assert fastest_path(log, "n2", event, "n4")[0] == ["e2", "e3"]
+        else:
+            with pytest.raises(HorizonExceeded, match="^no path to n4 "):
+                fastest_path(log, "n2", event, "n4")
+
+    @pytest.mark.parametrize("kind", list(TrackerKind))
+    def test_tie_breaks_lexicographically(self, kind):
+        # d splits 0.5/0.5 into two bitwise twin branches, e2 e4 through a
+        # and e3 e5 through b, which merge again at m: both reach m at the
+        # same instant, and the branch with the smaller edge ids wins
+        doc = scn.parse_scenario(TWIN_BRANCHES)
+        log = simulate(scn.build_network(doc), scn.build_initial(doc), 10.0)
+        for one, twin in (("e2", "e3"), ("e4", "e5")):
+            assert log.rho[one].tobytes() == log.rho[twin].tobytes()
+        assert log.buffers["a"].tobytes() == log.buffers["b"].tobytes()
+        branches = [track_car(log, "e1", 0.0, 0.0, "m", kind,
+                              fixed_path_chooser(log.network, path))
+                    for path in (["e1", "e2", "e4"], ["e1", "e3", "e5"])]
+        assert branches[0].arrival_time == branches[1].arrival_time
+        assert branches[0].total_waiting > 0.0  # the wait at a is charged
+        route, arrival = plan_route(log, RoutePolicy.FASTEST, "e1", 0.0, 0.0,
+                                    "t", kind)
+        assert route == ["e1", "e2", "e4", "e6"]
+        car = track_car(log, "e1", 0.0, 0.0, "t", kind,
+                        fixed_path_chooser(log.network, route))
+        assert arrival == car.arrival_time
 
 
 class TestChoosers:

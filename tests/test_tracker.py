@@ -398,12 +398,33 @@ class TestQueryMemo:
         assert weights == aggregated_weights(small_network_log(), 0.5, 0.5)
         assert aggregated_weights(log, 0.5, 0.5) == weights
 
-    def test_wait_replayed_from_memo(self, linear_log):
-        n_hat = int(10.0 / 7.0 / linear_log.tau)
-        tau_hat = 10.0 / 7.0 - n_hat * linear_log.tau
+    def test_wait_replayed_from_memo(self, monkeypatch):
+        # a wait is computed once per log: a repeated query, or a fastest
+        # plan probing two roads out of one node, recomputes nothing
+        computed = []
+        wait = tracker._wait
+
+        def counted(log, *key):
+            computed.append(key)
+            return wait(log, *key)
+
+        monkeypatch.setattr(tracker, "_wait", counted)
+        first = linear_8_log()
+        n_hat = int(10.0 / 7.0 / first.tau)
+        tau_hat = 10.0 / 7.0 - n_hat * first.tau
         waits = [node_waiting(log, "n1", n_hat, tau_hat)
-                 for log in (linear_log, linear_log, linear_8_log())]
+                 for log in (first, first, linear_8_log())]
         assert waits[0][0] > 0.0 and waits[0] == waits[1] == waits[2]
+        assert computed == [("n1", n_hat, tau_hat)] * 2  # once per log
+        computed.clear()
+        log = small_network_log()
+        plan = plan_route(log, "fastest", "e1", 0.5, 0.0, "n6",
+                          TrackerKind.COMPLEX)
+        assert computed and len(set(computed)) == len(computed)
+        planned = len(computed)
+        assert plan_route(log, "fastest", "e1", 0.5, 0.0, "n6",
+                          TrackerKind.COMPLEX) == plan
+        assert len(computed) == planned
 
     def test_wait_cut_by_horizon_replayed(self):
         caught = []
