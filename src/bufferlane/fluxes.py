@@ -1,10 +1,14 @@
-"""Scalar flux law and the derived demand/supply/Godunov interface fluxes.
+"""Flux law and the derived demand/supply/Godunov interface fluxes.
 
 The flux is fixed to f(rho) = rho * (1 - rho) with maximum at sigma = 0.5.
-Every other module touches the fundamental diagram only through the
-functions defined here.  Their domain is densities in [0, 1]; they do not
-check it.  `solver.simulate` checks the initial state once and every step
-checks the state it makes, so every density that reaches them is in range.
+The field, and the tracker outside its car steps, touch the fundamental
+diagram only through the functions defined here.  The car steps write f,
+the speed v = 1 - rho and the wave speed f' = 1 - 2 rho out inline, to
+make no call per step; `tests/reference.py` holds the same steps through
+the named formulas, and a test holds the two equal bit for bit.  The domain is densities in
+[0, 1], and nothing here checks it: `solver.simulate` checks the initial
+state once and every step checks the state it makes, so every density
+that reaches these functions is in range.
 """
 
 import numpy as np
@@ -13,19 +17,9 @@ SIGMA = np.float64(0.5)  # a numpy scalar: quicker in ufuncs
 F_MAX = 0.25  # f(SIGMA)
 
 
-def flux(rho):
-    """Flow f(rho) = rho (1 - rho)."""
-    return rho * (1.0 - rho)
-
-
 def velocity(rho):
     """Car speed v(rho) = 1 - rho."""
     return 1.0 - rho
-
-
-def flux_derivative(rho):
-    """Wave speed f'(rho) = 1 - 2 rho."""
-    return 1.0 - 2.0 * rho
 
 
 def demand_supply(rho, out, spare):

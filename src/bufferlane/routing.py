@@ -111,6 +111,7 @@ def fastest_path(log, start_node, arrival_event, destination,
     charged when leaving it; nothing is charged at the destination.
     Returns (edge ids, arrival time).
     """
+    kind = TrackerKind(kind)
     tau = log.tau
     net = log.network
 

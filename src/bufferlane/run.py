@@ -27,13 +27,16 @@ def plan_route(log, policy, start_edge, start_x, start_time, destination,
                kind, w_rho=0.5, w_r=0.5):
     """Resolve the edge sequence for a policy, plus the predicted arrival
     for fastest; online returns (None, None): the car decides junction by
-    junction.  `start_x` must lie in [0, length] of the start road."""
+    junction, once a static search has found a road to `destination`.
+    `start_x` must lie in [0, length] of the start road."""
     policy = RoutePolicy(policy)
+    kind = TrackerKind(kind)
     net = log.network
     start_x = start_position(net.edges[start_edge], start_x)
-    if policy is RoutePolicy.ONLINE:
-        return None, None
     s = net.edges[start_edge].target
+    if policy is RoutePolicy.ONLINE:  # raises when no road leads there
+        routing.shortest_path(net, s, destination)
+        return None, None
     arrival = None
     if policy is RoutePolicy.SHORTEST:
         path, _ = routing.shortest_path(net, s, destination)

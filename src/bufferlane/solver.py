@@ -126,6 +126,9 @@ class SimLog:
         self.events = junctions.negativity_events(list(network.nodes), loads,
                                                   tau)
         self.limiter_fired = dict(zip(network.nodes, hits.sum((0, 1)).tolist()))
+        # the car tracker's stored legs and waits (`tracker._Memo`), made by
+        # the first query on this log; they die with it
+        self._memo = None
 
     @cached_property
     def totals(self):

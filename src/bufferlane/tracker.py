@@ -8,22 +8,24 @@ immutable SimLog; the car never feeds back into the field.
 A road leg depends only on its entry event, so `traverse_edge` drives
 each (edge, step, position, tracker) leg once per log and replays it
 afterwards; `node_waiting` does the same for waits.  Queries on one
-simulation share them, and read the log as Python floats.  The memo
-lives as long as the log and holds at most one stored value (a position,
-a leg or a wait) per density value of the log.  A SimLog's arrays are read-only, so a stored
+simulation share them through the log's memo, an attribute of the log
+that dies with it and holds at most one stored value (a position, a leg
+or a wait) per density value of the log.  The memo also keeps one flat
+float view of each road's history, and a step reads cell i at step n as
+`flat[n * cells + i]`, a Python float; a step makes no slice and calls
+no flux-law function.  A SimLog's arrays are read-only, so a stored
 result never goes stale.  A car's `CarLog` keeps one record per leg or
 wait, a replayed leg's positions shared with the memo, and builds its
 samples only when they are read.
 """
 
 import math
-import weakref
 from array import array
 from enum import Enum
 from itertools import repeat
 
 from .errors import HorizonExceeded, UnreachableDestination, ZeroSpeedAtBoundary
-from .fluxes import flux, flux_derivative, velocity
+from .fluxes import velocity
 
 _ARRIVAL_TOL = 1e-14
 _WAIT_TOL = 1e-15
@@ -104,85 +106,58 @@ class CarLog:
                 for d in dists]
 
 
-def naive_step(x, cells, h, tau):
-    """Euler step at the speed of the Godunov cell containing x."""
-    i = min(int(x / h), len(cells) - 1)
-    return x + tau * velocity(cells[i])
+def naive_step(x, flat, base, C, h, tau):
+    """Euler step at the speed v = 1 - rho of the Godunov cell containing
+    x, cell i of the road's C cells at this step read as `flat[base + i]`."""
+    i = int(x / h)
+    return x + tau * (1.0 - flat[base + (i if i < C else C - 1)])
 
 
-def shock_intersection(x, x_i, rho_minus, rho_plus):
-    """Hit point (tau_bar, x_bar) of the car with a shock starting at x_i,
-    or None when the car's speed and the shock's round to the same value
-    (rho_plus tiny): the car then never reaches the shock."""
-    if rho_minus >= rho_plus:
-        raise ValueError(f"{rho_minus} >= {rho_plus}")
-    lam = (flux(rho_plus) - flux(rho_minus)) / (rho_plus - rho_minus)
-    closing = velocity(rho_minus) - lam
-    if closing == 0.0:
-        return None
-    tau_bar = (x_i - x) / closing
-    return tau_bar, x + velocity(rho_minus) * tau_bar
-
-
-def fan_coefficient(tau_bar, x_bar, x_i):
-    """Coefficient c of the in-fan path x(t) = x_i + t - c sqrt(t), wave
-    origin at (0, x_i), that the car enters at (tau_bar, x_bar)."""
-    if tau_bar <= 0.0:
-        raise ValueError(f"tau_bar {tau_bar} must be positive")
-    return (tau_bar + x_i - x_bar) / math.sqrt(tau_bar)
-
-
-def rarefaction_exit(coeff, x_i, rho_plus):
-    """Exit point (tau2, x2) of the in-fan path with coefficient `coeff`.
-
-    Returns None when 1 - f'(rho_plus) = 2 rho_plus rounds to 0: the
-    downstream front then moves at the free-flow speed and the car can
-    never overtake it.
-    """
-    gap = 1.0 - flux_derivative(rho_plus)
-    if gap == 0.0:
-        return None
-    tau2 = (coeff / gap) ** 2
-    return tau2, x_i + flux_derivative(rho_plus) * tau2
-
-
-def complex_step(x, cells, h, tau):
-    """Piecewise-exact step through at most one wave.
+def complex_step(x, flat, base, C, h, tau):
+    """Piecewise-exact step through at most one wave, cell i of the road's
+    C cells at this step read as `flat[base + i]`.
 
     The car at x lies in a shifted cell; only the wave starting at the
     grid point ahead of it (behind the half-cell split) can reach the car
     within tau <= h/2, the step every `simulate` log has, so the step
     resolves that single Riemann fan or shock.  A wave whose closing speed
-    on the car rounds to 0 never reaches it within the step.
+    on the car rounds to 0 never reaches it within the step.  The shock's
+    hit point, the fan's path and its exit are written out inline with the
+    flux law's f, v and f': `tests/reference.py` holds the same step
+    through named wave formulas, and a test holds the two equal bit for
+    bit.
     """
-    n_cells = len(cells)
-    i = int(math.floor(x / h + 0.5))
+    i = int(x / h + 0.5)  # floor: x >= 0
     if x < i * h:  # first half: wave origin x_i between cells i-1 and i
         origin = i * h
-        rm = cells[i - 1]
-        rp = cells[i] if i < n_cells else rm
+        rm = flat[base + i - 1]
+        rp = flat[base + i] if i < C else rm
     else:  # second half: wave origin x_{i+1}
         origin = (i + 1) * h
-        rm = cells[i] if i < n_cells else cells[-1]
-        rp = cells[i + 1] if i + 1 < n_cells else rm
+        rm = flat[base + i] if i < C else flat[base + C - 1]
+        rp = flat[base + i + 1] if i + 1 < C else rm
+    vm = 1.0 - rm
     if rm == rp:
-        return x + tau * velocity(rm)
-    if rm < rp:  # shock
-        hit = shock_intersection(x, origin, rm, rp)
-        tau_bar, x_bar = (math.inf, None) if hit is None else hit
+        return x + tau * vm
+    if rm < rp:  # shock at speed (f(rp) - f(rm)) / (rp - rm)
+        closing = vm - (rp * (1.0 - rp) - rm * (1.0 - rm)) / (rp - rm)
     else:  # rarefaction: left front moves at f'(rm)
-        closing = velocity(rm) - flux_derivative(rm)
-        tau_bar = (origin - x) / closing if closing != 0.0 else math.inf
+        closing = vm - (1.0 - 2.0 * rm)
+    if closing == 0.0:
+        return x + tau * vm
+    tau_bar = (origin - x) / closing
     if tau_bar >= tau:  # the wave does not reach the car within the step
-        return x + tau * velocity(rm)
-    if rm < rp:
-        return x_bar + velocity(rp) * (tau - tau_bar)
-    coeff = fan_coefficient(tau_bar, x + velocity(rm) * tau_bar, origin)
-    exit_point = rarefaction_exit(coeff, origin, rp)
-    if exit_point is None or exit_point[0] >= tau:
+        return x + tau * vm
+    if rm < rp:  # hits the shock at x + v(rm) tau_bar, then drives at v(rp)
+        return x + vm * tau_bar + (1.0 - rp) * (tau - tau_bar)
+    # in the fan the car's path is x(t) = origin + t - coeff sqrt(t); it
+    # leaves at tau2 through the front moving at f'(rp), then drives at v(rp)
+    coeff = (tau_bar + origin - (x + vm * tau_bar)) / math.sqrt(tau_bar)
+    gap = 1.0 - (1.0 - 2.0 * rp)  # 0: the fan's right front moves at 1
+    tau2 = (coeff / gap) ** 2 if gap != 0.0 else tau
+    if tau2 >= tau:  # the car is still in the fan at the step's end
         return origin + tau - math.sqrt(tau) * coeff
-    tau2, x2 = exit_point
-    return x2 + velocity(rp) * (tau - tau2)
+    return origin + (1.0 - 2.0 * rp) * tau2 + (1.0 - rp) * (tau - tau2)
 
 
 def end_of_road_time(x, rho_last, b):
@@ -268,21 +243,21 @@ def enter_edge(log, edge_id, m, frac):
     return (log.tau - frac) * velocity(log.rho[edge_id].item(m, 0))
 
 
-# SimLog -> _Memo; an entry dies with its log
-_MEMO = weakref.WeakKeyDictionary()
-
-
 class _Memo(dict):
-    """Legs driven on one log: (edge id, n, x, kind) -> (n_hat, tau_hat,
-    positions at t^{n+1}, t^{n+2}, ..., error class and message or None);
-    waits: (node, n_hat, tau_hat) -> ((wt, m, frac) or None, error or None).
+    """Legs driven on one log: (edge id, n, x, complex tracker?) -> (n_hat,
+    tau_hat, positions at t^{n+1}, t^{n+2}, ..., error class and message
+    or None); waits: (node, n_hat, tau_hat) -> ((wt, m, frac) or None,
+    error or None).
     `stored` counts a leg's positions plus one, and one per wait; it never
-    exceeds `budget`, the number of density values the log holds."""
+    exceeds `budget`, the number of density values the log holds.  `flat`
+    maps each edge id to a flat float view of its (M+1, cells) history."""
 
     def __init__(self, log):
         super().__init__()
         self.budget = sum(a.size for a in log.rho.values())
         self.stored = 0
+        self.flat = {eid: memoryview(a).cast("B").cast("d")
+                     for eid, a in log.rho.items()}
 
     def put(self, key, value, size):
         """Store `value`, first emptying the memo if it would pass budget."""
@@ -294,32 +269,36 @@ class _Memo(dict):
 
 
 def _memo(log):
-    memo = _MEMO.get(log)
+    """The log's memo, made by its first query; it dies with the log."""
+    memo = log._memo
     if memo is None:
-        memo = _MEMO[log] = _Memo(log)
+        memo = log._memo = _Memo(log)
     return memo
 
 
-def _drive(log, edge, n, x, kind):
-    """Drive one leg on float views of its cells; returns its memo entry."""
+def _drive(log, edge, n, x, kind, flat):
+    """Drive one leg on `flat`, the flat view of its road's history;
+    returns its memo entry."""
     step = naive_step if kind is TrackerKind.NAIVE else complex_step
     tau, h, steps, C = log.tau, edge.h, log.steps, edge.cells
-    flat = memoryview(log.rho[edge.id]).cast("B").cast("d")
     b = edge.length
     end = b - _ARRIVAL_TOL
     xs = array("d")
+    append = xs.append
+    base = n * C
     try:
         while x < end:
             if n >= steps:
                 raise HorizonExceeded(
                     f"car still on edge {edge.id} at the time horizon")
-            cells = flat[n * C:(n + 1) * C]
-            x_new = step(x, cells, h, tau)
+            x_new = step(x, flat, base, C, h, tau)
             if x_new >= end:
-                return n, min(end_of_road_time(x, cells[-1], b), tau), xs, None
+                last = flat[base + C - 1]
+                return n, min(end_of_road_time(x, last, b), tau), xs, None
             n += 1
+            base += C
             x = x_new
-            xs.append(x)
+            append(x)
         return n, 0.0, xs, None
     except (HorizonExceeded, ZeroSpeedAtBoundary) as exc:
         return None, None, xs, (type(exc), str(exc))
@@ -332,14 +311,13 @@ def traverse_edge(log, edge, n, x, kind, car=None, cum=0.0):
     t^n_hat + tau_hat.  Given a car log, records the leg: a sample at every
     grid time on the road, at distance cum + x.  A leg already driven on
     this log is replayed from its stored positions, with the same samples
-    and errors.
+    and errors.  `kind` is a `TrackerKind`.
     """
-    kind = TrackerKind(kind)
     memo = _memo(log)
-    key = (edge.id, n, x, kind)
+    key = (edge.id, n, x, kind is TrackerKind.COMPLEX)  # an enum hashes slowly
     leg = memo.get(key)
     if leg is None:
-        leg = _drive(log, edge, n, x, kind)
+        leg = _drive(log, edge, n, x, kind, memo.flat[edge.id])
         memo.put(key, leg, len(leg[2]) + 1)
     n_hat, tau_hat, xs, error = leg
     if car is not None:
@@ -359,6 +337,7 @@ def track_car(log, start_edge, start_x, start_time, destination,
     raises ValueError; junctions with a single outgoing road never
     consult it.  `start_x` must lie in [0, length] of the start road.
     """
+    kind = TrackerKind(kind)
     net = log.network
     tau = log.tau
     car = CarLog(tau)

@@ -273,6 +273,20 @@ def random_scenario(rng, h=0.15):
     return net, InitialData(densities=densities, buffers=buffers)
 
 
+def car_step_cases(rng, cases, cells, h):
+    """Seeded car steps: positions x, one row of `cells` cell values and
+    a step tau per case.  Each x lies in [h/2, (cells - 1) h], so every
+    point the car reaches within tau <= h/2 has an interior interface
+    nearest; 40 % of the cell values are drawn from the edge cases."""
+    shape = (cases, cells)
+    rho = np.where(rng.random(shape) < 0.4,
+                   rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 1.0], shape),
+                   rng.random(shape))
+    tau = rng.uniform(0.1 * h, 0.5 * h, cases)
+    x = rng.uniform(0.5 * h, (cells - 1) * h, cases)
+    return x, rho, tau
+
+
 def total_edge_time(log, eid, n_start):
     """Departure-to-exit time over one edge: transit plus buffer waiting.
 

@@ -1,8 +1,16 @@
 """One step of the scheme, node by node and cell by cell, in plain floats,
 written from the model rather than from the junction table.  Each formula
 does the floating-point operations of the table's array pass in the same
-order, so `solver.advance_step` must match it bit for bit."""
+order, so `solver.advance_step` must match it bit for bit.
 
+The car steps are here too, as readable functions of a road's cells that
+call the flux law and the named wave formulas; the tracker's steps write
+them out inline with the same operations in the same order, and must
+match them bit for bit as well."""
+
+import math
+
+from bufferlane.errors import HorizonExceeded, ZeroSpeedAtBoundary
 from bufferlane.network import DEMAND_PROPORTIONAL, NodeKind
 
 TOL = 1e-12  # a load within TOL of 0 (r_max) counts as empty (full)
@@ -115,3 +123,118 @@ def step(network, tau, pooled, rho, r, n):
     flows = [*map(q_in.get, network.edges), *map(q_out.get, network.edges),
              *map(f_in.get, network.nodes), *map(f_out.get, network.nodes)]
     return flows, loads, cells
+
+
+def flux(rho):
+    """Flow f(rho) = rho (1 - rho)."""
+    return rho * (1.0 - rho)
+
+
+def velocity(rho):
+    """Car speed v(rho) = 1 - rho."""
+    return 1.0 - rho
+
+
+def flux_derivative(rho):
+    """Wave speed f'(rho) = 1 - 2 rho."""
+    return 1.0 - 2.0 * rho
+
+
+def shock_intersection(x, x_i, rho_minus, rho_plus):
+    """Hit point (tau_bar, x_bar) of the car with a shock starting at x_i,
+    or None when the car's speed and the shock's round to the same value
+    (rho_plus tiny): the car then never reaches the shock."""
+    if rho_minus >= rho_plus:
+        raise ValueError(f"{rho_minus} >= {rho_plus}")
+    lam = (flux(rho_plus) - flux(rho_minus)) / (rho_plus - rho_minus)
+    closing = velocity(rho_minus) - lam
+    if closing == 0.0:
+        return None
+    tau_bar = (x_i - x) / closing
+    return tau_bar, x + velocity(rho_minus) * tau_bar
+
+
+def fan_coefficient(tau_bar, x_bar, x_i):
+    """Coefficient c of the in-fan path x(t) = x_i + t - c sqrt(t), wave
+    origin at (0, x_i), that the car enters at (tau_bar, x_bar)."""
+    if tau_bar <= 0.0:
+        raise ValueError(f"tau_bar {tau_bar} must be positive")
+    return (tau_bar + x_i - x_bar) / math.sqrt(tau_bar)
+
+
+def rarefaction_exit(coeff, x_i, rho_plus):
+    """Exit point (tau2, x2) of the in-fan path with coefficient `coeff`.
+
+    Returns None when 1 - f'(rho_plus) = 2 rho_plus rounds to 0: the
+    downstream front then moves at the free-flow speed and the car can
+    never overtake it.
+    """
+    gap = 1.0 - flux_derivative(rho_plus)
+    if gap == 0.0:
+        return None
+    tau2 = (coeff / gap) ** 2
+    return tau2, x_i + flux_derivative(rho_plus) * tau2
+
+
+def naive_step(x, cells, h, tau):
+    """Euler step at the speed of the Godunov cell containing x."""
+    i = min(int(x / h), len(cells) - 1)
+    return x + tau * velocity(cells[i])
+
+
+def complex_step(x, cells, h, tau):
+    """Piecewise-exact step through at most one wave: the Riemann fan or
+    shock starting at the grid point ahead of the car, behind the
+    half-cell split.  A wave whose closing speed on the car rounds to 0
+    never reaches it within the step."""
+    n_cells = len(cells)
+    i = int(math.floor(x / h + 0.5))
+    if x < i * h:  # first half: wave origin x_i between cells i-1 and i
+        origin = i * h
+        rm = cells[i - 1]
+        rp = cells[i] if i < n_cells else rm
+    else:  # second half: wave origin x_{i+1}
+        origin = (i + 1) * h
+        rm = cells[i] if i < n_cells else cells[-1]
+        rp = cells[i + 1] if i + 1 < n_cells else rm
+    if rm == rp:
+        return x + tau * velocity(rm)
+    if rm < rp:  # shock
+        hit = shock_intersection(x, origin, rm, rp)
+        tau_bar, x_bar = (math.inf, None) if hit is None else hit
+    else:  # rarefaction: left front moves at f'(rm)
+        closing = velocity(rm) - flux_derivative(rm)
+        tau_bar = (origin - x) / closing if closing != 0.0 else math.inf
+    if tau_bar >= tau:  # the wave does not reach the car within the step
+        return x + tau * velocity(rm)
+    if rm < rp:
+        return x_bar + velocity(rp) * (tau - tau_bar)
+    coeff = fan_coefficient(tau_bar, x + velocity(rm) * tau_bar, origin)
+    exit_point = rarefaction_exit(coeff, origin, rp)
+    if exit_point is None or exit_point[0] >= tau:
+        return origin + tau - math.sqrt(tau) * coeff
+    tau2, x2 = exit_point
+    return x2 + velocity(rp) * (tau - tau2)
+
+
+def drive_leg(log, edge, n, x, step, end_tol=1e-14):
+    """A car from x on `edge` at t^n, stepped by `step` on each step's row
+    of the road's history as a list until it crosses the road end less
+    `end_tol`, the last step cut at the end at the last cell's speed: the
+    arrival event (n_hat, tau_hat), or the class of the error that ends
+    the leg, and the positions at t^{n+1}, t^{n+2}, ..."""
+    rows, b = log.rho[edge.id], edge.length
+    end, xs = b - end_tol, []
+    while x < end:
+        if n >= log.steps:
+            return HorizonExceeded, xs
+        cells = rows[n].tolist()
+        x_new = step(x, cells, edge.h, log.tau)
+        if x_new >= end:
+            v = velocity(cells[-1])
+            if v <= 0.0:
+                return ZeroSpeedAtBoundary, xs
+            return (n, min(max((b - x) / v, 0.0), log.tau)), xs
+        n, x = n + 1, x_new
+        xs.append(x)
+    return (n, 0.0), xs

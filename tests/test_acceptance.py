@@ -16,13 +16,7 @@ from bufferlane.network import JunctionSpec, NodeKind
 from bufferlane.routing import RoutePolicy, fixed_path_chooser, online_chooser
 from bufferlane.run import execute, plan_route
 from bufferlane.solver import simulate
-from bufferlane.tracker import (
-    TrackerKind,
-    fan_coefficient,
-    rarefaction_exit,
-    shock_intersection,
-    track_car,
-)
+from bufferlane.tracker import TrackerKind, track_car
 from conftest import (
     buffer_bound_defect,
     interior_nodes,
@@ -32,6 +26,7 @@ from conftest import (
     random_scenario,
     total_edge_time,
 )
+from reference import fan_coefficient, rarefaction_exit, shock_intersection
 
 
 def _report(num, ok, detail):

@@ -566,8 +566,15 @@ def test_route_json_strict_when_wait_cut_by_horizon(tmp_path, capsys):
     # the horizon cuts the search on e2, but no road leads to n1 at all
     ("start_x=0\nstart_time=0\npolicy=fastest\ndestination=n1", 3, 4, "",
      "error: no path n2 -> n1\n"),
+    # an online car is planned by the same static search: at T=3 it used
+    # to exit 3 on e2, at T=8 to exit 4 only at the sink n4
+    ("start_x=0\nstart_time=0\npolicy=online\ndestination=n1", 8, 4, "",
+     "error: no path n2 -> n1\n"),
+    ("start_x=0\nstart_time=0\npolicy=online\ndestination=n1", 3, 4, "",
+     "error: no path n2 -> n1\n"),
 ], ids=["shortest-at-horizon", "fastest-at-horizon", "fastest-unreachable",
-        "fastest-unreachable-short-horizon"])
+        "fastest-unreachable-short-horizon", "online-unreachable",
+        "online-unreachable-short-horizon"])
 def test_car_query_ends_with_its_exit_code(tmp_path, capsys, car, T, code,
                                            out, err):
     text = bundled_scenario("linear").replace("start_x=0\nstart_time=0", car)

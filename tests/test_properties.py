@@ -22,6 +22,7 @@ from bufferlane.tracker import (CarStatus, TrackerKind, complex_step,
 from conftest import (
     TABLES,
     buffer_bound_defect,
+    car_step_cases,
     interior_nodes,
     mass_balance_defect,
     node_fluxes,
@@ -312,7 +313,7 @@ class TestScaling:
                 [(v, 2.0 * t, 2.0 * w) for v, t, w in a.waiting_times],
                 [(e, 2.0 * t, 2.0 * w) for e, t, w in a.travel_times]])
             # except where the complex tracker crosses a fan: its path
-            # there takes sqrt(tau) (`fan_coefficient`, `complex_step`),
+            # there takes sqrt(tau) (the fan path of `complex_step`),
             # and sqrt(2 tau) is not sqrt(2) sqrt(tau) to the last bit
             ulps = 4 if car["tracker"] == "complex" else 0
             assert len(b.samples) == len(a.samples)
@@ -438,17 +439,8 @@ class TestComplexStepOracle:
     H, CELLS, CASES, SUBSTEPS = 0.1, 6, 3000, 4000
 
     def cases(self):
-        """Seeded cars at x in [h/2, (cells - 1) h], so every point the
-        car reaches within tau <= h/2 has an interior interface nearest;
-        40 % of the cell values are drawn from the edge cases."""
-        rng = np.random.default_rng(20)
-        h, shape = self.H, (self.CASES, self.CELLS)
-        cells = np.where(rng.random(shape) < 0.4,
-                         rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 1.0], shape),
-                         rng.random(shape))
-        tau = rng.uniform(0.1 * h, 0.5 * h, self.CASES)
-        x = rng.uniform(0.5 * h, (self.CELLS - 1) * h, self.CASES)
-        return x, cells, tau
+        return car_step_cases(np.random.default_rng(20), self.CASES,
+                              self.CELLS, self.H)
 
     def reference(self, x, cells, tau):
         """dx/dt = 1 - rho(x, t) through the exact density, by the
@@ -465,7 +457,7 @@ class TestComplexStepOracle:
         x, cells, tau = self.cases()
         want = self.reference(x, cells, tau)
         substep = tau / self.SUBSTEPS
-        got, naive = (np.array([step(a, c.tolist(), self.H, b)
+        got, naive = (np.array([step(a, c.tolist(), 0, self.CELLS, self.H, b)
                                 for a, c, b in zip(x, cells, tau)])
                       for step in (complex_step, naive_step))
         miss = np.abs(got - want) / substep

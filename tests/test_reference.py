@@ -1,6 +1,7 @@
 """`solver.advance_step` against the scalar reference step, by `float.hex`,
-on random networks in both demand modes, and `solver.project_cells`
-against the reference cell averages."""
+on random networks in both demand modes, `solver.project_cells` against
+the reference cell averages, and the tracker's car steps and road legs
+against the reference steps, by `float.hex` too."""
 
 import math
 
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bufferlane import tracker
+from bufferlane.errors import HorizonExceeded, ZeroSpeedAtBoundary
 from bufferlane.junctions import DemandMode, JunctionTable
 from bufferlane.solver import (advance_step, cfl_timestep, project_cells,
                                simulate)
-from conftest import random_scenario
+from bufferlane.tracker import CarLog, TrackerKind, traverse_edge
+from conftest import car_step_cases, random_scenario
 import reference
 
 T = 2.0  # spans the sources' breakpoint at t = 1
@@ -79,3 +83,91 @@ def test_project_cells_equals_the_reference(seed):
     want = [x for e in edges for x in reference.cell_averages(
         e, densities.get(e.id, [(0.0, 0.0)]))]
     assert hexes(project_cells(edges, densities)) == hexes(want)
+
+
+STEPS = {"naive": (tracker.naive_step, reference.naive_step),
+         "complex": (tracker.complex_step, reference.complex_step)}
+# cell values that tie neighbours, and tiny ones that round a closing
+# speed (1e-17 behind a vacuum, 1e-20) or the fan's gap 2 rho (0, 1e-20)
+# to 0
+SPECIAL = [0.0, 1e-20, 1e-17, 0.1, 0.3, 0.5, 0.7, 1.0]
+
+
+def edge_step_cases(rng, cases, cells, h):
+    """Seeded car steps on roads of `cells` cells, 70 % of the cell values
+    drawn from SPECIAL.  The cars stand anywhere on the road: in its first
+    or last cell, at a cell's end or middle (either half-cell's edge, the
+    road's ends included) or one float off it, or at random; tau is h/2
+    or random below it."""
+    shape = (cases, cells)
+    rho = np.where(rng.random(shape) < 0.7, rng.choice(SPECIAL, shape),
+                   rng.random(shape))
+    tau = np.where(rng.random(cases) < 0.3, 0.5 * h,
+                   rng.uniform(0.1 * h, 0.5 * h, cases))
+    top = cells * h
+    grid = rng.integers(0, 2 * cells + 1, cases) * (0.5 * h)
+    x = np.select(
+        [rng.random(cases) < p for p in (0.2, 0.25, 0.33, 0.5)],
+        [rng.uniform(0.0, h, cases),  # first cell
+         rng.uniform((cells - 1) * h, top, cases),  # last cell
+         grid, np.nextafter(grid, rng.choice([0.0, top], cases))],
+        rng.uniform(0.0, top, cases))
+    return np.minimum(x, top), rho, tau
+
+
+def step_mismatches(name, x, rho, tau, h):
+    """Cases where the package's step (on one flat history, row k at
+    offset k * cells) and the reference step (on row k as a list) differ
+    in any bit: (x, row, tau, got, want)."""
+    step, ref = STEPS[name]
+    C = rho.shape[1]
+    flat, rows = rho.ravel().tolist(), rho.tolist()
+    bad = []
+    for k, (a, t) in enumerate(zip(x.tolist(), tau.tolist())):
+        got, want = step(a, flat, k * C, C, h, t), ref(a, rows[k], h, t)
+        if got.hex() != want.hex():
+            bad.append((a, rows[k], t, got, want))
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+def test_car_steps_equal_the_reference(name):
+    # 40,000 cases of TestComplexStepOracle's generator, then 24,000 edge
+    # cases on roads of 1, 2 and 6 cells at three cell sizes
+    rng = np.random.default_rng(28)
+    x, rho, tau = car_step_cases(rng, 40_000, 6, 0.1)
+    assert step_mismatches(name, x, rho, tau, 0.1) == []
+    for cells in (1, 2, 6):
+        for h in (0.1, 0.15, 0.0625):
+            x, rho, tau = edge_step_cases(rng, 8_000 // 3, cells, h)
+            assert step_mismatches(name, x, rho, tau, h) == []
+
+
+def test_traverse_edge_equals_the_reference_leg():
+    # every road of 16 random networks, from its start and from a random
+    # point, at four departures up to 5 steps before T, for both trackers:
+    # the arrival event, or the error, and every position of the leg
+    outcomes = []
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        net, init = random_scenario(rng)
+        log = simulate(net, init, 6.0)
+        for edge in net.edges.values():
+            for n in (0, log.steps // 6, log.steps // 3, log.steps - 5):
+                for x in (0.0, float(rng.uniform(0.0, edge.length))):
+                    for kind in TrackerKind:
+                        car = CarLog(log.tau)
+                        try:
+                            got = traverse_edge(log, edge, n, x, kind, car)
+                        except (HorizonExceeded, ZeroSpeedAtBoundary) as exc:
+                            got = type(exc)
+                        want, xs = reference.drive_leg(
+                            log, edge, n, x, STEPS[kind.value][1])
+                        assert got == want, (seed, edge.id, n, x, kind)
+                        if isinstance(got, tuple):
+                            assert hexes(got) == hexes(want)
+                        assert hexes(car.legs[-1][3]) == hexes(xs)
+                        outcomes.append(got if isinstance(got, type)
+                                        else "arrived")
+    assert outcomes.count("arrived") > 600
+    assert outcomes.count(HorizonExceeded) > 300

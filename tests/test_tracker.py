@@ -25,14 +25,12 @@ from bufferlane.tracker import (
     TrackerKind,
     complex_step,
     end_of_road_time,
-    fan_coefficient,
     naive_step,
     node_waiting,
-    rarefaction_exit,
-    shock_intersection,
     track_car,
 )
 from conftest import line_network
+from reference import fan_coefficient, rarefaction_exit, shock_intersection
 
 
 class TestShockIntersection:
@@ -76,32 +74,44 @@ class TestRarefactionExit:
             fan_coefficient(0.0, 0.9, 1.0)
 
 
+def on_row(step, x, cells, h, tau, as_cells=list):
+    """`step` on a road whose cells at this step are `cells`, read from
+    the middle row of a flat history whose other rows hold 0.9."""
+    C = len(cells)
+    flat = as_cells([0.9] * C + list(cells) + [0.9] * C)
+    return step(x, flat, C, C, h, tau)
+
+
 class TestSteps:
     def test_naive_step_uses_cell_speed(self):
-        cells = np.array([0.3, 0.5, 0.7])
-        assert naive_step(0.05, cells, 0.1, 0.05) == pytest.approx(0.085)
-        assert naive_step(0.15, cells, 0.1, 0.05) == pytest.approx(0.175)
+        cells = [0.3, 0.5, 0.7]
+        assert on_row(naive_step, 0.05, cells, 0.1, 0.05) == pytest.approx(
+            0.085)
+        assert on_row(naive_step, 0.15, cells, 0.1, 0.05) == pytest.approx(
+            0.175)
+        # at the road end the car reads the last cell
+        assert on_row(naive_step, 0.3, cells, 0.1, 0.05) == pytest.approx(
+            0.315)
 
     def test_complex_step_constant_state(self):
-        cells = np.full(10, 0.3)
-        x = complex_step(0.31, cells, 0.1, 0.05)
+        x = on_row(complex_step, 0.31, [0.3] * 10, 0.1, 0.05)
         assert x == pytest.approx(0.31 + 0.05 * 0.7)
 
     def test_complex_step_crosses_shock(self):
         # car in the half-cell behind a 0.2|0.6 interface at x = 0.1
-        cells = np.array([0.2, 0.6, 0.6])
         tau = 0.05
         x0 = 0.08
         tau_bar, x_bar = shock_intersection(x0, 0.1, 0.2, 0.6)
         assert tau_bar < tau
         expect = x_bar + 0.4 * (tau - tau_bar)
-        assert complex_step(x0, cells, 0.1, tau) == pytest.approx(expect)
+        assert on_row(complex_step, x0, [0.2, 0.6, 0.6], 0.1,
+                      tau) == pytest.approx(expect)
 
     def test_complex_step_agrees_with_naive_for_uniform(self):
-        cells = np.full(5, 0.45)
         for x in (0.01, 0.12, 0.26, 0.44):
-            assert complex_step(x, cells, 0.1, 0.05) == pytest.approx(
-                naive_step(x, cells, 0.1, 0.05))
+            assert on_row(complex_step, x, [0.45] * 5, 0.1,
+                          0.05) == pytest.approx(
+                on_row(naive_step, x, [0.45] * 5, 0.1, 0.05))
 
     # a density tiny but not zero rounds a closing speed to 0: the wave
     # never reaches the car, or the car never leaves the fan, in the step
@@ -116,7 +126,8 @@ class TestSteps:
                                              as_cells):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert complex_step(x, as_cells(cells), 0.1, 0.05) == expect
+            assert on_row(complex_step, x, cells, 0.1, 0.05,
+                          as_cells) == expect
 
     def test_end_of_road_time(self):
         assert end_of_road_time(0.9, 0.5, 1.0) == pytest.approx(0.2)
@@ -426,13 +437,24 @@ class TestQueryMemo:
                           TrackerKind.COMPLEX) == plan
         assert len(computed) == planned
 
-    def test_wait_cut_by_horizon_replayed(self):
+    def test_wait_cut_by_horizon_replayed(self, monkeypatch):
+        # a wait cut by the horizon is computed once per log too: the
+        # second query on a log replays its stored error
+        computed = []
+        wait = tracker._wait
+
+        def counted(log, *key):
+            computed.append(key)
+            return wait(log, *key)
+
+        monkeypatch.setattr(tracker, "_wait", counted)
         caught = []
         log = undrained_log()
         for log in (log, log, undrained_log()):
             with pytest.raises(HorizonExceeded) as info:
                 node_waiting(log, "n1", 0, 0.0)
             caught.append(info.value)
+        assert computed == [("n1", 0, 0.0)] * 2  # once per log
         assert caught[0] is not caught[1]
         assert len({str(e) for e in caught}) == 1
 
