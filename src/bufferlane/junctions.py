@@ -67,6 +67,7 @@ class JunctionTable:
     node.  A step advances the caller's state (rho, r) in place;
     every other array it writes is the table's, rewritten by the next
     step: among them the `flows` and the limiter mask `hit` it returns.
+    Only `fired`, the (2, nodes) sum of the `hit` masks, adds up over the run.
     The table also owns every view of those arrays that `fluxes`,
     `buffer_step` and `solver.advance_step` read, each made once here: a
     step makes no view but its row of `inflows` and the two rows that
@@ -159,6 +160,7 @@ class JunctionTable:
         self.b, self.room, self.scale = np.empty((3, 2, N))  # b: d_b, s_b
         self.total, self.dr = np.empty((2, N))
         self.free, self.hit, self.fatal = np.empty((3, 2, N), dtype=bool)
+        self.fired = np.zeros((2, N), dtype=np.intp)
         self.by_demand, self.under = np.empty((2, N), dtype=bool)
         self.flows = np.empty(len(self.scatter))
         self.q, self.flow_scale = self.flows[:2 * E], np.empty(2 * E + 2 * N)
@@ -232,10 +234,11 @@ def buffer_step(table, r):
     (resp. incoming) fluxes in `table.flows`, in place, to stop exactly at
     the bound keeps the loads admissible and the scheme conservative;
     `hit` is the (2, nodes) mask of the nodes so rescaled at 0 and at
-    r_max.  In Pooled mode merges are not limited at 0: their negative
-    loads, the known defect of that demand choice, are kept as they are,
-    and `negativity_events` finds them in the recorded loads.  Every
-    array it reads or writes, and every view of one, is the table's.
+    r_max, added to `table.fired` when any is set.  In Pooled mode merges
+    are not limited at 0: their negative loads, the known defect of that
+    demand choice, are kept as they are, and `negativity_events` finds
+    them in the recorded loads.  Every array it reads or writes, and
+    every view of one, is the table's.
 
     Every load after the initial one (which `simulate` checks) is checked
     here, and only here.  After the limiter only a coupling bug can put a
@@ -250,6 +253,7 @@ def buffer_step(table, r):
            out=new_r)
     np.less(*table.hit_sides, out=hit)
     if np.count_nonzero(hit):
+        table.fired += hit
         # the room to each bound, r above 0 and r_max - r below r_max,
         # scales f_out (and the q_in it feeds), resp. f_in (and the q_out);
         # only a hit node's room is read: another's (r_max = 1e308, say)

@@ -5,6 +5,7 @@ Every policy runs one label-setting search, `_search`, which breaks ties
 towards the smallest edge-id sequence, so every policy is deterministic.
 """
 
+import functools
 import heapq
 import math
 from enum import Enum
@@ -60,6 +61,7 @@ def shortest_path(network, source, destination):
     return dijkstra(network, lengths, source, destination)
 
 
+@functools.lru_cache(maxsize=1)  # a network is fixed once made
 def _scales(network):
     """Weight normalizers: the longest road and the largest finite buffer
     capacity (a source's or sink's is unbounded)."""

@@ -146,11 +146,25 @@ def parse_scenario(text) -> ScenarioDoc:
     return doc
 
 
-def _node_from_attrs(nid, attrs):
+def _by_road(doc, nid, key, text):
+    """The values of `alpha` (a fixed `priority`) in the declaration order
+    of the node's roads out (in), which `edge:value` entries may name."""
+    names, _, values = zip(*(p.rpartition(":") for p in text.split(",")))
+    if not any(names):
+        return values
+    end = "from" if key == "alpha" else "to"
+    roads = [e for e, a in doc.edges if a.get(end) == nid]
+    if not all(names) or sorted(names) != sorted(roads):
+        raise ScenarioSemanticError(f"node {nid}: {key} must name each of "
+                                    f"{', '.join(roads)} once, or none")
+    return [values[names.index(e)] for e in roads]
+
+
+def _node_from_attrs(doc, nid, attrs):
     kind = NodeKind(attrs.get("kind", "one_to_one"))
     r_max = float(attrs.get("r_max", math.inf))
     mu = float(attrs.get("mu", 0.25))
-    alpha = (tuple(float(p) for p in attrs["alpha"].split(","))
+    alpha = (tuple(map(float, _by_road(doc, nid, "alpha", attrs["alpha"])))
              if "alpha" in attrs else None)
     priority = DEMAND_PROPORTIONAL
     if "priority" in attrs:
@@ -158,7 +172,8 @@ def _node_from_attrs(nid, attrs):
         if p != DEMAND_PROPORTIONAL:
             if not p.startswith("fixed:"):
                 raise ScenarioSemanticError(f"node {nid}: bad priority {p!r}")
-            priority = tuple(float(c) for c in p[len("fixed:"):].split(","))
+            priority = tuple(map(float, _by_road(doc, nid, "priority",
+                                                 p[len("fixed:"):])))
     inflow = tuple(_parse_profile(attrs.get("inflow", "0")))
     return JunctionSpec(id=nid, kind=kind, r_max=r_max, mu=mu, alpha=alpha,
                         priority=priority, inflow=inflow)
@@ -194,7 +209,7 @@ def build_network(doc) -> RoadNetwork:
     nodes = []
     for nid, attrs in doc.nodes:
         try:
-            nodes.append(_node_from_attrs(nid, attrs))
+            nodes.append(_node_from_attrs(doc, nid, attrs))
         except ValueError as exc:
             raise ScenarioSemanticError(f"node {nid}: {exc}")
     edges = []

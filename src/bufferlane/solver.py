@@ -97,16 +97,16 @@ class SimLog:
     C-contiguous (M+1, cells) block of one edge-major buffer, so no reader
     copies a road's history, and every node or edge series a column of a
     time-major array.  Every array is read-only: a log never changes once
-    made.  The events, limiter counts and history sums derive from them.
+    made.  The events and history sums derive from them.
     """
 
-    def __init__(self, network, tau, T, mode, blocks, loads, series, hits):
+    def __init__(self, network, tau, T, mode, blocks, loads, series, fired):
         """`blocks` holds each road's (M+1, cells) history in edge order,
         `loads` the (M+1, nodes) buffer loads, `series` the (M, 2 edges + 2
         nodes) flow vectors of the steps (q_in, q_out, node_inflow and
-        node_outflow; see `JunctionTable`), and `hits` the steps' (M, 2,
-        nodes) limiter masks, summed per node into `limiter_fired`.  The
-        step count M is read from `loads`."""
+        node_outflow; see `JunctionTable`), and `fired` the run's (2,
+        nodes) limiter counts (`JunctionTable.fired`), summed per node
+        into `limiter_fired`.  The step count M is read from `loads`."""
         self.network = network
         self.tau = tau
         self.T = T
@@ -125,7 +125,7 @@ class SimLog:
                                                for f in (f_in, f_out))
         self.events = junctions.negativity_events(list(network.nodes), loads,
                                                   tau)
-        self.limiter_fired = dict(zip(network.nodes, hits.sum((0, 1)).tolist()))
+        self.limiter_fired = dict(zip(network.nodes, fired.sum(0).tolist()))
         # the car tracker's stored legs and waits (`tracker._Memo`), made by
         # the first query on this log; they die with it
         self._memo = None
@@ -199,7 +199,8 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     could overflow the load; `project_cells` checks each profile, and
     round-off is clipped.  Each later state is checked by the step that
     makes it in place (`advance_step`, `buffer_step`), and row n of every
-    history is written once, when the loop reaches t^n.
+    history is written once, when the loop reaches t^n; the limiter's
+    hits are counted, not recorded (`JunctionTable.fired`).
     """
     for given, known, what in (
             (initial.densities, network.edges, "density for unknown edge"),
@@ -213,9 +214,8 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     sources = sum(not ins for ins in network.in_edges.values())
     E, N = len(network.edges), len(network.nodes)
     # the densities, time and loads of M + 1 states, then the sources'
-    # inflows, the flow vector and the 2N-byte limiter mask of M steps
-    if ((cells + 1 + N) * (M + 1) + M * (sources + 2 * E + 2 * N)
-            + M * N // 4 > MAX_VALUES):
+    # inflows and the flow vector of M steps
+    if (cells + 1 + N) * (M + 1) + M * (sources + 2 * E + 2 * N) > MAX_VALUES:
         raise ScenarioSemanticError(
             f"run too large: {cells} cells over {M:.6g} steps "
             f"record more than {MAX_VALUES} values")
@@ -244,14 +244,13 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
               slice(a, b + 1)) for a, b in zip(table.first, table.last)]
     loads = np.zeros((M + 1, len(r)))
     series = np.zeros((M, len(table.flows)))
-    hits = np.zeros((M, 2, len(r)), dtype=bool)
     # the last K states, time-major, copied to the roads' blocks when full
     # and at the end
     K = _chunk_rows(cells)
     states = np.empty((K, cells))
     for n in range(M + 1):
         if n:
-            series[n - 1], hits[n - 1] = advance_step(table, rho, r, n - 1)
+            series[n - 1] = advance_step(table, rho, r, n - 1)[0]
         loads[n] = r
         j = n % K
         states[j] = rho
@@ -259,4 +258,4 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
             for block, part in roads:
                 block[n - j:n + 1] = states[:j + 1, part]
     return SimLog(network, tau, T, mode, [block for block, _ in roads],
-                  loads, series, hits)
+                  loads, series, table.fired)

@@ -238,3 +238,53 @@ def drive_leg(log, edge, n, x, step, end_tol=1e-14):
         n, x = n + 1, x_new
         xs.append(x)
     return (n, 0.0), xs
+
+
+def count_arrival(log, path, start_x, start_time):
+    """When a car leaving `start_x` on road `path[0]` at the grid time
+    `start_time` reaches the end of `path`, from cumulative counts alone
+    (Newell, Transp. Res. B 27, 1993), no car step involved.  No car
+    overtakes another, so the car leaves a road once as much has flowed
+    out of its end as lay ahead of it on entry, Q_out(t) = Q_out(t_e) +
+    m_0, and leaves a node once the node has released the load r_0 queued
+    ahead of it on arrival, F_out(t) = F_out(t_a) + r_0.  The counts, the
+    road masses and the loads are linear between grid times, as the
+    scheme's fluxes are constant over a step.
+
+    The rule needs traffic ahead of the car: on an empty road it gives
+    the entry time, so a leg takes at least its length (speed <= 1).  A
+    start inside a cell takes the part of the cell ahead of the car."""
+    tau, t, x = log.tau, start_time, start_x
+    for k, eid in enumerate(path):
+        edge = log.network.edges[eid]
+        if k:  # the node the road leaves releases the car
+            v = edge.source
+            n = min(int(t / tau), log.steps - 1)
+            queued = log.buffers[v].item(n) + (t - n * tau) * (
+                log.node_inflow[v].item(n) - log.node_outflow[v].item(n))
+            t, x = _count_until(log, log.node_outflow[v], t, queued), 0.0
+        n = min(int(t / tau), log.steps - 1)
+        h = edge.h
+        ahead = sum(rho * max(0.0, min(h, (i + 1) * h - x))
+                    for i, rho in enumerate(log.rho[eid][n].tolist()))
+        ahead += (t - n * tau) * (log.q_in[eid].item(n)
+                                  - log.q_out[eid].item(n))
+        t = max(_count_until(log, log.q_out[eid], t, ahead),
+                t + edge.length - x)
+    return t
+
+
+def _count_until(log, flow, t, amount):
+    """The time from t by which `amount` has passed at the step-wise
+    constant `flow`; HorizonExceeded if not within the run."""
+    tau = log.tau
+    n = min(int(t / tau), log.steps - 1)
+    while amount > 1e-15:
+        end, f = (n + 1) * tau, flow.item(n)
+        if f > 0.0 and amount <= (end - t) * f:
+            return t + amount / f
+        amount -= (end - t) * f
+        t, n = end, n + 1
+        if n >= log.steps:
+            raise HorizonExceeded("the counts do not release the car by T")
+    return t

@@ -272,9 +272,21 @@ def test_bad_initial_data_exits_1(tmp_path, capsys, old, new, error):
     ("alpha=0.6,0.4", "alpha=1", "node n2: alpha (1.0,)"),
     ("priority=demand_proportional", "priority=zipper",
      "node n5: bad priority 'zipper'"),
+    # named values name each of the node's roads on that side once
+    ("alpha=0.6,0.4", "alpha=e1:0.6,e3:0.4",
+     "node n2: alpha must name each of e2, e3 once, or none\n"),
+    ("alpha=0.6,0.4", "alpha=e2:0.6,e2:0.4",
+     "node n2: alpha must name each of e2, e3 once, or none\n"),
+    ("alpha=0.6,0.4", "alpha=e2:1",
+     "node n2: alpha must name each of e2, e3 once, or none\n"),
+    ("alpha=0.6,0.4", "alpha=e2:0.6,0.4",
+     "node n2: alpha must name each of e2, e3 once, or none\n"),
+    ("priority=demand_proportional", "priority=fixed:e4:0.7,e7:0.3",
+     "node n5: priority must name each of e4, e5 once, or none\n"),
 ])
 def test_bad_pair_exits_with_error_line(tmp_path, capsys, old, new, name):
-    # a split or fixed right-of-way pair is two positive numbers summing to 1
+    # a split or fixed right-of-way pair is two positive numbers summing to
+    # 1, given in the order of the node's roads or naming each of them
     assert_error_line(tmp_path, capsys,
                       bundled_scenario("small_network").replace(old, new),
                       name, code=1)

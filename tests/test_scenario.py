@@ -145,6 +145,10 @@ class TestBuildNetwork:
         net = build_network(doc)
         assert net.nodes["n5"].priority == DEMAND_PROPORTIONAL
         assert net.nodes["n2"].alpha == (0.6, 0.4)
+        # named values take the declaration order of the node's roads
+        doc = parse_scenario(bundled_scenario("merge_pooled").replace(
+            "fixed:0.5,0.5", "fixed:e2:0.3,e1:0.7"))
+        assert build_network(doc).nodes["n3"].priority == (0.7, 0.3)
 
     @pytest.mark.parametrize("old, new, text", [
         # each id names the rule the value breaks and the node or edge

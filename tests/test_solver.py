@@ -209,6 +209,14 @@ def stepped(net, init, steps, tau, mode):
         events, fired
 
 
+def log_bytes(log):
+    """The bytes of every array a log holds."""
+    return sum(a.nbytes for table in (log.rho, log.buffers, log.q_in,
+                                      log.q_out, log.node_inflow,
+                                      log.node_outflow)
+               for a in table.values()) + log.t.nbytes
+
+
 class TestRecording:
     @pytest.mark.parametrize("mode", list(DemandMode))
     def test_simulate_equals_stepping(self, mode):
@@ -311,11 +319,25 @@ class TestRecording:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for table in (log.rho, log.buffers, log.q_in,
-                                          log.q_out, log.node_inflow,
-                                          log.node_outflow)
-                   for a in table.values()) + log.t.nbytes
-        assert peak - held < 24 * cells * 8
+        assert peak - log_bytes(log) < 24 * cells * 8
+
+    def test_no_limiter_mask_per_step(self):
+        # the limiter's counts add up in the table, so beyond the log a run
+        # of 10,000 steps over 21 nodes holds no (M, 2, nodes) mask (2 M N
+        # bytes, 420 KB): what is left is the (M, nodes) mask of
+        # `negativity_events` (210 KB), the sources' inflows (80 KB) and
+        # about 80 KB of work arrays, 368 KB in all
+        net, init = line_network(densities=(0.3,) * 19 + (0.95,), h=0.5)
+        M, N = 10_000, len(net.nodes)
+        tau = cfl_timestep(net, T=1.0)
+        tracemalloc.start()
+        try:
+            log = simulate(net, init, M * tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.steps == M and log.limiter_fired["n19"] > 0
+        assert peak - log_bytes(log) < 2 * M * N
 
 
 class TestLimiterCounts:
@@ -460,13 +482,13 @@ class TestStepErrors:
 class TestInitialState:
     def test_run_size_counts_every_recorded_array(self, monkeypatch):
         # three 2-cell roads over 4 steps: 30 densities and 4 inflows, but
-        # also 5 times, 20 loads, 56 flows and 32 mask bytes (4 values)
+        # also 5 times, 20 loads and 56 flows
         net, init = line_network(h=0.5)
-        monkeypatch.setattr(solver, "MAX_VALUES", 118)
+        monkeypatch.setattr(solver, "MAX_VALUES", 114)
         with pytest.raises(ScenarioSemanticError, match="run too large: 6 "
-                           "cells over 4 steps record more than 118 values"):
+                           "cells over 4 steps record more than 114 values"):
             simulate(net, init, 1.0)
-        monkeypatch.setattr(solver, "MAX_VALUES", 119)
+        monkeypatch.setattr(solver, "MAX_VALUES", 115)
         assert simulate(net, init, 1.0).steps == 4
 
     @pytest.mark.parametrize("densities, buffers, text", [
