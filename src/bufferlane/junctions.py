@@ -291,7 +291,10 @@ def buffer_step(table, r):
 def negativity_events(ids, loads, tau):
     """The events of a run's (steps + 1, nodes) recorded `loads`: a load
     below -TOL at row n + 1 is step n's, at t = n tau, listed by step,
-    then by node.  Only a pooled merge keeps such a load (`buffer_step`)."""
+    then by node.  Only a pooled merge keeps such a load (`buffer_step`),
+    so a run with none makes no (steps, nodes) mask."""
+    if loads.min() >= -_TOL:
+        return []
     steps, nodes = np.nonzero(loads[1:] < -_TOL)
     return [NegativityEvent(ids[k], float(n * tau), float(loads[n + 1, k]))
             for n, k in zip(steps.tolist(), nodes.tolist())]

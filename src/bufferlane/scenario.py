@@ -21,7 +21,6 @@ the grammar.  Example:
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from operator import add
 
 import numpy as np
 
@@ -241,38 +240,51 @@ def build_initial(doc) -> InitialData:
 # result serialization
 
 def _reprs(values):
-    """`repr` of each float of the 1-D float64 array `values`, computed once
-    per distinct bit pattern: keying on bits keeps -0.0 and 0.0 apart."""
+    """The list of `repr` of each float of the 1-D float64 array `values`:
+    each distinct bit pattern is formatted once, so -0.0 and 0.0 stay
+    apart, and the texts are taken back in order by the `np.unique` inverse."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = list(map(repr, bits.view(np.float64).tolist()))
-    return map(texts.__getitem__, inverse.tolist())
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), object)
+    return texts[inverse].tolist()
 
 
 def write_density_csv(log, path):
     """One `t,edge_id,cell_index,rho` line per recorded cell and instant,
-    road by road; each time row of a road is formatted and written as one
-    string, so memory beyond the log stays one row's text."""
+    road by road.  Each time row of a road is written as one join of three
+    pieces per line (the time, the road's prebuilt `,edge_id,cell_index,`
+    and the value's text; each time but the first is led by the newline
+    that ends the line before) and the row's last newline, so no piece is
+    concatenated per value, and memory beyond the log stays one row's
+    pieces and text."""
     times = list(map(repr, log.t.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,edge_id,cell_index,rho\n")
         for eid in log.network.edges:
             hist = log.rho[eid]
-            cells = [f",{eid},{i}," for i in range(hist.shape[1])]
+            cells = hist.shape[1]
+            pieces = [""] * (3 * cells) + ["\n"]
+            pieces[1::3] = [f",{eid},{i}," for i in range(cells)]
             for t, row in zip(times, hist):
-                fh.write(t + ("\n" + t).join(map(add, cells, _reprs(row)))
-                         + "\n")
+                pieces[0] = t
+                pieces[3:-1:3] = ["\n" + t] * (cells - 1)
+                pieces[2::3] = _reprs(row)
+                fh.write("".join(pieces))
 
 
 def write_buffer_csv(log, path):
     """One `t,node_id,r` line per node and recorded instant, node by node;
-    each node's series is formatted and written as one string."""
+    each node's series is one join of pieces laid out as a row of
+    `write_density_csv`: the times, the node id and the loads' texts."""
     times = list(map(repr, log.t.tolist()))
+    pieces = [""] * (3 * len(times)) + ["\n"]
+    pieces[0] = times[0]
+    pieces[3:-1:3] = ["\n" + t for t in times[1:]]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,node_id,r\n")
         for nid in log.network.nodes:
-            heads = [f"{t},{nid}," for t in times]
-            fh.write("\n".join(map(add, heads, _reprs(log.buffers[nid])))
-                     + "\n")
+            pieces[1::3] = [f",{nid},"] * len(times)
+            pieces[2::3] = _reprs(log.buffers[nid])
+            fh.write("".join(pieces))
 
 
 def write_trajectory_csv(car_log, path):

@@ -112,7 +112,10 @@ class SimLog:
         self.T = T
         self.mode = mode
         self.steps = M = loads.shape[0] - 1
-        self.t = np.arange(M + 1) * tau
+        # a float range scaled in place: an integer range times tau would
+        # also hold the range and numpy's 64 KB cast buffer at once
+        self.t = np.arange(M + 1, dtype=float)
+        self.t *= tau
         for a in (self.t, loads, series, *blocks):
             a.flags.writeable = False
         self.rho = dict(zip(network.edges, blocks))

@@ -3,12 +3,15 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bufferlane import bundled_scenario
+from bufferlane.cli import _StridedView
 from bufferlane.errors import ScenarioSemanticError, ScenarioSyntaxError
 from bufferlane.junctions import DemandMode
 from bufferlane.network import DEMAND_PROPORTIONAL, NodeKind, RoadNetwork
@@ -231,6 +234,33 @@ def result():
     return execute(parse_scenario(MINIMAL))
 
 
+def _all_equal(log):
+    # a row, a whole road and a node series that each hold one value
+    log.rho["e2"][2, :] = 0.25
+    log.rho["e3"][:] = 0.5
+    log.buffers["n2"][:] = 0.1
+    return log
+
+
+# the logs the repr test gives the writers, made from its writable log
+CSV_SHAPES = {
+    "full": lambda log: log,
+    # roads of one cell: every row is one line
+    "one-cell": lambda log: SimpleNamespace(
+        network=log.network, t=log.t, buffers=log.buffers,
+        rho={eid: a[:, :1] for eid, a in log.rho.items()}),
+    "all-equal": _all_equal,
+    # a log of the initial instant alone
+    "one-instant": lambda log: SimpleNamespace(
+        network=log.network, t=log.t[:1],
+        rho={eid: a[:1] for eid, a in log.rho.items()},
+        buffers={nid: a[:1] for nid, a in log.buffers.items()}),
+    # the CLI's view at --log-stride 3: road blocks and node series are
+    # views that skip rows
+    "strided": lambda log: _StridedView(log, 3),
+}
+
+
 class TestWriters:
     def test_density_csv(self, result, tmp_path):
         path = tmp_path / "density.csv"
@@ -246,31 +276,61 @@ class TestWriters:
     def test_csv_values_written_as_repr(self, tmp_path):
         # the writers print each value exactly as `repr` of the float does:
         # -0.0 stays apart from 0.0, and the smallest subnormal keeps its
-        # digits; the reference is the plain loop over every value
+        # digits; the reference is the plain loop over every value, for
+        # each shape of log in CSV_SHAPES
         net, init = line_network()
         run = simulate(net, init, 1.0)
-        # the log is read-only: the values go into a writable copy of it
+        for shape, given in CSV_SHAPES.items():
+            # the log is read-only: the values go into a writable copy of it
+            log = SimpleNamespace(
+                network=net, t=run.t,
+                rho={eid: a.copy() for eid, a in run.rho.items()},
+                buffers={nid: a.copy() for nid, a in run.buffers.items()})
+            special = [-0.0, 0.0, 1.0, 5e-324]
+            log.rho["e1"][0, :4] = special
+            log.rho["e1"][1:5, 0] = special
+            log.rho["e2"][3, -4:] = special[::-1]
+            log.rho["e3"][-1, :] = -0.0
+            log.buffers["n1"][:4] = special
+            log = given(log)
+            write_density_csv(log, tmp_path / f"{shape}-density.csv")
+            write_buffer_csv(log, tmp_path / f"{shape}-buffers.csv")
+            density = ["t,edge_id,cell_index,rho"] + [
+                f"{float(log.t[n])!r},{eid},{i},{float(hist[n, i])!r}"
+                for eid, hist in log.rho.items()
+                for n in range(hist.shape[0]) for i in range(hist.shape[1])]
+            buffers = ["t,node_id,r"] + [
+                f"{float(log.t[n])!r},{nid},{float(r[n])!r}"
+                for nid, r in log.buffers.items() for n in range(r.shape[0])]
+            assert ((tmp_path / f"{shape}-density.csv").read_text()
+                    == "\n".join(density) + "\n"), shape
+            assert ((tmp_path / f"{shape}-buffers.csv").read_text()
+                    == "\n".join(buffers) + "\n"), shape
+            assert "0.0,e1,0,-0.0" in density, shape
+            assert any(line.endswith(",5e-324") for line in density), shape
+
+    def test_density_csv_holds_one_row(self, tmp_path):
+        # beyond the log the writer holds one row's pieces and text, not a
+        # road's or the file's: on 3 roads of 2,000 cells at 150 instants,
+        # each row a run of plateaus 8 cells wide, its traced peak stays
+        # under a tenth of one road's text (it reads about 0.4 of that)
+        rows, cells, roads = 150, 2000, ("e1", "e2", "e3")
+        rng = np.random.default_rng(7)
         log = SimpleNamespace(
-            network=net, t=run.t,
-            rho={eid: a.copy() for eid, a in run.rho.items()},
-            buffers={nid: a.copy() for nid, a in run.buffers.items()})
-        special = [-0.0, 0.0, 1.0, 5e-324]
-        log.rho["e1"][0, :4] = special
-        log.rho["e2"][3, -4:] = special[::-1]
-        log.rho["e3"][-1, :] = -0.0
-        log.buffers["n1"][:4] = special
-        write_density_csv(log, tmp_path / "density.csv")
-        write_buffer_csv(log, tmp_path / "buffers.csv")
-        density = ["t,edge_id,cell_index,rho"] + [
-            f"{float(log.t[n])!r},{eid},{i},{float(hist[n, i])!r}"
-            for eid, hist in log.rho.items()
-            for n in range(hist.shape[0]) for i in range(hist.shape[1])]
-        buffers = ["t,node_id,r"] + [
-            f"{float(log.t[n])!r},{nid},{float(r[n])!r}"
-            for nid, r in log.buffers.items() for n in range(r.shape[0])]
-        assert (tmp_path / "density.csv").read_text() == "\n".join(density) + "\n"
-        assert (tmp_path / "buffers.csv").read_text() == "\n".join(buffers) + "\n"
-        assert "0.0,e1,0,-0.0" in density and "0.0,e1,3,5e-324" in density
+            network=SimpleNamespace(edges=dict.fromkeys(roads)),
+            t=np.arange(rows) * 0.0025,
+            rho={eid: rng.random((rows, cells // 8)).repeat(8, axis=1)
+                 for eid in roads})
+        path = tmp_path / "density.csv"
+        tracemalloc.start()
+        try:
+            write_density_csv(log, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        road_text = (path.stat().st_size
+                     - len("t,edge_id,cell_index,rho\n")) / len(roads)
+        assert peak < road_text / 10
 
     def test_buffer_csv(self, result, tmp_path):
         path = tmp_path / "buffers.csv"

@@ -322,11 +322,11 @@ class TestRecording:
         assert peak - log_bytes(log) < 24 * cells * 8
 
     def test_no_limiter_mask_per_step(self):
-        # the limiter's counts add up in the table, so beyond the log a run
-        # of 10,000 steps over 21 nodes holds no (M, 2, nodes) mask (2 M N
-        # bytes, 420 KB): what is left is the (M, nodes) mask of
-        # `negativity_events` (210 KB), the sources' inflows (80 KB) and
-        # about 80 KB of work arrays, 368 KB in all
+        # the limiter's counts add up in the table, and a run with no
+        # negative load finds its events without an (M, nodes) mask, so
+        # beyond the log a run of 10,000 steps over 21 nodes holds no mask
+        # of M N bytes (210 KB) or more: what is left is the sources'
+        # inflows (80 KB) and about 80 KB of work arrays, 160 KB in all
         net, init = line_network(densities=(0.3,) * 19 + (0.95,), h=0.5)
         M, N = 10_000, len(net.nodes)
         tau = cfl_timestep(net, T=1.0)
@@ -337,7 +337,7 @@ class TestRecording:
         finally:
             tracemalloc.stop()
         assert log.steps == M and log.limiter_fired["n19"] > 0
-        assert peak - log_bytes(log) < 2 * M * N
+        assert peak - log_bytes(log) < M * N
 
 
 class TestLimiterCounts:
