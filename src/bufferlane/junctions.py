@@ -64,10 +64,12 @@ class JunctionTable:
     sink's exit slot goes unread), and the buffers' inflows and outflows.
     One gather feeds the rows; one scatter fills `flows`: q_in and q_out
     per edge (the first `edge_flows` entries), then f_in and f_out per
-    node.  A step advances the caller's state (rho, r) in place;
-    every other array it writes is the table's, rewritten by the next
-    step: among them the `flows` and the limiter mask `hit` it returns.
-    Only `fired`, the (2, nodes) sum of the `hit` masks, adds up over the run.
+    node.  A step writes the caller's next densities and advances its
+    loads in place; every other array it writes is the table's, rewritten
+    by the next step: among them `ds`, the `flows` and the limiter mask
+    `hit`, each owned by the table alone, so `fluxes` and `buffer_step`
+    return nothing.  Only `fired`, the (2, nodes) sum of the `hit` masks,
+    adds up over the run.
     The table also owns every view of those arrays that `fluxes`,
     `buffer_step` and `solver.advance_step` read, each made once here: a
     step makes no view but its row of `inflows` and the two rows that
@@ -192,9 +194,9 @@ class JunctionTable:
         """Boundary fluxes of every road and node at step n.
 
         `rho` is the flat cell vector and `r` the buffer loads at t = n tau;
-        the sources feed `inflows[n]`.  Returns the (2, cells) demand and
+        the sources feed `inflows[n]`.  Writes the (2, cells) demand and
         supply `ds` and the flow vector `flows`, both arrays of the table
-        that the next call overwrites.
+        that the next call overwrites, and returns nothing.
         """
         fluxes.demand_supply(rho, self.ds, self.ds_spare)
         self.fed[...] = self.inflows[n]
@@ -219,14 +221,14 @@ class JunctionTable:
         np.multiply(self.coef, self.b_rev, out=self.slots)
         np.minimum(self.slots, self.block, out=self.slots)
         np.add(self.slots0, self.slots1, out=self.node_flows)
-        return self.ds, self.work.take(self.scatter, out=self.flows,
-                                       mode="wrap")
+        self.work.take(self.scatter, out=self.flows, mode="wrap")
 
 
 def buffer_step(table, r):
     """One step of the buffer loads `r`, in place: r + tau (f_in - f_out)
     with the table's tau and the f_in and f_out of its `flows`, limited,
-    checked and clamped; returns the limiter's mask `hit`, the table's.
+    checked and clamped.  It returns nothing: its outputs are `r` and
+    the table's `flows` and `hit`.
 
     The coupling branches on the buffer state at t^n, so a buffer that
     empties (or fills) in mid-step would overshoot the bound by up to one
@@ -271,7 +273,7 @@ def buffer_step(table, r):
                out=new_r)
     elif not table.pooled or np.minimum.reduce(new_r) >= 0.0:  # in [0, r_max]
         r[...] = new_r
-        return hit
+        return
     fatal = table.fatal
     np.less(*table.fatal_sides, out=fatal)
     if np.count_nonzero(fatal):
@@ -285,7 +287,6 @@ def buffer_step(table, r):
     np.minimum(r, r_max, out=r)
     if table.pooled:  # past the check, every other load is above -TOL
         np.copyto(r, new_r, where=np.less(new_r, -_TOL, out=table.under))
-    return hit
 
 
 def negativity_events(ids, loads, tau):

@@ -149,50 +149,57 @@ class SimLog:
 
 def _chunk_rows(cells):
     """Steps of cell states `simulate` holds before copying them to the
-    history: at most 64, and at most 2^17 values (1 MB) in all."""
+    history: at most 64, and at most 2^17 values (1 MB) in all.  The
+    64-row cap keeps a small network's chunk small next to its log: with
+    the 1 MB bound alone, 20 roads of two cells hold 3,276 rows, and a
+    10,000-step run of them holds about 1.19 MB beyond its log, where
+    `test_no_limiter_mask_per_step` allows 210 KB."""
     return max(1, min(64, 2**17 // cells))
 
 
-def advance_step(table, rho, r, n):
-    """Step n of the table's run on the flat state `rho` and the loads
-    `r`, both advanced in place (`table.lam` = tau / h per cell); returns
-    the flow vector used (see `JunctionTable`) and the limiter's mask, the
-    table's `flows` and `hit`, overwritten by the next call.
+def advance_step(table, rho, r, n, new):
+    """Step n of the table's run: reads the flat cell state at t^n from
+    `rho` and writes t^{n+1} into `new`, which may be `rho` itself, and
+    advances the loads `r` in place (`table.lam` = tau / h per cell);
+    returns the flow vector used (see `JunctionTable`), the table's
+    `flows`, overwritten by the next call.
 
     The loads come from one `junctions.buffer_step` call, which limits
     the node fluxes before the cells read q_in and q_out.  A step that
-    raises leaves the state as it made it, and the run aborts.
+    raises leaves `new` and `r` as it made them, and `rho` as it was when
+    `new` is another array; the run aborts.
     """
-    ds, flows = table.fluxes(rho, r, n)
-    hit = junctions.buffer_step(table, r)
+    table.fluxes(rho, r, n)
+    junctions.buffer_step(table, r)
     right, left = table.right, table.left
     # demand and supply are spent: their rows take each cell's right and
     # left flux, the interior interfaces' min(d, s) and the roads' q_out
     # and q_in
     table.left_in[...] = godunov_flux(table.right_in, table.left_in)
-    ds.put(table.ends_at, table.q)
+    table.ds.put(table.ends_at, table.q)
     np.subtract(right, left, out=right)
     right *= table.lam
-    rho -= right
-    lo, hi = np.minimum.reduce(rho), np.maximum.reduce(rho)
+    np.subtract(rho, right, out=new)
+    lo, hi = np.minimum.reduce(new), np.maximum.reduce(new)
     if lo < -_CLIP_TOL or hi > 1.0 + _CLIP_TOL:
-        lo, hi = (f.reduceat(rho, table.first) for f in (np.minimum, np.maximum))
+        lo, hi = (f.reduceat(new, table.first) for f in (np.minimum, np.maximum))
         k = np.argmax((lo < -_CLIP_TOL) | (hi > 1.0 + _CLIP_TOL))
         raise InvariantViolation(
             f"edge {table.edges[k].id}: density left [0,1] at "
             f"t={n * table.tau:.6g} (range [{lo[k]:.3e}, {hi[k]:.3e}])")
     if lo < 0.0 or hi > 1.0:
-        np.clip(rho, 0.0, 1.0, out=rho)
-    return flows, hit
+        np.clip(new, 0.0, 1.0, out=new)
+    return table.flows
 
 
 def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     """Run the coupled scheme over [0, T] and record every step.
 
     The step is always `cfl_timestep(network, T)`, so tau <= h/2 on every
-    road, the bound the complex tracker assumes.  The state is one flat
-    density vector and one load per node; a JunctionTable built for the
-    run gives all boundary fluxes of a step in one array pass.  The
+    road, the bound the complex tracker assumes.  The state is a flat
+    density vector, row n mod K of a chunk of the last K steps, and one
+    load per node; a JunctionTable built for the run gives all boundary
+    fluxes of a step in one array pass.  The
     network checked itself when made.  Each input this run cannot take
     raises ScenarioSemanticError: a run whose arrays (the log's and the
     sources' inflows) would take more than MAX_VALUES 8-byte values,
@@ -200,10 +207,12 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     network (the first in sorted order), a load off [0, r_max] beyond
     round-off or not finite (naming the node) and a source inflow that
     could overflow the load; `project_cells` checks each profile, and
-    round-off is clipped.  Each later state is checked by the step that
-    makes it in place (`advance_step`, `buffer_step`), and row n of every
-    history is written once, when the loop reaches t^n; the limiter's
-    hits are counted, not recorded (`JunctionTable.fired`).
+    round-off is clipped into row 0.  Each later state is checked by the
+    step that writes it (`advance_step` its chunk row, `buffer_step` the
+    loads in place), and row n of every history is written once: the
+    loads when the loop reaches t^n, the densities when the chunk is
+    flushed to the roads' blocks.  The limiter's hits are counted, not
+    recorded (`JunctionTable.fired`).
     """
     for given, known, what in (
             (initial.densities, network.edges, "density for unknown edge"),
@@ -223,9 +232,8 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
             f"run too large: {cells} cells over {M:.6g} steps "
             f"record more than {MAX_VALUES} values")
     table = junctions.JunctionTable.for_network(network, tau, M, mode)
-    rho = project_cells(table.edges, initial.densities)
+    rho0 = project_cells(table.edges, initial.densities)
     r = np.array([float(initial.buffers.get(v, 0.0)) for v in network.nodes])
-    np.clip(rho, 0.0, 1.0, out=rho)
     bad = ~(np.isfinite(r) & (r >= -_ENTRY_TOL) & (r <= table.r_max + _ENTRY_TOL))
     if bad.any():
         k = np.argmax(bad)
@@ -248,15 +256,20 @@ def simulate(network, initial, T, mode=DemandMode.STANDARD) -> SimLog:
     loads = np.zeros((M + 1, len(r)))
     series = np.zeros((M, len(table.flows)))
     # the last K states, time-major, copied to the roads' blocks when full
-    # and at the end
+    # and at the end; step n - 1 reads row (n - 1) mod K and writes row n
+    # mod K, and row 0 takes the clipped initial state.  Made after the
+    # history: made before it, `simulate` of a 12,400-cell run took about
+    # 4 % longer and peaked 1 MB higher in the benchmark
     K = _chunk_rows(cells)
     states = np.empty((K, cells))
+    np.clip(rho0, 0.0, 1.0, out=states[0])
+    del rho0
     for n in range(M + 1):
-        if n:
-            series[n - 1] = advance_step(table, rho, r, n - 1)[0]
-        loads[n] = r
         j = n % K
-        states[j] = rho
+        if n:  # row j - 1 is row K - 1 when j = 0
+            series[n - 1] = advance_step(table, states[j - 1], r, n - 1,
+                                         states[j])
+        loads[n] = r
         if j == K - 1 or n == M:
             for block, part in roads:
                 block[n - j:n + 1] = states[:j + 1, part]

@@ -242,9 +242,9 @@ class TestBufferStep:
         table = one_node_table(merge_spec(r_max=1.0), 2, 1, tau=0.05)
         flows = node_flows(table, 0.19, 0.2)
         r = np.zeros(1)
-        hit = junctions.buffer_step(table, r)
+        assert junctions.buffer_step(table, r) is None
         assert r[0] == 0.0
-        assert hit.tolist() == [[True], [False]]
+        assert table.hit.tolist() == [[True], [False]]
         assert flows[-1] == pytest.approx(0.19)
 
     def test_pooled_underflow_limited_off_merges(self):
@@ -253,9 +253,9 @@ class TestBufferStep:
                                mode=DemandMode.POOLED)
         r = np.zeros(1)
         node_flows(table, 0.19, 0.2)
-        hit = junctions.buffer_step(table, r)
+        junctions.buffer_step(table, r)
         assert r[0] == 0.0
-        assert hit.tolist() == [[True], [False]]
+        assert table.hit.tolist() == [[True], [False]]
 
     def test_branches_without_a_hit(self):
         # in range: the Euler loads as computed, flows untouched
@@ -265,10 +265,10 @@ class TestBufferStep:
             flows = node_flows(table, f_in, f_out)
             before = flows.copy()
             new_r = np.array([r])
-            hit = junctions.buffer_step(table, new_r)
+            junctions.buffer_step(table, new_r)
             assert new_r.tobytes() == np.array(
                 [r + 0.05 * (f_in - f_out)]).tobytes()
-            assert not hit.any()
+            assert not table.hit.any()
             assert flows.tobytes() == before.tobytes()
         # a pooled merge below 0: round-off is clamped to exactly 0.0, a
         # real negative load is kept, and found as an event of its step
@@ -277,8 +277,8 @@ class TestBufferStep:
         for load, kept in ((-5e-13, 0.0), (-5e-4, -5e-4)):
             new_r = np.zeros(1)
             node_flows(table, 0.0, -load)
-            hit = junctions.buffer_step(table, new_r)
-            assert new_r[0] == kept and not hit.any()
+            junctions.buffer_step(table, new_r)
+            assert new_r[0] == kept and not table.hit.any()
             loads = np.array([[0.0], [0.0], [0.0], new_r])  # step 2's
             assert junctions.negativity_events(table.ids, loads, 1.0) == (
                 [] if kept == 0.0 else

@@ -239,10 +239,10 @@ def stepped(spec, n_in, n_out, mode):
     out = []
     for rho, r in itertools.product((0.2, 0.5, 0.8), (0.0, cap / 2, cap)):
         table = one_node_table(spec, n_in, n_out, tau=0.1, mode=mode)
-        _, flows = table.fluxes(np.full(n_in + n_out, rho), np.array([r]), 0)
         load = np.array([r])
+        assert table.fluxes(np.full(n_in + n_out, rho), load, 0) is None
         buffer_step(table, load)
-        out.append(flows.tobytes() + load.tobytes())
+        out.append(table.flows.tobytes() + load.tobytes())
     return out
 
 

@@ -67,13 +67,19 @@ def hexes(values):
 def test_advance_step_equals_the_reference_step(case):
     net, mode, tau, steps, n, rho, r = case
     table = JunctionTable.for_network(net, tau, steps, mode)
-    state = np.array([x for cells in rho.values() for x in cells])
-    load = np.array(list(r.values()))
-    flows, _ = advance_step(table, state, load, n)
     want = reference.step(net, tau, mode is DemandMode.POOLED, rho, r, n)
-    assert hexes(flows) == hexes(want[0])
-    assert hexes(load) == hexes(want[1])
-    assert hexes(state) == hexes(want[2])
+    flat = [x for cells in rho.values() for x in cells]
+    # a step into a second array, which leaves the state as it was, then
+    # one in place, on the same table
+    for apart in (True, False):
+        state = np.array(flat)
+        load = np.array(list(r.values()))
+        new = np.empty_like(state) if apart else state
+        flows = advance_step(table, state, load, n, new)
+        assert hexes(flows) == hexes(want[0])
+        assert hexes(load) == hexes(want[1])
+        assert hexes(new) == hexes(want[2])
+        assert hexes(state) == hexes(flat if apart else want[2])
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -188,23 +188,23 @@ def stepped(net, init, steps, tau, mode):
     """`steps` plain `advance_step` calls from the initial state, recorded
     step by step: the states, loads, flow vectors, the negativity events
     (a load below -1e-12 after step n, at t = n tau) and the number of
-    steps the limiter rescaled each node at 0 and at r_max.  A step
-    advances rho and r in place and returns the table's flows and mask,
-    so each is copied."""
+    steps the limiter rescaled each node at 0 and at r_max.  Each step
+    advances rho and r in place and returns the table's flows, so each is
+    copied; the limiter's mask is the table's `hit`."""
     table = JunctionTable.for_network(net, tau, steps, mode)
     rho = project_cells(table.edges, init.densities)
     r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
     states, loads, flows, events = [rho.copy()], [r.copy()], [], []
     fired = 0
     for n in range(steps):
-        f, hit = advance_step(table, rho, r, n)
+        f = advance_step(table, rho, r, n, rho)
         states.append(rho.copy())
         loads.append(r.copy())
         flows.append(f.copy())
         events.extend(NegativityEvent(v, n * tau, load)
                       for v, load in zip(net.nodes, r.tolist())
                       if load < -1e-12)
-        fired = fired + hit
+        fired = fired + table.hit
     return table, np.array(states), np.array(loads), np.array(flows), \
         events, fired
 
@@ -251,31 +251,40 @@ class TestRecording:
 
     @pytest.mark.parametrize("mode", list(DemandMode))
     def test_step_results_outlive_the_next_step(self, mode):
-        # a step advances the state (rho, r) it is given in place; its flow
-        # vector and limiter mask are the table's own, overwritten by the
-        # next step, so what is kept from step n is a copy
+        # a step writes the next densities into the array it is given, rho
+        # itself or a second array (then rho is left as it was), and
+        # advances r in place; its flow vector is the table's own,
+        # overwritten by the next step, so what is kept from step n is a
+        # copy
         net, init = every_row_network()
         steps = 2 * _chunk_rows(sum(e.cells for e in net.edges.values())) + 1
         log = simulate(net, init, steps * 0.05, mode)
-        table = JunctionTable.for_network(net, log.tau, steps, mode)
-        rho = project_cells(table.edges, init.densities)
-        r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
-        kept = []
-        for n in range(steps):
-            flows, hit = advance_step(table, rho, r, n)
-            assert flows is table.flows and hit is table.hit
-            kept.append((rho.copy(), r.copy(), flows.copy()))
         E, N = len(net.edges), len(net.nodes)
-        for n, (rho, r, flows) in enumerate(kept):
-            assert rho.tolist() == np.concatenate(
-                [log.rho[e][n + 1] for e in net.edges]).tolist()
-            assert r.tolist() == [log.buffers[v][n + 1] for v in net.nodes]
-            assert flows.tolist() == (
-                [log.q_in[e][n] for e in net.edges]
-                + [log.q_out[e][n] for e in net.edges]
-                + [log.node_inflow[v][n] for v in net.nodes]
-                + [log.node_outflow[v][n] for v in net.nodes])
-        assert len(flows) == 2 * E + 2 * N
+        for apart in (False, True):
+            table = JunctionTable.for_network(net, log.tau, steps, mode)
+            rho = project_cells(table.edges, init.densities)
+            r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
+            new = np.empty_like(rho) if apart else rho
+            kept = []
+            for n in range(steps):
+                before = rho.tobytes()
+                flows = advance_step(table, rho, r, n, new)
+                assert flows is table.flows
+                if apart:
+                    assert rho.tobytes() == before
+                    rho, new = new, rho
+                kept.append((rho.copy(), r.copy(), flows.copy()))
+            for n, (rho, r, flows) in enumerate(kept):
+                assert rho.tobytes() == np.concatenate(
+                    [log.rho[e][n + 1] for e in net.edges]).tobytes()
+                assert r.tolist() == [log.buffers[v][n + 1]
+                                      for v in net.nodes]
+                assert flows.tolist() == (
+                    [log.q_in[e][n] for e in net.edges]
+                    + [log.q_out[e][n] for e in net.edges]
+                    + [log.node_inflow[v][n] for v in net.nodes]
+                    + [log.node_outflow[v][n] for v in net.nodes])
+            assert len(flows) == 2 * E + 2 * N
 
     @pytest.mark.parametrize("mode", list(DemandMode))
     def test_a_step_allocates_no_array(self, mode):
@@ -294,12 +303,16 @@ class TestRecording:
                                               101, mode)
             rho = project_cells(table.edges, init.densities)
             r = np.array([init.buffers.get(v, 0.0) for v in net.nodes])
-            advance_step(table, rho.copy(), r.copy(), 0)  # first-call caches
+            # first-call caches; then steps between two arrays, as in
+            # `simulate`
+            new = rho.copy()
+            advance_step(table, rho, r.copy(), 0, new)
             tracemalloc.start()
             try:
                 for n in range(1, 101):
-                    _, hit = advance_step(table, rho, r, n)
-                    fired += np.count_nonzero(hit)
+                    advance_step(table, rho, r, n, new)
+                    rho, new = new, rho
+                    fired += np.count_nonzero(table.hit)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -435,17 +448,22 @@ class TestStepErrors:
             stepped(net, init, 5, 0.2, DemandMode.STANDARD)
 
     @staticmethod
-    def overshoot(eps, lam=1.0001):
-        """One `advance_step` on an empty line with `eps` in one inner cell
-        of e1.  lam > 1 on every cell is past the CFL bound on purpose: the
-        cell sends eps (1 - eps) and falls to eps (1 - lam) + lam eps^2."""
+    def empty_line(eps, lam=1.0001):
+        """The table, state and loads of an empty line with `eps` in one
+        inner cell of e1.  lam > 1 on every cell is past the CFL bound on
+        purpose: the cell sends eps (1 - eps) and falls to
+        eps (1 - lam) + lam eps^2."""
         net, init = line_network(densities=(0.0, 0.0, 0.0), inflow=0.0)
         tau = lam * net.edges["e1"].h
         table = JunctionTable.for_network(net, tau, 1, DemandMode.STANDARD)
         rho = np.zeros(sum(table.widths))
         rho[3] = eps
-        r = np.zeros(len(net.nodes))
-        advance_step(table, rho, r, 0)
+        return table, rho, np.zeros(len(net.nodes))
+
+    def overshoot(self, eps):
+        """One `advance_step` in place on `empty_line(eps)`; returns rho."""
+        table, rho, r = self.empty_line(eps)
+        advance_step(table, rho, r, 0, rho)
         return rho
 
     def test_round_off_clipped_to_zero(self):
@@ -455,10 +473,17 @@ class TestStepErrors:
         assert nu.min() == 0.0 and nu.max() <= 1.0
 
     def test_overshoot_beyond_round_off_raises(self):
-        # raw -9.0e-10 is past the clip tolerance: a CFL violation on e1
-        with pytest.raises(InvariantViolation, match=r"edge e1: density left "
-                           r"\[0,1\] at t=0 \(range \[-9\.000e-10, "):
+        # raw -9.0e-10 is past the clip tolerance: a CFL violation on e1,
+        # and a step into a second array leaves the state it read as it was
+        message = (r"edge e1: density left \[0,1\] at t=0 "
+                   r"\(range \[-9\.000e-10, ")
+        with pytest.raises(InvariantViolation, match=message):
             self.overshoot(1e-5)
+        table, rho, r = self.empty_line(1e-5)
+        before = rho.tobytes()
+        with pytest.raises(InvariantViolation, match=message):
+            advance_step(table, rho, r, 0, np.empty_like(rho))
+        assert rho.tobytes() == before
 
     def test_buffer_out_of_range_names_node(self):
         # an over-full and a NaN pass-through load, a negative source load,
